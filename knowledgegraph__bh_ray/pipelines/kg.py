@@ -18,6 +18,7 @@ overhead amortized while a batch × 32 concurrent tasks stays ≪ worker heap.
 
 from __future__ import annotations
 
+import numpy as np
 import pandas as pd
 import pyarrow as pa
 
@@ -31,6 +32,7 @@ from ..stages.grouped import (
 from ..stages.linkage import CanonicalizeTriples, canonical_map_ds, normalize_surface_series
 
 EXTRACT_BATCH_SIZE = 256
+ADJACENCY_BUCKETS = 16
 
 
 def parsed_ds(pages_path: str):
@@ -110,10 +112,46 @@ def _node_id_set(source) -> frozenset:
 
 
 TRIPLE_COLS = ["url", "seq", "subj", "pred", "obj", "subj_name", "obj_name", "props_json"]
+EDGE_KEYS = ["subj", "pred", "obj"]
+
+
+def _edge_agg(kept, adjacency_buckets: int | None, salt_buckets: int = 16):
+    """Salted dedup-count of linked triples per (subj, pred, obj).
+
+    ``adjacency_buckets=n`` lays the result out as the sorted, subj-bucketed
+    adjacency table: the aggregation's final exchange routes by
+    ``bucket_of(subj, n)`` (a function of the key, so dedup stays exact),
+    and each final group — one bucket — is sorted by key and carries a
+    ``subj_bucket`` column, ready for
+    ``write_parquet(partition_cols=["subj_bucket"])``.  A reader doing
+    per-entity lookups prunes to one bucket dir and one sorted range, and
+    building the layout costs no shuffle beyond the aggregation's own."""
+    layout = {}
+    if adjacency_buckets is not None:
+        from ..functions.hashing import bucket_of
+
+        def _route(df: pd.DataFrame) -> np.ndarray:
+            return np.array([bucket_of(s, adjacency_buckets) for s in df["subj"]], dtype="int64")
+
+        def _finish(df: pd.DataFrame) -> pd.DataFrame:
+            out = df.sort_values(EDGE_KEYS, kind="mergesort").reset_index(drop=True)
+            out["subj_bucket"] = _route(out)
+            return out
+
+        layout = {"final_route": _route, "finish": _finish}
+    return salted_grouped_agg(
+        kept,
+        keys=EDGE_KEYS,
+        block_agg=count_first_block(EDGE_KEYS, "seq"),
+        salt_from="url",
+        salt_buckets=salt_buckets,
+        **layout,
+    )
 
 
 def edges_ds(source, node_ids: frozenset | None = None, salt_buckets: int = 16,
-             use_bloom: bool = False, join_mode: str = "broadcast"):
+             use_bloom: bool = False, join_mode: str = "broadcast",
+             adjacency_buckets: int | None = None):
     """Triple dedup + graph materialization (G2/G6): drop dangling endpoints
     (reference policy J1: both endpoints must be known concepts), then
     groupby (subj, pred, obj) → weight = occurrence count, representative
@@ -130,7 +168,10 @@ def edges_ds(source, node_ids: frozenset | None = None, salt_buckets: int = 16,
 
     ``use_bloom`` (broadcast mode): ship a Bloom filter of the id set ahead
     of the exact set — bits instead of strings; the exact set still
-    verifies the bloom survivors, so output is identical either way."""
+    verifies the bloom survivors, so output is identical either way.
+
+    ``adjacency_buckets``: emit the subj-bucketed adjacency layout (see
+    ``_edge_agg``)."""
     import ray
 
     from ..functions.bloom import BloomFilter
@@ -163,13 +204,7 @@ def edges_ds(source, node_ids: frozenset | None = None, salt_buckets: int = 16,
             return batch[m].reset_index(drop=True)
 
         kept = triples.map_batches(_drop_dangling, batch_format="pandas")
-    return salted_grouped_agg(
-        kept,
-        keys=["subj", "pred", "obj"],
-        block_agg=count_first_block(["subj", "pred", "obj"], "seq"),
-        salt_from="url",
-        salt_buckets=salt_buckets,
-    )
+    return _edge_agg(kept, adjacency_buckets, salt_buckets)
 
 
 def canonical_nodes_ds(source, salt_buckets: int = 16):
@@ -178,19 +213,25 @@ def canonical_nodes_ds(source, salt_buckets: int = 16):
     return canonical_map_ds(nodes_raw_ds(source), salt_buckets=salt_buckets)
 
 
-def edges_canonical_ds(source, canon_map: dict | None = None, concurrency=(2, 16),
-                       join_mode: str = "broadcast"):
+def edges_canonical_ds(source, canon_map: dict | None = None,
+                       join_mode: str = "broadcast", adjacency_buckets: int | None = None):
     """Canonicalized, deduplicated edge table: endpoints rewritten to
     canonical ids, unknown blocking keys dropped, then the same salted
     dedup-count as edges_ds.
 
     ``join_mode="broadcast"`` (default): the canonical map is broadcast and
-    applied by an actor pool (map fetched once per actor) — right while the
-    entity vocabulary fits a worker.  ``join_mode="bucketed"``: NO
-    broadcast — the canonical-map Dataset is reduce-side-joined against the
-    triples on the blocking key (subj pass then obj pass), the scale path
-    for vocabularies beyond worker memory.  Output identical (tested)."""
+    applied by plain map tasks, each worker building the lookup dicts once
+    per ref (state/broadcast.py) — right while the entity vocabulary fits
+    a worker.  ``join_mode="bucketed"``: NO broadcast — the canonical-map
+    Dataset is reduce-side-joined against the triples on the blocking key
+    (subj pass then obj pass), the scale path for vocabularies beyond
+    worker memory.  Output identical (tested).
+
+    ``adjacency_buckets``: emit the subj-bucketed adjacency layout (see
+    ``_edge_agg``)."""
     import ray
+
+    from ..state.broadcast import from_broadcast
 
     triples = triples_raw_ds(source)
     if join_mode == "bucketed":
@@ -233,19 +274,12 @@ def edges_canonical_ds(source, canon_map: dict | None = None, concurrency=(2, 16
                 else {}
             )
         ref = ray.put(canon_map)
-        linked = triples.map_batches(
-            CanonicalizeTriples,
-            fn_constructor_args=(ref,),
-            batch_format="pandas",
-            concurrency=concurrency,
-        )
-    return salted_grouped_agg(
-        linked,
-        keys=["subj", "pred", "obj"],
-        block_agg=count_first_block(["subj", "pred", "obj"], "seq"),
-        salt_from="url",
-        salt_buckets=16,
-    )
+
+        def _canonicalize(batch: pd.DataFrame) -> pd.DataFrame:
+            return from_broadcast(ref, CanonicalizeTriples)(batch)
+
+        linked = triples.map_batches(_canonicalize, batch_format="pandas")
+    return _edge_agg(linked, adjacency_buckets)
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +309,6 @@ def page_graph_nodes_ds(pages_path: str):
     (constructor.py:207-229) as a groupby merge instead of a shared dict.
     Deterministic delta vs the reference: placeholder name = lexicographic
     min link text (the reference keeps BFS-encounter order)."""
-    import numpy as np
-
     from ..stages.grouped import hash_partitioned_agg
 
     real = extracted_ds(pages_path).map_batches(

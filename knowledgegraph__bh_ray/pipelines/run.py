@@ -9,6 +9,11 @@ Phase structure (each phase is a resume unit, SURVEY.md §7.2 step 6):
   phase 2  ``nodes/``            global keep-first dedup over the checkpoint
   phase 3  ``edges/``            dangling-drop + dedup-count
   phase 4  ``canonical/`` + ``edges_canonical/``  linking outputs
+  phase 5  ``mentions/``         gazetteer (or CRF / pattern) mention spans
+
+``edges/`` and ``edges_canonical/`` use the adjacency layout: dir
+``subj_bucket=K`` holds exactly the subjects with ``bucket_of(subj, 16) ==
+K``, rows sorted by subj within the bucket.
 
 Phase 2+ read the *parsed checkpoint*, column-pruned to what each phase
 needs — extraction runs exactly once per page per run, and a killed run
@@ -30,28 +35,6 @@ from ..sources import read_pages
 from ..state.lineage import Manifest, ShardedCounter
 from . import kg
 
-# fsspec's HTTP module needs aiohttp (absent here) and FAILS to import; a
-# failed import is retried — and re-executed — on every attempt, so two
-# driver threads creating Datasets concurrently can race the partial module
-# and crash Ray's path resolution with "cannot import name HTTPFileSystem"
-# (an ImportError its ModuleNotFoundError guard does not catch).  Pin a
-# sentinel module in sys.modules so every later import is a cache hit;
-# Ray's isinstance() check against the sentinel class is False for every
-# real filesystem — identical behavior to the ModuleNotFoundError branch.
-try:  # pragma: no cover - environment-dependent
-    from fsspec.implementations.http import HTTPFileSystem as _HTTPFS  # noqa: F401
-except Exception:  # pragma: no cover
-    import sys as _sys
-    import types as _types
-
-    _m = _types.ModuleType("fsspec.implementations.http")
-
-    class _SentinelHTTPFileSystem:  # real one unimportable in this env
-        pass
-
-    _m.HTTPFileSystem = _SentinelHTTPFileSystem
-    _sys.modules["fsspec.implementations.http"] = _m
-
 
 def _dir_rows(d: str) -> int:
     """Row count of a parquet dir from file footers — no data read."""
@@ -70,32 +53,6 @@ def _read_small(d: str, columns=None) -> "pd.DataFrame":
     import pyarrow.parquet as pq
 
     return pq.read_table(d, columns=columns).to_pandas()
-
-
-def _write_adjacency(edges_ds, out_dir: str, n_buckets: int = 16) -> None:
-    """Sorted, subj-bucketed Parquet adjacency layout (north-star
-    materialization): partition dirs by ``subj_bucket = stable_hash(subj) %
-    n_buckets``, rows sorted by subj WITHIN each bucket — a reader doing
-    per-entity adjacency lookups prunes to one bucket dir and one sorted
-    range.  The sort is per-bucket (one hash shuffle + vectorized sort per
-    group), not global: cross-bucket order serves no reader (bucket ids are
-    hash-assigned), and a global range-sort is a second all-to-all."""
-    from ..functions.hashing import bucket_of
-
-    def _bucket(batch: pd.DataFrame) -> pd.DataFrame:
-        out = batch.copy()
-        out["subj_bucket"] = [bucket_of(s, n_buckets) for s in out["subj"]]
-        return out
-
-    def _sort_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        return g.sort_values("subj", kind="mergesort").reset_index(drop=True)
-
-    (
-        edges_ds.map_batches(_bucket, batch_format="pandas")
-        .groupby("subj_bucket")
-        .map_groups(_sort_bucket, batch_format="pandas")
-        .write_parquet(out_dir, partition_cols=["subj_bucket"])
-    )
 
 
 def _add_shard(batch: pa.Table, num_shards: int) -> pa.Table:
@@ -165,9 +122,8 @@ def run_kg_pipeline(
             # BLOCKING on purpose: fire-and-forget increments race the
             # driver's get_all after write_parquet (messages from worker
             # callers have no cross-caller ordering vs the driver's read —
-            # observed as undercounted manifests in a busy session).  The
-            # counter is SHARDED by worker pid so the awaited round-trips
-            # don't serialize all workers through one actor.
+            # observed as undercounted manifests in a busy session).  One
+            # awaited round trip per 256-page batch (see ShardedCounter).
             counter.incr_many_blocking(stats)
             return _add_shard(parsed, num_shards)
 
@@ -206,38 +162,12 @@ def run_kg_pipeline(
         _checkpoint_gate()
 
     # ---- phases 3-5: edges / canonical / mentions --------------------------
-    # Mutually independent given the parsed checkpoint and the nodes table.
-    # They CAN run concurrently from driver threads (KGBH_CONCURRENT_PHASES
-    # =1), but sequential is the measured default in local mode: three
-    # streaming executors on one driver GIL thrash — same-load A/B on the
-    # 50k-page bench measured 23.6 s concurrent vs 13.6 s sequential
-    # (PERF.md round 3).  On a multi-node cluster, where driver-side
-    # coordination is a small fraction of each phase, the overlap is worth
-    # re-measuring — the machinery below is load-tested (resume + deadlock
-    # guards) either way.  Resume semantics are identical in both modes:
-    # each unit writes its own dir and appends its own manifest line
-    # (lock-serialized).  The kill-injection test hook (_fail_after_units)
-    # forces sequential order so unit-count semantics in tests stay
-    # deterministic.
-    import threading
-
-    _mark_lock = threading.Lock()
-
-    def _mark(unit: str, rows: int, t0: float) -> None:
-        with _mark_lock:
-            manifest.mark_done(unit, rows, wall_sec=time.time() - t0)
-
-    ncpu_now = int(ray.cluster_resources().get("CPU", 8))
-    concurrent_phases = (_fail_after_units is None
-                         and os.environ.get('KGBH_CONCURRENT_PHASES') == '1')
-    # two actor-pool phases may coexist: split the pool budget so BOTH
-    # pools together claim at most ncpu-2 — two slots must stay free for
-    # the pools' own upstream read tasks or the phase deadlocks (round-1
-    # PERF note, observed again here at the 4-CPU test session)
-    if concurrent_phases:
-        pool_cap = max(1, min(ncpu_now // 4, (ncpu_now - 2) // 2))
-    else:
-        pool_cap = max(2, min(8, ncpu_now // 2))
+    # Mutually independent given the parsed checkpoint and the nodes table;
+    # run one after another (three streaming executors on one driver GIL
+    # thrash — PERF.md round 3).  Each unit writes its own dir and appends
+    # its own manifest line.
+    def _mark(unit: str, out: str, t0: float) -> None:
+        manifest.mark_done(unit, _dir_rows(out), wall_sec=time.time() - t0)
 
     edges_dir = os.path.join(out_dir, "edges")
 
@@ -245,9 +175,10 @@ def run_kg_pipeline(
         t0 = time.time()
         manifest.clean_unit_dir(edges_dir)
         node_ids = frozenset(_read_small(nodes_dir, ["id"])["id"])
-        edges = kg.edges_ds(_parsed(columns=["url", "triples"]), node_ids=node_ids)
-        _write_adjacency(edges, edges_dir)
-        _mark("edges", _dir_rows(edges_dir), t0)
+        edges = kg.edges_ds(_parsed(columns=["url", "triples"]), node_ids=node_ids,
+                            adjacency_buckets=kg.ADJACENCY_BUCKETS)
+        edges.write_parquet(edges_dir, partition_cols=["subj_bucket"])
+        _mark("edges", edges_dir, t0)
 
     canon_dir = os.path.join(out_dir, "canonical")
     ecanon_dir = os.path.join(out_dir, "edges_canonical")
@@ -292,44 +223,37 @@ def run_kg_pipeline(
             if "norm_key" in canon_pdf.columns
             else {}
         )
-        # fixed pool, capped (see pool_cap above): the per-batch work is a
-        # vectorized dict map — spin-up of a CPU-wide pool costs more than
-        # it buys and starves the checkpoint read (same measurement as the
-        # mentions pool, PERF.md round 3)
         ecanon = kg.edges_canonical_ds(
             _parsed(columns=["url", "triples"]),
             canon_map=canon_map,
-            concurrency=pool_cap,
+            adjacency_buckets=kg.ADJACENCY_BUCKETS,
         )
-        _write_adjacency(ecanon, ecanon_dir)
-        _mark("canonical", _dir_rows(ecanon_dir), t0)
+        ecanon.write_parquet(ecanon_dir, partition_cols=["subj_bucket"])
+        _mark("canonical", ecanon_dir, t0)
 
     mentions_dir = os.path.join(out_dir, "mentions")
 
     def _run_mentions() -> None:
         t0 = time.time()
         manifest.clean_unit_dir(mentions_dir)
-        # STREAM the checkpoint into a bounded tagger pool: slots stay free
-        # for the upstream read tasks so the pool never starves its own
-        # input (a pool equal to the CPU count deadlocks — PERF.md round 1),
-        # and no corpus-sized dataset is ever pinned in the object store
-        # (round-1 verdict's #1 scale-killer)
+        # STREAM the checkpoint: no corpus-sized dataset is ever pinned in
+        # the object store (round-1 verdict's #1 scale-killer)
+        ncpu = int(ray.cluster_resources().get("CPU", 8))
         extracted = rd.read_parquet(
-            parsed_dir, columns=["url", "text_out"], override_num_blocks=ncpu_now * 2
+            parsed_dir, columns=["url", "text_out"], override_num_blocks=ncpu * 2
         )
-        pool = max(1, ncpu_now - 2)
+        # the CRF and pattern taggers keep actor pools; two CPU slots stay
+        # free for the pool's own upstream read tasks (a pool equal to the
+        # CPU count deadlocks — PERF.md round 1)
+        pool = max(1, ncpu - 2)
         if tagger == "crf":
             from ..stages.crf import crf_mentions_ds
 
-            mentions = crf_mentions_ds(
-                extracted, concurrency=max(2, pool_cap) if concurrent_phases else pool
-            )
+            mentions = crf_mentions_ds(extracted, concurrency=pool)
         elif tagger == "pattern":
             from ..stages.ner import pattern_mentions_ds
 
-            mentions = pattern_mentions_ds(
-                extracted, concurrency=max(2, pool_cap) if concurrent_phases else pool
-            )
+            mentions = pattern_mentions_ds(extracted, concurrency=pool)
         else:
             from ..stages.ner import mentions_ds
 
@@ -344,36 +268,13 @@ def run_kg_pipeline(
                 .head(5000)
             )
             gaz = (names_pdf["name"].tolist(), names_pdf["type"].tolist())
-            # trie matcher → compute is ~0.13 ms/page: a small pool leaves
-            # the CPUs to the read/write tasks (see mentions_ds docstring)
-            mentions = mentions_ds(extracted, gaz, concurrency=min(pool_cap, pool))
+            mentions = mentions_ds(extracted, gaz)
         mentions.write_parquet(mentions_dir)
-        _mark("mentions", _dir_rows(mentions_dir), t0)
+        _mark("mentions", mentions_dir, t0)
 
-    pending = [(unit, fn) for unit, fn in
-               [("edges", _run_edges), ("canonical", _run_canonical),
-                ("mentions", _run_mentions)] if unit not in done]
-    if concurrent_phases and len(pending) > 1:
-        errors: list[BaseException] = []
-
-        def _guard(t_fn):
-            def run():
-                try:
-                    t_fn()
-                except BaseException as e:  # surface thread failures
-                    errors.append(e)
-            return run
-
-        threads = [threading.Thread(target=_guard(fn), name=f"phase-{u}")
-                   for u, fn in pending]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        if errors:
-            raise errors[0]
-    else:
-        for _unit, fn in pending:
+    for unit, fn in [("edges", _run_edges), ("canonical", _run_canonical),
+                     ("mentions", _run_mentions)]:
+        if unit not in done:
             fn()
             _checkpoint_gate()
 
@@ -391,11 +292,13 @@ def read_output(out_dir: str, table: str):
 def degree_from_adjacency(out_dir: str, table: str = "edges"):
     """SHUFFLE-FREE per-entity degree over the bucketed adjacency layout.
 
-    ``_write_adjacency`` partitions edges by ``hash(subj) % n_buckets`` and
-    sorts by subj, so every row of a subject lives in exactly one bucket
-    dir — the partitioning key chosen at WRITE time is reused at read time:
-    one task per bucket does a vectorized local groupby and the results
-    concatenate with zero all-to-all exchange.  (At larger bucket sizes the
+    The edges and canonical units write ``subj_bucket=K`` dirs holding
+    exactly the subjects with ``bucket_of(subj, 16) == K``, rows sorted by
+    subj (kg._edge_agg builds the layout in the aggregation's final
+    exchange), so every row of a subject lives in one bucket dir — the
+    partitioning key chosen at WRITE time is reused at read time: one task
+    per bucket does a vectorized local groupby and the results concatenate
+    with zero all-to-all exchange.  (At larger bucket sizes the
     within-bucket rows are subj-sorted, so the same aggregation streams.)"""
     import glob
 

@@ -1319,87 +1319,17 @@ def q_bpe_merges(sf_dir: str):
 
 
 # Ordering contract: the driver caps checked queries (~50/round); the dict
-# order IS the check window.  ROTATION POLICY (round 5): every mirror must
-# have a driver hash row at most one round old (r5 ∪ r4 covers all 83
-# mirrors), and — new this round — no-oracle queries also cycle through for
-# rows-run entries.  This round's 50 = the 8 queries that have NEVER had a
-# driver row (the two NEW sampled-quantile mirrors + six no-oracle ops) +
-# simsearch_lsh (rows-run only in r1, the stalest no-oracle row) + the 10
-# r4-green mirrors whose code or SQL changed this round (export_json →
-# streamed assembly; pipeline_counters → sharded counter actor;
-# mention_coverage → capped scorer cross-check; heavy_hitters → pruned
-# combine; the whitespace-trim mirror rewrite family) + the 31 mirrors
-# whose last row is r3 (the r4-displaced rotation coming back in).
+# order IS the check window.  ROTATION POLICY: every mirror must have a
+# hash-green CORRECTNESS row at most one round old.  The order below is
+# the output of ``python tools/rotation_plan.py`` (which reports
+# "invariant OK"): the 50 stalest mirrors lead — the 41 whose last green
+# row is r4, then 9 r5-green ones in registry order — and every mirror
+# displaced past the cap is hash-green in CORRECTNESS_r05.json
+# (machine-checked by tests/test_rotation.py).  The no-oracle queries
+# follow; each already has a CORRECTNESS row, and each keeps a
+# serial-reference/property pytest.
 QUERIES = {
-    # (1) first driver row EVER — the three NEW mirrors lead:
-    "events_quantiles_sampled": q_events_quantiles_sampled,
-    "events_quantiles_sampled_by_type": q_events_quantiles_sampled_by_type,
-    "sorted_rank": q_sorted_rank,
-    # (1b) no-oracle ops with no row in any round (rows-run entries):
-    "bpe_merges": q_bpe_merges,
-    "bpe_encode": q_bpe_encode,
-    "dedup_semantic": q_dedup_semantic,
-    "embedding_clusters": q_embedding_clusters,
-    "simsearch_ivf": q_simsearch_ivf,
-    "distinct_users_hll": q_distinct_users_hll,
-    # (1c) stalest no-oracle row (r1):
-    "simsearch_lsh": q_simsearch_lsh,
-    # (2) code or SQL changed this round — must re-green:
-    "export_json": q_export_json,
-    "pipeline_counters": q_pipeline_counters,
-    "mention_coverage": q_mention_coverage,
-    "heavy_hitters": q_heavy_hitters,
-    "dup_passage": q_dup_passage,
-    "dedup_substring": q_dedup_substring,
-    "dedup_substring_clean": q_dedup_substring_clean,
-    "lm_perplexity": q_lm_perplexity,
-    "quality_filter": q_quality_filter,
-    # (3) the r4-displaced rotation (last row: r3) coming back in:
-    "kg_pages_without_links": q_kg_pages_without_links,
-    "rag_topk": q_rag_topk,
-    "decontaminate": q_decontaminate,
-    "sample_stratified": q_sample_stratified,
-    "repetition_filter": q_repetition_filter,
-    "events_lag": q_events_lag,
-    "embed_concepts": q_embed_concepts,
-    "top_anchor_texts": q_top_anchor_texts,
-    "export_graph": q_export_graph,
-    "distinct_users_by_type": q_distinct_users_by_type,
-    "kg_extract": q_kg_extract,
-    "kg_links": q_kg_links,
-    "kg_triples_raw": q_kg_triples_raw,
-    "kg_nodes": q_kg_nodes,
-    "kg_edges": q_kg_edges,
-    "kg_edges_canonical": q_kg_edges_canonical,
-    "kg_mentions": q_kg_mentions,
-    "kg_node_parents": q_kg_node_parents,
-    "kg_entity_freq": q_kg_entity_freq,
-    "kg_bfs": q_kg_bfs,
-    "kg_page_graph_nodes": q_kg_page_graph_nodes,
-    "kg_page_components": q_kg_page_components,
-    "kg_triangles": q_kg_triangles,
-    "kg_ancestors": q_kg_ancestors,
-    "dedup_embedding": q_dedup_embedding,
-    "text_quality": q_text_quality,
-    "join_volume": q_join_volume,
-    "events_sessionize": q_events_sessionize,
-    "events_hopping_window": q_events_hopping_window,
-    "tfidf_terms": q_tfidf_terms,
-    "bigram_top": q_bigram_top,
-    # --- SQL-mirrored but BEYOND the ~50-row cap THIS round.  Every one
-    # is hash-green in CORRECTNESS_r04.json, so after this round every
-    # mirror has a driver row ≤1 round old.  Five of these (dedup_jaccard,
-    # token_count_by_lang, curate_corpus, inverted_index, pack_sequences)
-    # carry the whitespace-trim SQL rewrite; the rewrite is value-identical
-    # on the corpus (no whitespace-edge docs — the r4-green rows prove the
-    # old form; tools/check_driver.py replays the new form green across
-    # all 98 queries), and the shared trim/tokenize machinery stays in-cap
-    # via text_quality / dup_passage / dedup_substring / tfidf_terms.
-    # csv_roundtrip / export_graph-family path changes are pid-scratch only.
-    # sample_weighted was displaced to make room for the NEW sorted_rank
-    # mirror (new-mirror > changed-SQL priority): its r4 row is hash-green,
-    # its trim-only SQL rewrite replays green locally, and its seeded-draw
-    # machinery stays in-cap via the md5-rank rule sample_uniform pinned.
+    # --- in-cap: stalest mirrors first (rotation_plan.py order) ---
     "sample_weighted": q_sample_weighted,
     "dedup_jaccard": q_dedup_jaccard,
     "token_count_by_lang": q_token_count_by_lang,
@@ -1441,8 +1371,60 @@ QUERIES = {
     "media_features": q_media_features,
     "pii_scrub": q_pii_scrub,
     "boilerplate_strip": q_boilerplate_strip,
-    # --- no_oracle, rows-checked in round 2 (every one still runs in
-    # tools/check_driver.py and has a serial-reference/property pytest) ---
+    "events_quantiles_sampled": q_events_quantiles_sampled,
+    "events_quantiles_sampled_by_type": q_events_quantiles_sampled_by_type,
+    "sorted_rank": q_sorted_rank,
+    "export_json": q_export_json,
+    "pipeline_counters": q_pipeline_counters,
+    "mention_coverage": q_mention_coverage,
+    "heavy_hitters": q_heavy_hitters,
+    "dup_passage": q_dup_passage,
+    "dedup_substring": q_dedup_substring,
+    # --- SQL-mirrored but BEYOND the ~50-row cap this round; every one is
+    # hash-green in CORRECTNESS_r05.json ---
+    "dedup_substring_clean": q_dedup_substring_clean,
+    "lm_perplexity": q_lm_perplexity,
+    "quality_filter": q_quality_filter,
+    "kg_pages_without_links": q_kg_pages_without_links,
+    "rag_topk": q_rag_topk,
+    "decontaminate": q_decontaminate,
+    "sample_stratified": q_sample_stratified,
+    "repetition_filter": q_repetition_filter,
+    "events_lag": q_events_lag,
+    "embed_concepts": q_embed_concepts,
+    "top_anchor_texts": q_top_anchor_texts,
+    "export_graph": q_export_graph,
+    "distinct_users_by_type": q_distinct_users_by_type,
+    "kg_extract": q_kg_extract,
+    "kg_links": q_kg_links,
+    "kg_triples_raw": q_kg_triples_raw,
+    "kg_nodes": q_kg_nodes,
+    "kg_edges": q_kg_edges,
+    "kg_edges_canonical": q_kg_edges_canonical,
+    "kg_mentions": q_kg_mentions,
+    "kg_node_parents": q_kg_node_parents,
+    "kg_entity_freq": q_kg_entity_freq,
+    "kg_bfs": q_kg_bfs,
+    "kg_page_graph_nodes": q_kg_page_graph_nodes,
+    "kg_page_components": q_kg_page_components,
+    "kg_triangles": q_kg_triangles,
+    "kg_ancestors": q_kg_ancestors,
+    "dedup_embedding": q_dedup_embedding,
+    "text_quality": q_text_quality,
+    "join_volume": q_join_volume,
+    "events_sessionize": q_events_sessionize,
+    "events_hopping_window": q_events_hopping_window,
+    "tfidf_terms": q_tfidf_terms,
+    "bigram_top": q_bigram_top,
+    # --- no_oracle (rows-run; every one still runs in tools/check_driver.py
+    # and has a serial-reference/property pytest) ---
+    "bpe_merges": q_bpe_merges,
+    "bpe_encode": q_bpe_encode,
+    "dedup_semantic": q_dedup_semantic,
+    "embedding_clusters": q_embedding_clusters,
+    "simsearch_ivf": q_simsearch_ivf,
+    "distinct_users_hll": q_distinct_users_hll,
+    "simsearch_lsh": q_simsearch_lsh,
     "kg_mentions_pattern": q_kg_mentions_pattern,
     "kg_mentions_crf": q_kg_mentions_crf,
     "kg_chunks": q_kg_chunks,

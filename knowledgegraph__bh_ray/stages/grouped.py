@@ -107,12 +107,22 @@ def salted_grouped_agg(
     salt_buckets: int = 16,
     combine_partitions: int = DEFAULT_COMBINE_PARTITIONS,
     block_agg_salted: Callable[[pd.DataFrame], pd.DataFrame] | None = None,
+    final_route: Callable[[pd.DataFrame], np.ndarray] | None = None,
+    finish: Callable[[pd.DataFrame], pd.DataFrame] | None = None,
 ):
     """Three-level skew-aware aggregation; see module docstring.
 
     ``block_agg``: vectorized combine of rows sharing ``keys`` within a
     DataFrame.  ``block_agg_salted`` (default: same logic over
     keys+[_salt]) is used for the intermediate salted level.
+
+    ``final_route`` (default: hash(keys) % combine_partitions) maps the
+    salted level's rows to their final group; it must depend on key
+    columns only, so every row of a key meets in one group.  ``finish``
+    then runs once per final group on its fully-aggregated rows — a caller
+    that needs its output laid out by some function of the keys (e.g. the
+    subj-bucketed adjacency, pipelines/kg.py) gets it from this exchange
+    instead of a second shuffle.
     """
     salted = block_agg_salted
 
@@ -132,11 +142,13 @@ def salted_grouped_agg(
         out = salted(df) if salted else block_agg(df.drop(columns=[SALT_COL]))
         if SALT_COL in out.columns:
             out = out.drop(columns=[SALT_COL])
-        out[PART_COL] = (_key_hash(out, keys) % combine_partitions).astype("int64")
+        part = final_route(out) if final_route else _key_hash(out, keys) % combine_partitions
+        out[PART_COL] = np.asarray(part).astype("int64")
         return out
 
     def _combine_final(group: pd.DataFrame) -> pd.DataFrame:
-        return block_agg(group.drop(columns=[PART_COL]))
+        out = block_agg(group.drop(columns=[PART_COL]))
+        return finish(out) if finish else out
 
     partials = ds.map_batches(_partial, batch_format="pandas")
     level2 = (

@@ -16,10 +16,12 @@ This engine adds the linking layer the north rule asks for:
 
 The canonical map (blocking key → canonical id/name) is entity *vocabulary*,
 orders of magnitude smaller than the corpus, so edge canonicalization uses a
-broadcast lookup (``ray.put`` once, read per actor/task — SURVEY.md §2.5 J1)
-instead of a second shuffle.  Scale fallback for a vocabulary that outgrows
-worker memory: hash-bucketed join on the blocking key (documented, not
-needed at this corpus/vocab ratio).
+broadcast lookup (``ray.put`` once; each worker process builds the lookup
+dicts on its first batch and caches them by ref — state/broadcast.py,
+SURVEY.md §2.5 J1) in plain map tasks, instead of a second shuffle or an
+actor pool.  Scale fallback for a vocabulary that outgrows worker memory:
+``edges_canonical_ds(join_mode="bucketed")``, a reduce-side join on the
+blocking key.
 """
 
 from __future__ import annotations
@@ -77,13 +79,14 @@ def canonical_map_ds(nodes_raw, salt_buckets: int = 16):
 
 
 class CanonicalizeTriples:
-    """Actor-pool stage: rewrite triple endpoints to canonical ids via the
+    """Batch callable: rewrite triple endpoints to canonical ids via the
     broadcast canonical map; endpoints whose blocking key is unknown are
-    dropped (the reference's dangling-edge policy, csv2rdf-jsonld.py:94-99),
-    counted per batch in ``n_dangling`` by the lineage counters.
+    dropped (the reference's dangling-edge policy, csv2rdf-jsonld.py:94-99).
 
-    The map is fetched from the object store once per actor (``__init__``),
-    not per batch.
+    ``__init__`` fetches the map and splits it into lookup dicts.
+    ``edges_canonical_ds`` builds one instance per worker process and
+    broadcast ref (state/broadcast.py), so that runs once per worker, not
+    per batch.
     """
 
     def __init__(self, canon_map_ref):

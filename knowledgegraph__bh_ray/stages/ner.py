@@ -1,4 +1,4 @@
-"""Mention detection — the stateful actor-pool stage (reference op A2/M14).
+"""Mention detection — the load-once tagger stage (reference op A2/M14).
 
 The reference hosts a BiLSTM-CRF tagger loaded once per process and predicts
 line-at-a-time (bilstm_crf_ner.py:648-676, 836-846).  This engine keeps the
@@ -10,8 +10,9 @@ deliverable, and the slot is pluggable: any callable class with the same
 batch signature drops in).
 
 Gazetteer matching: longest-match-first, non-overlapping, via one compiled
-alternation regex built once per actor from the broadcast vocabulary
-(``ray.put`` on the driver, ``ray.get`` in ``__init__`` — never per batch).
+trie regex built once per worker process from the broadcast vocabulary
+(``ray.put`` on the driver, built on a worker's first batch and cached by
+ref in state/broadcast.py — never per batch).
 """
 
 from __future__ import annotations
@@ -116,10 +117,10 @@ def tag_mentions(text: str, pattern: GazetteerMatcher, type_of: dict[str, str]) 
 
 
 class GazetteerNER:
-    """Actor-pool mention detector.
+    """Gazetteer mention detector.
 
-    ``__init__`` (once per actor): fetch the broadcast (names, types) vocab,
-    compile the alternation pattern.
+    ``__init__`` (once per worker and vocabulary, see ``mentions_ds``):
+    fetch the broadcast (names, types) vocab, compile the trie pattern.
     ``__call__`` (per batch): tag every paragraph of ``text_out``; one output
     row per mention (url, para_idx, entity, etype, start, end).
     """
@@ -148,25 +149,25 @@ class GazetteerNER:
         return df
 
 
-def mentions_ds(extracted, gazetteer: tuple[list[str], list[str]], concurrency=(1, 4),
-                batch_size: int = 256):
-    """extracted(url, text_out) → mentions via the GazetteerNER actor pool.
+def mentions_ds(extracted, gazetteer: tuple[list[str], list[str]], batch_size: int = 256):
+    """extracted(url, text_out) → mentions via plain map tasks.
 
-    With the trie matcher the per-page cost is ~0.13 ms, so a small pool
-    with large batches beats a CPU-wide pool: actor spin-up (vocab fetch +
-    trie compile per actor) dominates a 30-actor pool and starves the
-    upstream read of CPU slots (measured: pool 8 / batch 256 ≈ 2.9 s vs
-    pool 30 / batch 64 ≈ 6.3 s on the 50k-page bench corpus)."""
+    The vocabulary is broadcast once; each worker compiles the trie on its
+    first batch and reuses it for later batches of the same ref (see
+    state/broadcast.py).  No actor pool: the per-page cost is ~0.13 ms, so
+    starting pool actors (vocab fetch + compile per actor, new processes
+    every build) cost more than the tagging itself, and a plain task fuses
+    with the upstream read instead of competing with it for CPU slots."""
     import ray
 
+    from ..state.broadcast import from_broadcast
+
     ref = ray.put(gazetteer)
-    return extracted.map_batches(
-        GazetteerNER,
-        fn_constructor_args=(ref,),
-        batch_format="pandas",
-        batch_size=batch_size,
-        concurrency=concurrency,
-    )
+
+    def _tag(batch: pd.DataFrame) -> pd.DataFrame:
+        return from_broadcast(ref, GazetteerNER)(batch)
+
+    return extracted.map_batches(_tag, batch_format="pandas", batch_size=batch_size)
 
 
 # ---------------------------------------------------------------------------

@@ -52,20 +52,21 @@ class CounterActor:
 
 
 class ShardedCounter:
-    """Counter spread over ``n_shards`` zero-CPU actors so awaited per-batch
-    increments don't serialize every worker through ONE actor at high
-    worker counts (the r4 race fix made increments blocking on purpose —
-    fire-and-forget actor calls from map UDFs have no ordering vs the
-    driver's post-barrier read; sharding keeps the ordering guarantee,
-    since each batch still awaits ITS shard before completing, while
-    spreading the per-batch round-trips across shards).
+    """Run-scoped counter over ``n_shards`` zero-CPU ``CounterActor``s.
 
-    A worker routes by its pid — all increments from one worker process hit
-    one shard (cheap affinity, no key hashing needed for commutative sums);
-    ``get_all`` merges shard dicts AFTER the dataset barrier, when every
-    increment has already been awaited by its batch."""
+    Map UDFs increment with an AWAITED call on purpose (the r4 race fix):
+    fire-and-forget actor calls from workers have no ordering vs the
+    driver's post-barrier read, so each batch waits for its increment
+    before completing.  That is one round trip per 256-page batch, 1–4 ms
+    (kgbench ``lineage.counter_rtt_ms``), so one actor is far from
+    saturated at a handful of workers: the default is one shard, i.e. one
+    extra process per session.  More shards spread the round trips of a
+    large worker pool; a worker routes by its pid, so all increments from
+    one process hit one shard (no key hashing needed for commutative
+    sums), and ``get_all`` merges shard dicts AFTER the dataset barrier,
+    when every increment has already been awaited by its batch."""
 
-    def __init__(self, n_shards: int = 8):
+    def __init__(self, n_shards: int = 1):
         self.shards = [CounterActor.remote() for _ in range(n_shards)]
 
     def incr_many_blocking(self, stats: dict) -> None:

@@ -33,7 +33,7 @@ def test_actor_batch_shape(ray_session):
             "text_out": ["实体1 出现\n又见 实体1", "没有匹配"],
         }
     )
-    out = mentions_ds(rd.from_pandas(df), (["实体1"], ["CONCEPT"]), concurrency=1).to_pandas()
+    out = mentions_ds(rd.from_pandas(df), (["实体1"], ["CONCEPT"])).to_pandas()
     assert len(out) == 2
     assert set(out.columns) == {"url", "para_idx", "entity", "etype", "start", "end"}
     assert (out["entity"] == "实体1").all()

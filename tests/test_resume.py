@@ -69,9 +69,39 @@ def test_resume_skips_completed_units(ray_session, pages_small, tmp_path):
     assert len(records_after) == len(records_before)
 
 
+def _assert_adjacency_layout(out: str, n_buckets: int = 16) -> None:
+    """edges/ and edges_canonical/: dir subj_bucket=K holds exactly the
+    subjects with bucket_of(subj, n_buckets) == K, rows sorted by subj."""
+    import glob
+
+    import pyarrow.parquet as pq
+
+    from knowledgegraph__bh_ray.functions.hashing import bucket_of
+
+    for table in ("edges", "edges_canonical"):
+        root = os.path.join(out, table)
+        dirs = sorted(glob.glob(os.path.join(root, "subj_bucket=*")))
+        assert dirs, table
+        n_rows = 0
+        for d in dirs:
+            k = int(d.rsplit("=", 1)[1])
+            assert 0 <= k < n_buckets
+            files = sorted(glob.glob(os.path.join(d, "*.parquet")))
+            subj = pd.concat(
+                [pq.read_table(f, columns=["subj"]).to_pandas()["subj"] for f in files],
+                ignore_index=True,
+            )
+            assert len(subj), d
+            assert {bucket_of(x, n_buckets) for x in subj} == {k}, d
+            assert subj.is_monotonic_increasing, d
+            n_rows += len(subj)
+        assert n_rows == len(rd.read_parquet(root).to_pandas()), table
+
+
 def test_degree_from_adjacency_no_shuffle(ray_session, pages_small, tmp_path):
-    """Bucketed-layout reuse: degree computed per bucket dir (no shuffle)
-    equals the shuffle-based kg_degree aggregation."""
+    """Bucketed-layout reuse: the adjacency layout holds, and degree
+    computed per bucket dir (no shuffle) equals the shuffle-based kg_degree
+    aggregation."""
     import pandas as pd
 
     from knowledgegraph__bh_ray.pipelines import kg
@@ -80,6 +110,7 @@ def test_degree_from_adjacency_no_shuffle(ray_session, pages_small, tmp_path):
 
     out = str(tmp_path / "run")
     run_kg_pipeline(pages_small, out, num_shards=4)
+    _assert_adjacency_layout(out)
     got = (
         degree_from_adjacency(out)
         .to_pandas()

@@ -6,8 +6,9 @@ PERF.md phase breakdowns.  Usage:
 
     python tools/phase_profile.py [sf_dir] [replicas] [num_cpus]
 
-Defaults: sf0.1, x10, 32 CPUs — the standard bench shape.  Don't run this
-concurrently with bench.py / --scaling; co-tenant load poisons both.
+Defaults: sf0.1, x10, and as many CPUs as this process may run on (its
+affinity mask).  Don't run this concurrently with bench.py / --scaling;
+co-tenant load poisons both.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 def main() -> int:
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.1"
     replicas = int(sys.argv[2]) if len(sys.argv) > 2 else 10
-    num_cpus = int(sys.argv[3]) if len(sys.argv) > 3 else 32
+    num_cpus = int(sys.argv[3]) if len(sys.argv) > 3 else len(os.sched_getaffinity(0))
 
     import ray
 
@@ -50,7 +51,7 @@ def main() -> int:
     rows = []
     for r in res["records"]:
         rows.append({"unit": r.get("unit"), "wall_sec": round(r.get("wall_sec", 0), 2),
-                     "n_rows": r.get("n_rows")})
+                     "rows": r.get("rows")})
     print(json.dumps({"total_sec": round(total, 2), "phases": rows,
                       "num_cpus": num_cpus, "replicas": replicas}, ensure_ascii=False))
     ray.shutdown()
