@@ -181,6 +181,8 @@ def run_bench() -> dict:
 
         ensure_page_edges(SF_DIR, replicas=REPLICAS)
 
+    from knowledgegraph__bh_ray.stages.grouped import SIZE_DISPATCH_THRESHOLD
+
     def _kcore(threshold):
         from knowledgegraph__bh_ray.stages.pagerank import k_core_ds
 
@@ -191,7 +193,7 @@ def run_bench() -> dict:
 
     # shipped counted-dispatch path, then the distributed rounds forced —
     # the scale path a corpus-sized graph takes
-    timed("kg_kcore", lambda: _kcore(2_000_000))
+    timed("kg_kcore", lambda: _kcore(SIZE_DISPATCH_THRESHOLD))
     timed("kg_kcore_dist", lambda: _kcore(0))
 
     def _nsim():

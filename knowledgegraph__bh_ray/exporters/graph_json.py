@@ -90,11 +90,10 @@ def page_graph_fragments_ds(records_ds, nodes_ds, edges_ds,
     "[...]".  No corpus-scale driver state — ranks, link attachment and
     fragment building all run as Dataset stages."""
     from ..stages.grouped import (
-        PART_COL,
-        _key_hash,
+        exchange,
         hash_partitioned_agg,
         keep_first_block,
-        reduce_side_lookup,
+        reduce_side_join,
     )
     from ..stages.rank import attach_sorted_rank
 
@@ -124,21 +123,16 @@ def page_graph_fragments_ds(records_ds, nodes_ds, edges_ds,
         }),
         batch_format="pandas",
     )
-    e1 = reduce_side_lookup(
+    e1 = reduce_side_join(
         edges_d, cols=["src_url", "dst_url", "text"], key_col="src_url",
-        lut_ds=src_lut, lut_key="url", lut_vals=["src_idx", "src_name"],
-        how="inner",
+        other_ds=src_lut, other_key="url", vals=["src_idx", "src_name"],
     )
-    e2 = reduce_side_lookup(
+    e2 = reduce_side_join(
         e1, cols=["src_url", "dst_url", "text", "src_idx", "src_name"],
-        key_col="dst_url", lut_ds=dst_lut, lut_key="url",
-        lut_vals=["dst_idx"], how="inner",
+        key_col="dst_url", other_ds=dst_lut, other_key="url", vals=["dst_idx"],
     )
 
     def _child_frags(d: pd.DataFrame) -> pd.DataFrame:
-        if "src_idx" not in d.columns or not len(d):
-            return pd.DataFrame({rank_col: pd.Series([], dtype="int64"),
-                                 "children_json": pd.Series([], dtype=object)})
         g = d.sort_values(["src_idx", "dst_idx"], kind="mergesort")
         elems = [json.dumps({"name": t, "index": int(i)}, ensure_ascii=False)
                  for t, i in zip(g["text"], g["dst_idx"])]
@@ -149,9 +143,6 @@ def page_graph_fragments_ds(records_ds, nodes_ds, edges_ds,
                              "children_json": ("[" + agg + "]").to_numpy()})
 
     def _parent_frags(d: pd.DataFrame) -> pd.DataFrame:
-        if "dst_idx" not in d.columns or not len(d):
-            return pd.DataFrame({rank_col: pd.Series([], dtype="int64"),
-                                 "parents_json": pd.Series([], dtype=object)})
         g = d.sort_values(["dst_idx", "src_idx"], kind="mergesort")
         elems = [json.dumps({"name": nm, "index": int(i)}, ensure_ascii=False)
                  for nm, i in zip(g["src_name"], g["src_idx"])]
@@ -166,42 +157,23 @@ def page_graph_fragments_ds(records_ds, nodes_ds, edges_ds,
     # fragment concatenation is NOT associative (ordered join of pieces),
     # so no partial agg: route all of a node's link rows to one partition,
     # build its list fragment there in one vectorized groupby-join
-    def _routed_groups(ds, key: str, fn, num_parts: int = 16):
-        def _route(d: pd.DataFrame) -> pd.DataFrame:
-            out = d.copy()
-            if not len(out):
-                out[PART_COL] = pd.Series([], dtype="int64")
-                return out
-            out[PART_COL] = (_key_hash(out, [key]) % num_parts).astype("int64")
-            return out
+    children = exchange(e2, ["src_idx"], _child_frags)
+    parents = exchange(e2, ["dst_idx"], _parent_frags)
 
-        def _run(g: pd.DataFrame) -> pd.DataFrame:
-            return fn(g.drop(columns=[PART_COL], errors="ignore"))
-
-        return (
-            ds.map_batches(_route, batch_format="pandas")
-            .repartition(num_parts)
-            .groupby(PART_COL)
-            .map_groups(_run, batch_format="pandas")
-        )
-
-    children = _routed_groups(e2, "src_idx", _child_frags)
-    parents = _routed_groups(e2, "dst_idx", _parent_frags)
-
-    with_rec = reduce_side_lookup(
+    with_rec = reduce_side_join(
         nodes_ranked, cols=["url", "name", rank_col], key_col="url",
-        lut_ds=records_ds, lut_key="url", lut_vals=REC_FIELDS, how="left",
+        other_ds=records_ds, other_key="url", vals=REC_FIELDS, how="left",
     )
-    with_children = reduce_side_lookup(
+    with_children = reduce_side_join(
         with_rec, cols=["url", "name", rank_col] + REC_FIELDS,
-        key_col=rank_col, lut_ds=children, lut_key=rank_col,
-        lut_vals=["children_json"], how="left",
+        key_col=rank_col, other_ds=children, other_key=rank_col,
+        vals=["children_json"], how="left",
     )
-    with_all = reduce_side_lookup(
+    with_all = reduce_side_join(
         with_children,
         cols=["url", "name", rank_col] + REC_FIELDS + ["children_json"],
-        key_col=rank_col, lut_ds=parents, lut_key=rank_col,
-        lut_vals=["parents_json"], how="left",
+        key_col=rank_col, other_ds=parents, other_key=rank_col,
+        vals=["parents_json"], how="left",
     )
 
     def _fragment(d: pd.DataFrame) -> pd.DataFrame:

@@ -150,8 +150,7 @@ def _edge_agg(kept, adjacency_buckets: int | None, salt_buckets: int = 16):
 
 
 def edges_ds(source, node_ids: frozenset | None = None, salt_buckets: int = 16,
-             use_bloom: bool = False, join_mode: str = "broadcast",
-             adjacency_buckets: int | None = None):
+             join_mode: str = "broadcast", adjacency_buckets: int | None = None):
     """Triple dedup + graph materialization (G2/G6): drop dangling endpoints
     (reference policy J1: both endpoints must be known concepts), then
     groupby (subj, pred, obj) → weight = occurrence count, representative
@@ -162,43 +161,29 @@ def edges_ds(source, node_ids: frozenset | None = None, salt_buckets: int = 16,
         ``ray.put`` and probed per batch; right when the vocabulary fits a
         worker (the common corpus/vocab ratio).
       * ``"bucketed"`` — NO broadcast: the distinct-id Dataset semi-joins
-        the triples by key hash (stages/grouped.reduce_side_semi_join),
+        the triples by key hash (stages/grouped.reduce_side_join, semi),
         once on subj and once on obj.  The scale path when even the
         vocabulary outgrows worker memory.  Output identical (tested).
-
-    ``use_bloom`` (broadcast mode): ship a Bloom filter of the id set ahead
-    of the exact set — bits instead of strings; the exact set still
-    verifies the bloom survivors, so output is identical either way.
 
     ``adjacency_buckets``: emit the subj-bucketed adjacency layout (see
     ``_edge_agg``)."""
     import ray
 
-    from ..functions.bloom import BloomFilter
-
     triples = triples_raw_ds(source)
     if join_mode == "bucketed":
-        from ..stages.grouped import distinct_block, hash_partitioned_agg, reduce_side_semi_join
+        from ..stages.grouped import distinct_block, hash_partitioned_agg, reduce_side_join
 
         ids_ds = hash_partitioned_agg(
             nodes_raw_ds(source).select_columns(["id"]), ["id"], distinct_block(["id"])
         )
-        kept = reduce_side_semi_join(triples, TRIPLE_COLS, "subj", ids_ds, "id")
-        kept = reduce_side_semi_join(kept, TRIPLE_COLS, "obj", ids_ds, "id")
+        kept = reduce_side_join(triples, TRIPLE_COLS, "subj", ids_ds, "id", how="semi")
+        kept = reduce_side_join(kept, TRIPLE_COLS, "obj", ids_ds, "id", how="semi")
     else:
         if node_ids is None:
             node_ids = _node_id_set(source)
         ids_ref = ray.put(node_ids)
-        bloom_ref = ray.put(BloomFilter.build(node_ids) if use_bloom else None)
 
         def _drop_dangling(batch: pd.DataFrame) -> pd.DataFrame:
-            bloom = ray.get(bloom_ref)
-            if bloom is not None and len(batch):
-                # vectorized probe: one (rows × n_hashes) broadcast per column
-                m0 = bloom.contains_many(batch["subj"].to_numpy()) & bloom.contains_many(
-                    batch["obj"].to_numpy()
-                )
-                batch = batch[m0]
             ids = ray.get(ids_ref)
             m = batch["subj"].isin(ids) & batch["obj"].isin(ids)
             return batch[m].reset_index(drop=True)
@@ -235,7 +220,7 @@ def edges_canonical_ds(source, canon_map: dict | None = None,
 
     triples = triples_raw_ds(source)
     if join_mode == "bucketed":
-        from ..stages.grouped import reduce_side_lookup
+        from ..stages.grouped import reduce_side_join
 
         canon_ds = canonical_nodes_ds(source)
 
@@ -246,14 +231,14 @@ def edges_canonical_ds(source, canon_map: dict | None = None,
             return d
 
         with_keys = triples.map_batches(_keys, batch_format="pandas")
-        l1 = reduce_side_lookup(
+        l1 = reduce_side_join(
             with_keys, ["url", "seq", "pred", "props_json", "ok"], "sk",
             canon_ds, "norm_key", ["canon_id", "canon_name"],
         ).map_batches(
             lambda d: d.rename(columns={"canon_id": "subj", "canon_name": "subj_name"}),
             batch_format="pandas",
         )
-        linked = reduce_side_lookup(
+        linked = reduce_side_join(
             l1, ["url", "seq", "pred", "props_json", "subj", "subj_name"], "ok",
             canon_ds, "norm_key", ["canon_id", "canon_name"],
         ).map_batches(

@@ -67,7 +67,7 @@ def join_volume_ds(sf_dir: str):
     (both sides streamed, no broadcast).  Partial per-batch revenue
     collapse happens BEFORE the orderkey shuffle so only (orderkey, cents)
     partials move."""
-    from ..stages.grouped import hash_partitioned_agg, reduce_side_lookup
+    from ..stages.grouped import hash_partitioned_agg, reduce_side_join
 
     nation = read_table(sf_dir, "nation", columns=["n_nationkey", "n_name"]).to_pandas()
     nk2name = dict(zip(nation["n_nationkey"], nation["n_name"]))
@@ -84,7 +84,7 @@ def join_volume_ds(sf_dir: str):
     )
 
     # orders side: (orderkey, nation) via reduce-side custkey lookup
-    orders_ds = reduce_side_lookup(
+    orders_ds = reduce_side_join(
         read_table(sf_dir, "orders", columns=["o_orderkey", "o_custkey"]),
         ["o_orderkey"], "o_custkey",
         cust_ds, "c_custkey", ["n_name"],
@@ -106,7 +106,7 @@ def join_volume_ds(sf_dir: str):
     li = read_table(sf_dir, "lineitem", columns=["l_orderkey", "l_extendedprice", "l_discount"])
     li_partial = li.map_batches(_li_partial, batch_format="pandas")
 
-    joined = reduce_side_lookup(
+    joined = reduce_side_join(
         li_partial, ["l_orderkey", "revenue_cents", "n_items"], "l_orderkey",
         orders_ds, "o_orderkey", ["n_name"],
     )
@@ -273,7 +273,7 @@ def top_anchor_texts_ds(sf_dir: str, links_all_ds, k: int = 3):
     spread over salt buckets), then per-href rank inside hash partitions —
     one vectorized sort + groupby-head per partition, never per-key Python.
     Ties broken by text (deterministic)."""
-    from ..stages.grouped import PART_COL, _key_hash, count_first_block, salted_grouped_agg
+    from ..stages.grouped import count_first_block, exchange, salted_grouped_agg
 
     def _to_rows(batch: pd.DataFrame) -> pd.DataFrame:
         out = batch[["href", "text"]].copy()
@@ -288,13 +288,6 @@ def top_anchor_texts_ds(sf_dir: str, links_all_ds, k: int = 3):
         salt_from="url",
     )
 
-    num_parts = 8
-
-    def _route(d: pd.DataFrame) -> pd.DataFrame:
-        d = d[["href", "text", "n"]].copy()
-        d[PART_COL] = (_key_hash(d, ["href"]) % num_parts).astype("int64")
-        return d
-
     def _topk(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values(["href", "n", "text"], ascending=[True, False, True],
                               kind="mergesort")
@@ -302,12 +295,7 @@ def top_anchor_texts_ds(sf_dir: str, links_all_ds, k: int = 3):
         out["rank"] = out.groupby("href", sort=False).cumcount().astype("int64") + 1
         return out[["href", "text", "n", "rank"]]
 
-    return (
-        counts.map_batches(_route, batch_format="pandas")
-        .repartition(num_parts)
-        .groupby(PART_COL)
-        .map_groups(_topk, batch_format="pandas")
-    )
+    return exchange(counts, ["href"], _topk, 8, map=lambda d: d[["href", "text", "n"]])
 
 
 def stratified_sample_ds(sf_dir: str, per_stratum: int = 20):
@@ -342,21 +330,18 @@ def events_with_sessions_ds(sf_dir: str, gap_minutes: int = 30):
     start time — the per-partition sessionizer emits per-event rows instead
     of per-session aggregates (same partitioning assumption: a user's
     events co-locate; same vectorized break/cumsum machinery)."""
-    from ..stages.grouped import PART_COL, _key_hash
+    from ..stages.grouped import exchange
 
     gap_us = gap_minutes * 60 * 1_000_000
-    num_parts = 16
 
-    def _route(batch: pd.DataFrame) -> pd.DataFrame:
-        out = pd.DataFrame(
+    def _rows(batch: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame(
             {
                 "user_id": batch["user_id"],
                 "event_id": batch["event_id"],
                 "ts_us": batch["ts"].astype("datetime64[us]").astype("int64"),
             }
         )
-        out[PART_COL] = (_key_hash(out, ["user_id"]) % num_parts).astype("int64")
-        return out
 
     def _enrich(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values(["user_id", "ts_us", "event_id"], kind="mergesort")
@@ -377,12 +362,7 @@ def events_with_sessions_ds(sf_dir: str, gap_minutes: int = 30):
         )
 
     ev = read_table(sf_dir, "events", columns=["event_id", "ts", "user_id"])
-    return (
-        ev.map_batches(_route, batch_format="pandas")
-        .repartition(num_parts)
-        .groupby(PART_COL)
-        .map_groups(_enrich, batch_format="pandas")
-    )
+    return exchange(ev, ["user_id"], _enrich, 16, map=_rows)
 
 
 def events_asof_join_ds(
@@ -400,14 +380,12 @@ def events_asof_join_ds(
     C-implemented ``pd.merge_asof`` over its ts-sorted slice.  No per-user
     Python, no all-pairs time join; skew bound = events of the hottest
     user."""
-    from ..stages.grouped import PART_COL, _key_hash
+    from ..stages.grouped import exchange
 
-    num_parts = 16
-
-    def _route(batch: pd.DataFrame) -> pd.DataFrame:
+    def _rows(batch: pd.DataFrame) -> pd.DataFrame:
         keep = batch["event_type"].isin([left_type, right_type])
         b = batch[keep]
-        out = pd.DataFrame(
+        return pd.DataFrame(
             {
                 "user_id": b["user_id"].astype("int64"),
                 "event_id": b["event_id"].astype("int64"),
@@ -415,8 +393,6 @@ def events_asof_join_ds(
                 "is_left": (b["event_type"] == left_type).astype("int64"),
             }
         )
-        out[PART_COL] = (_key_hash(out, ["user_id"]) % num_parts).astype("int64")
-        return out
 
     def _asof(group: pd.DataFrame) -> pd.DataFrame:
         left = group[group["is_left"] == 1]
@@ -464,12 +440,7 @@ def events_asof_join_ds(
         return out
 
     ev = read_table(sf_dir, "events", columns=["event_id", "ts", "user_id", "event_type"])
-    routed = ev.map_batches(_route, batch_format="pandas")
-    return (
-        routed.repartition(num_parts)
-        .groupby(PART_COL)
-        .map_groups(_asof, batch_format="pandas")
-    )
+    return exchange(ev, ["user_id"], _asof, 16, map=_rows)
 
 
 def events_running_total_ds(sf_dir: str):
@@ -485,12 +456,10 @@ def events_running_total_ds(sf_dir: str):
     cumsum/cumcount per partition (all C kernels, no per-user Python).
     No global sort anywhere; skew bound = the hottest user's event count.
     Cents are ``floor(value·100)`` so the DuckDB mirror hashes exactly."""
-    from ..stages.grouped import PART_COL, _key_hash
+    from ..stages.grouped import exchange
 
-    num_parts = 16
-
-    def _route(batch: pd.DataFrame) -> pd.DataFrame:
-        out = pd.DataFrame(
+    def _rows(batch: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame(
             {
                 "event_id": batch["event_id"].astype("int64"),
                 "user_id": batch["user_id"].astype("int64"),
@@ -498,8 +467,6 @@ def events_running_total_ds(sf_dir: str):
                 "value_cents": np.floor(batch["value"].to_numpy() * 100).astype("int64"),
             }
         )
-        out[PART_COL] = (_key_hash(out, ["user_id"]) % num_parts).astype("int64")
-        return out
 
     def _running(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values(["user_id", "ts_us", "event_id"], kind="mergesort")
@@ -516,12 +483,7 @@ def events_running_total_ds(sf_dir: str):
         )
 
     ev = read_table(sf_dir, "events", columns=["event_id", "ts", "user_id", "value"])
-    return (
-        ev.map_batches(_route, batch_format="pandas")
-        .repartition(num_parts)
-        .groupby(PART_COL)
-        .map_groups(_running, batch_format="pandas")
-    )
+    return exchange(ev, ["user_id"], _running, 16, map=_rows)
 
 
 def events_lag_ds(sf_dir: str):
@@ -535,12 +497,10 @@ def events_lag_ds(sf_dir: str):
     Same single user-hash shuffle; per partition one mergesort + grouped
     ``shift(1)`` (C kernels).  Int-only output so the mirror hashes
     exactly."""
-    from ..stages.grouped import PART_COL, _key_hash
+    from ..stages.grouped import exchange
 
-    num_parts = 16
-
-    def _route(batch: pd.DataFrame) -> pd.DataFrame:
-        out = pd.DataFrame(
+    def _rows(batch: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame(
             {
                 "event_id": batch["event_id"].astype("int64"),
                 "user_id": batch["user_id"].astype("int64"),
@@ -548,8 +508,6 @@ def events_lag_ds(sf_dir: str):
                 "value_cents": np.floor(batch["value"].to_numpy() * 100).astype("int64"),
             }
         )
-        out[PART_COL] = (_key_hash(out, ["user_id"]) % num_parts).astype("int64")
-        return out
 
     def _lag(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values(["user_id", "ts_us", "event_id"], kind="mergesort")
@@ -573,12 +531,7 @@ def events_lag_ds(sf_dir: str):
         )
 
     ev = read_table(sf_dir, "events", columns=["event_id", "ts", "user_id", "value"])
-    return (
-        ev.map_batches(_route, batch_format="pandas")
-        .repartition(num_parts)
-        .groupby(PART_COL)
-        .map_groups(_lag, batch_format="pandas")
-    )
+    return exchange(ev, ["user_id"], _lag, 16, map=_rows)
 
 
 def events_sessionize_ds(sf_dir: str, gap_minutes: int = 30):
@@ -589,21 +542,18 @@ def events_sessionize_ds(sf_dir: str, gap_minutes: int = 30):
     per-partition function sessionizes *all* its users fully vectorized
     (sort by (user, ts); session breaks = user change OR gap; cumsum ids;
     one groupby-agg) — no per-user Python."""
-    from ..stages.grouped import PART_COL, _key_hash
+    from ..stages.grouped import exchange
 
     gap_us = gap_minutes * 60 * 1_000_000
-    num_parts = 16
 
-    def _route(batch: pd.DataFrame) -> pd.DataFrame:
-        out = pd.DataFrame(
+    def _rows(batch: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame(
             {
                 "user_id": batch["user_id"],
                 "event_id": batch["event_id"],
                 "ts_us": batch["ts"].astype("datetime64[us]").astype("int64"),
             }
         )
-        out[PART_COL] = (_key_hash(out, ["user_id"]) % num_parts).astype("int64")
-        return out
 
     def _sessions(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values(["user_id", "ts_us", "event_id"], kind="mergesort")
@@ -623,12 +573,7 @@ def events_sessionize_ds(sf_dir: str, gap_minutes: int = 30):
         return agg
 
     ev = read_table(sf_dir, "events", columns=["event_id", "ts", "user_id"])
-    routed = ev.map_batches(_route, batch_format="pandas")
-    return (
-        routed.repartition(num_parts)
-        .groupby(PART_COL)
-        .map_groups(_sessions, batch_format="pandas")
-    )
+    return exchange(ev, ["user_id"], _sessions, 16, map=_rows)
 
 
 def events_quantiles_sampled_ds(sf_dir: str, k: int = 4096,
@@ -702,9 +647,8 @@ def events_quantiles_sampled_by_type_ds(sf_dir: str, k: int = 1024,
     import math
 
     from ..functions.hashing import seeded_md5_sortkey
-    from ..stages.grouped import PART_COL, _key_hash
+    from ..stages.grouped import exchange
 
-    num_parts = 4
     events = read_table(sf_dir, "events",
                         columns=["event_id", "event_type", "value"])
 
@@ -715,17 +659,9 @@ def events_quantiles_sampled_by_type_ds(sf_dir: str, k: int = 1024,
             "k": seeded_md5_sortkey(seed, ids),
             "value": batch["value"].to_numpy(dtype="float64"),
         }).sort_values(["event_type", "k"], kind="mergesort")
-        out = out.groupby("event_type", sort=False).head(k)
-        out[PART_COL] = (_key_hash(out, ["event_type"]) % num_parts).astype("int64")
-        return out
+        return out.groupby("event_type", sort=False).head(k)
 
     def _quant(group: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({"event_type": pd.Series([], dtype=object),
-                              "q_micros": pd.Series([], dtype="int64"),
-                              "value_est": pd.Series([], dtype="float64"),
-                              "sample_n": pd.Series([], dtype="int64")})
-        if "event_type" not in group.columns or not len(group):
-            return empty
         rows = {"event_type": [], "q_micros": [], "value_est": [], "sample_n": []}
         g = group.sort_values(["event_type", "k"], kind="mergesort")
         for etype, sub in g.groupby("event_type", sort=False):
@@ -742,9 +678,4 @@ def events_quantiles_sampled_by_type_ds(sf_dir: str, k: int = 1024,
         out["sample_n"] = out["sample_n"].astype("int64")
         return out
 
-    return (
-        events.map_batches(_partial, batch_format="pandas")
-        .repartition(num_parts)
-        .groupby(PART_COL)
-        .map_groups(_quant, batch_format="pandas")
-    )
+    return exchange(events, ["event_type"], _quant, 4, map=_partial)

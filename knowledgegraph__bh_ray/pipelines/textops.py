@@ -28,6 +28,7 @@ from ..functions.hashing import (min_k_sketch, rolling_fingerprints,
                                  seeded_md5_digests, seeded_md5_sortkey,
                                  seeded_md5_u32)
 from ..sources import read_table
+from ..stages.grouped import SIZE_DISPATCH_THRESHOLD
 
 # keep in sync with the SQL mirrors (oracle_sql in __ray_entry__)
 RE_WS = re.compile(r"\s+")
@@ -463,7 +464,7 @@ def inverted_index_ds(sf_dir: str, num_parts: int = 16):
     partition — the standard index-sharding layout (shard by term hash);
     a Zipf-hot term costs its df in one partition, which is exactly the
     posting list a real index shard stores anyway."""
-    from ..stages.grouped import PART_COL, _key_hash
+    from ..stages.grouped import exchange
 
     def _pairs(batch: pd.DataFrame) -> pd.DataFrame:
         keep = batch["text"].str.strip() != ""
@@ -475,9 +476,7 @@ def inverted_index_ds(sf_dir: str, num_parts: int = 16):
         df = df[df["term"].notna() & (df["term"] != "")].drop_duplicates(
             ["doc_id", "term"]
         )
-        out = df.reset_index(drop=True)
-        out[PART_COL] = (_key_hash(out, ["term"]) % num_parts).astype("int64")
-        return out
+        return df.reset_index(drop=True)
 
     def _index(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values(["term", "doc_id"], kind="mergesort")
@@ -489,12 +488,7 @@ def inverted_index_ds(sf_dir: str, num_parts: int = 16):
         return agg.reset_index()
 
     docs = read_table(sf_dir, "documents", columns=["doc_id", "text"])
-    pairs = docs.map_batches(_pairs, batch_format="pandas")
-    return (
-        pairs.repartition(num_parts).groupby(PART_COL).map_groups(
-            _index, batch_format="pandas"
-        )
-    )
+    return exchange(docs, ["term"], _index, num_parts, map=_pairs)
 
 
 def tfidf_terms_ds(sf_dir: str, k: int = 10):
@@ -509,12 +503,7 @@ def tfidf_terms_ds(sf_dir: str, k: int = 10):
     (doc, term); the df attach is a reduce-side lookup (NO broadcast — a
     corpus-wide term vocabulary does not fit a worker); top-k per doc is a
     partitioned rank, never per-key Python."""
-    from ..stages.grouped import (
-        PART_COL,
-        _key_hash,
-        hash_partitioned_agg,
-        reduce_side_lookup,
-    )
+    from ..stages.grouped import exchange, hash_partitioned_agg, reduce_side_join
 
     def _term_counts(batch: pd.DataFrame) -> pd.DataFrame:
         # vectorized tokenize: C string ops + explode, no per-doc Python
@@ -556,20 +545,8 @@ def tfidf_terms_ds(sf_dir: str, k: int = 10):
 
     # salt the df attach by doc hash: corpus-frequent terms ('the') would
     # otherwise route every one of their (doc, term) rows to one reducer
-    joined = reduce_side_lookup(tf, ["doc_id", "term", "tf"], "term",
-                                dfreq, "term", ["df"], salt_from="doc_id")
-
-    num_parts = 8
-
-    def _route(d: pd.DataFrame) -> pd.DataFrame:
-        if "doc_id" not in d.columns:
-            d = pd.DataFrame({"doc_id": pd.Series([], dtype="int64"),
-                              "term": pd.Series([], dtype=object),
-                              "tf": pd.Series([], dtype="int64"),
-                              "df": pd.Series([], dtype="int64")})
-        d = d.copy()
-        d[PART_COL] = (_key_hash(d, ["doc_id"]) % num_parts).astype("int64")
-        return d
+    joined = reduce_side_join(tf, ["doc_id", "term", "tf"], "term",
+                              dfreq, "term", ["df"], salt_from="doc_id")
 
     def _topk(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values(["doc_id", "tf", "term"], ascending=[True, False, True],
@@ -580,12 +557,7 @@ def tfidf_terms_ds(sf_dir: str, k: int = 10):
             out[c] = out[c].astype("int64")
         return out[["doc_id", "term", "tf", "df", "rank"]]
 
-    return (
-        joined.map_batches(_route, batch_format="pandas")
-        .repartition(num_parts)
-        .groupby(PART_COL)
-        .map_groups(_topk, batch_format="pandas")
-    )
+    return exchange(joined, ["doc_id"], _topk, 8)
 
 
 def distinct_users_by_type_ds(sf_dir: str):
@@ -638,9 +610,6 @@ def bigram_top_ds(sf_dir: str, k: int = 100):
         return out
 
     def _sum(d: pd.DataFrame) -> pd.DataFrame:
-        if "bigram" not in d.columns:
-            return pd.DataFrame({"bigram": pd.Series([], dtype=object),
-                                 "n": pd.Series([], dtype="int64")})
         out = d.groupby("bigram", sort=False, as_index=False)["n"].sum()
         out["n"] = out["n"].astype("int64")
         return out
@@ -674,10 +643,6 @@ def distinct_users_hll_ds(sf_dir: str):
         return pd.concat(frames, ignore_index=True)
 
     def _max(df: pd.DataFrame) -> pd.DataFrame:
-        if "event_type" not in df.columns:
-            return pd.DataFrame({"event_type": pd.Series([], dtype=object),
-                                 "idx": pd.Series([], dtype="int64"),
-                                 "rho": pd.Series([], dtype="int64")})
         return df.groupby(["event_type", "idx"], sort=False, as_index=False)["rho"].max()
 
     ev = read_table(sf_dir, "events", columns=["event_type", "user_id"])
@@ -791,9 +756,6 @@ def boilerplate_strip_core(ex, num_parts: int = 16):
                              "df": np.ones(len(df), dtype="int64")})
 
     def _df_count(d: pd.DataFrame) -> pd.DataFrame:
-        if "line" not in d.columns:  # empty partitions arrive schema-less
-            return pd.DataFrame({"line": pd.Series([], dtype=object),
-                                 "df": pd.Series([], dtype="int64")})
         return d.groupby("line", sort=False, as_index=False)["df"].sum()
 
     dfs = hash_partitioned_agg(
@@ -840,7 +802,7 @@ def shuffle_shard_ds(sf_dir: str, n_shards: int = 16, seed: str = "s0"):
     each shard orders only its own rows — at 10^12 docs no stage ever sees
     a global order, yet the concatenation of shards in (shard_id, pos)
     order IS a uniform seeded permutation."""
-    from ..stages.grouped import PART_COL
+    from ..stages.grouped import exchange
 
     docs = read_table(sf_dir, "documents", columns=["doc_id"])
 
@@ -858,7 +820,6 @@ def shuffle_shard_ds(sf_dir: str, n_shards: int = 16, seed: str = "s0"):
                 "k": dig.reshape(-1).view("S16") if len(ids) else
                      np.empty(0, dtype="S16"),
                 "shard_id": shard,
-                PART_COL: shard,
             }
         )
 
@@ -875,18 +836,9 @@ def shuffle_shard_ds(sf_dir: str, n_shards: int = 16, seed: str = "s0"):
                     }
                 )
             )
-        return pd.concat(out, ignore_index=True) if out else pd.DataFrame(
-            {"doc_id": pd.Series([], dtype="int64"),
-             "shard_id": pd.Series([], dtype="int64"),
-             "pos": pd.Series([], dtype="int64")}
-        )
+        return pd.concat(out, ignore_index=True)
 
-    return (
-        docs.map_batches(_key, batch_format="pandas")
-        .repartition(n_shards)
-        .groupby(PART_COL)
-        .map_groups(_rank, batch_format="pandas")
-    )
+    return exchange(docs, lambda d: d["shard_id"], _rank, n_shards, map=_key)
 
 
 def sample_weighted_ds(sf_dir: str, cap: int = 64, seed: str = "w1"):
@@ -941,11 +893,9 @@ def source_cap_ds(sf_dir: str, cap: int = 15, seed: str = "s0"):
     source moves at most ``cap × batches`` rows through the exchange
     rather than its full row count (pre-cap ≡ no-pre-cap equality is
     pytest-pinned)."""
-    from ..stages.grouped import PART_COL, _key_hash
+    from ..stages.grouped import exchange
 
-    num_parts = 8
-
-    def _route(batch: pd.DataFrame) -> pd.DataFrame:
+    def _precap(batch: pd.DataFrame) -> pd.DataFrame:
         out = pd.DataFrame(
             {
                 "doc_id": batch["doc_id"].astype("int64"),
@@ -958,9 +908,7 @@ def source_cap_ds(sf_dir: str, cap: int = 15, seed: str = "s0"):
             }
         )
         out = out.sort_values(["source", "k", "doc_id"], kind="mergesort")
-        out = out[out.groupby("source", sort=False).cumcount() < cap]
-        out[PART_COL] = (_key_hash(out, ["source"]) % num_parts).astype("int64")
-        return out
+        return out[out.groupby("source", sort=False).cumcount() < cap]
 
     def _rank(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values(["source", "k", "doc_id"], kind="mergesort")
@@ -975,12 +923,7 @@ def source_cap_ds(sf_dir: str, cap: int = 15, seed: str = "s0"):
         )
 
     docs = read_table(sf_dir, "documents", columns=["doc_id", "source"])
-    return (
-        docs.map_batches(_route, batch_format="pandas")
-        .repartition(num_parts)
-        .groupby(PART_COL)
-        .map_groups(_rank, batch_format="pandas")
-    )
+    return exchange(docs, ["source"], _rank, 8, map=_precap)
 
 
 def quality_filter_ds(sf_dir: str, lo_q: float = 0.05, hi_q: float = 0.95):
@@ -1045,7 +988,7 @@ def quality_filter_ds(sf_dir: str, lo_q: float = 0.05, hi_q: float = 0.95):
 
 
 def lm_perplexity_ds(sf_dir: str, num_parts: int = 8,
-                     vocab_broadcast_threshold: int = 2_000_000):
+                     vocab_broadcast_threshold: int = SIZE_DISPATCH_THRESHOLD):
     """CCNet-style language-model quality scoring: train an add-one-smoothed
     bigram LM on the corpus itself (one distributed counting pass), then
     score every document by its average bigram log-probability —
@@ -1054,7 +997,7 @@ def lm_perplexity_ds(sf_dir: str, num_parts: int = 8,
     orders vanishes at micro rounding, the kg_pagerank convention).
 
     100-TB design: the BIGRAM table is corpus-scale, so c2 attaches via a
-    ``reduce_side_lookup`` exchange (gram-hash routed, salted) —
+    ``reduce_side_join`` exchange (gram-hash routed, salted) —
     no broadcast there, ever.  The UNIGRAM table is vocab-scale (Heaps'
     law: sublinear in corpus size), so its attach is COUNTED DISPATCH
     (the kcore/nsim rule): when ``count(cnt1) ≤ vocab_broadcast_threshold``
@@ -1064,7 +1007,7 @@ def lm_perplexity_ds(sf_dir: str, num_parts: int = 8,
     equality-pinned in tests/test_window_caps_filter.py.  Self-trained, so
     every doc bigram is present in the count tables (lookups never miss);
     smoothing keeps the formula standard."""
-    from ..stages.grouped import hash_partitioned_agg, reduce_side_lookup
+    from ..stages.grouped import hash_partitioned_agg, reduce_side_join
 
     docs = read_table(sf_dir, "documents", columns=["doc_id", "text"])
 
@@ -1080,9 +1023,6 @@ def lm_perplexity_ds(sf_dir: str, num_parts: int = 8,
         return out
 
     def _uni_sum(d: pd.DataFrame) -> pd.DataFrame:
-        if "term" not in d.columns:
-            return pd.DataFrame({"term": pd.Series([], dtype=object),
-                                 "c1": pd.Series([], dtype="int64")})
         return d.groupby("term", sort=False, as_index=False)["c1"].sum()
 
     def _bigram_rows(batch: pd.DataFrame) -> pd.DataFrame:
@@ -1106,9 +1046,6 @@ def lm_perplexity_ds(sf_dir: str, num_parts: int = 8,
         return out
 
     def _big_sum(d: pd.DataFrame) -> pd.DataFrame:
-        if "bigram" not in d.columns:
-            return pd.DataFrame({"bigram": pd.Series([], dtype=object),
-                                 "c2": pd.Series([], dtype="int64")})
         return d.groupby("bigram", sort=False, as_index=False)["c2"].sum()
 
     from ..stages.spill import pin
@@ -1124,7 +1061,7 @@ def lm_perplexity_ds(sf_dir: str, num_parts: int = 8,
     grams = docs.map_batches(_bigram_rows, batch_format="pandas")
     # salt_from=doc_id: a corpus-frequent gram would otherwise route every
     # occurrence row to one reducer (the Zipf guard built into the lookup)
-    with_c2 = reduce_side_lookup(
+    with_c2 = reduce_side_join(
         grams, ["doc_id", "w1", "bigram"], "bigram", cnt2, "bigram", ["c2"],
         num_parts=num_parts, salt_from="doc_id",
     )
@@ -1138,7 +1075,7 @@ def lm_perplexity_ds(sf_dir: str, num_parts: int = 8,
         with_c1 = None
     else:
         c1_ref = None
-        with_c1 = reduce_side_lookup(
+        with_c1 = reduce_side_join(
             with_c2, ["doc_id", "bigram", "c2"], "w1",
             cnt1.map_batches(
                 lambda d: pd.DataFrame({"w1": d.get("term", []), "c1": d.get("c1", [])}),
@@ -1163,10 +1100,6 @@ def lm_perplexity_ds(sf_dir: str, num_parts: int = 8,
                              "n_bigrams": np.int64(1), "lp_sum": lp})
 
     def _doc_sum(d: pd.DataFrame) -> pd.DataFrame:
-        if "doc_id" not in d.columns:
-            return pd.DataFrame({"doc_id": pd.Series([], dtype="int64"),
-                                 "n_bigrams": pd.Series([], dtype="int64"),
-                                 "lp_sum": pd.Series([], dtype="float64")})
         return d.groupby("doc_id", sort=False, as_index=False).agg(
             n_bigrams=("n_bigrams", "sum"), lp_sum=("lp_sum", "sum")
         ).astype({"n_bigrams": "int64"})
@@ -1207,7 +1140,7 @@ def dup_passage_ds(sf_dir: str, n: int = 4, num_parts: int = 8):
     gram occurrence via a salted reduce-side lookup; one doc-hash aggregate
     closes.  Three shuffles, each one row per gram occurrence or distinct
     pair."""
-    from ..stages.grouped import hash_partitioned_agg, reduce_side_lookup
+    from ..stages.grouped import hash_partitioned_agg, reduce_side_join
 
     docs = read_table(sf_dir, "documents", columns=["doc_id", "text"])
 
@@ -1239,9 +1172,6 @@ def dup_passage_ds(sf_dir: str, n: int = 4, num_parts: int = 8):
                              "df": np.ones(len(occ), dtype="int64")})
 
     def _df_sum(d: pd.DataFrame) -> pd.DataFrame:
-        if "gram" not in d.columns:
-            return pd.DataFrame({"gram": pd.Series([], dtype=object),
-                                 "df": pd.Series([], dtype="int64")})
         return d.groupby("gram", sort=False, as_index=False)["df"].sum()
 
     dfs = hash_partitioned_agg(
@@ -1262,7 +1192,7 @@ def dup_passage_ds(sf_dir: str, n: int = 4, num_parts: int = 8):
     # lookup, and most n-grams in natural text are unique, so this cuts the
     # lut's exchange volume several-fold.  A missed (left-join) probe row
     # IS the not-dup verdict.
-    with_df = reduce_side_lookup(
+    with_df = reduce_side_join(
         occ, ["doc_id", "gram"], "gram",
         dfs.map_batches(_dup_only, batch_format="pandas"), "gram", ["df"],
         how="left", num_parts=num_parts, salt_from="doc_id",
@@ -1280,10 +1210,6 @@ def dup_passage_ds(sf_dir: str, n: int = 4, num_parts: int = 8):
             {"n_grams": "int64", "n_dup": "int64"})
 
     def _doc_sum(d: pd.DataFrame) -> pd.DataFrame:
-        if "doc_id" not in d.columns:
-            return pd.DataFrame({"doc_id": pd.Series([], dtype="int64"),
-                                 "n_grams": pd.Series([], dtype="int64"),
-                                 "n_dup": pd.Series([], dtype="int64")})
         return d.groupby("doc_id", sort=False, as_index=False)[
             ["n_grams", "n_dup"]
         ].sum().astype({"n_grams": "int64", "n_dup": "int64"})
@@ -1404,13 +1330,12 @@ def mix_corpora_ds(sf_dir: str, seed: str = "m0"):
     source_cap mergesort+cumcount kernel); NO global sort anywhere — the
     key is locally computable and any consumer (e.g. the shuffle_shard
     writer) range-partitions on it."""
-    from ..stages.grouped import PART_COL, _key_hash
+    from ..stages.grouped import exchange
 
-    num_parts = 8
     SCALE = 1_000_000
 
-    def _route(batch: pd.DataFrame) -> pd.DataFrame:
-        out = pd.DataFrame(
+    def _keyed(batch: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame(
             {
                 "doc_id": batch["doc_id"].astype("int64"),
                 "source": batch["source"],
@@ -1421,8 +1346,6 @@ def mix_corpora_ds(sf_dir: str, seed: str = "m0"):
                 ),
             }
         )
-        out[PART_COL] = (_key_hash(out, ["source"]) % num_parts).astype("int64")
-        return out
 
     def _stride(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values(["source", "k", "doc_id"], kind="mergesort")
@@ -1440,12 +1363,7 @@ def mix_corpora_ds(sf_dir: str, seed: str = "m0"):
         )
 
     docs = read_table(sf_dir, "documents", columns=["doc_id", "source"])
-    return (
-        docs.map_batches(_route, batch_format="pandas")
-        .repartition(num_parts)
-        .groupby(PART_COL)
-        .map_groups(_stride, batch_format="pandas")
-    )
+    return exchange(docs, ["source"], _stride, 8, map=_keyed)
 
 
 def heavy_hitters_ds(sf_dir: str, denom: int = 1000, mg_k: int = 4000,
@@ -1494,9 +1412,6 @@ def heavy_hitters_ds(sf_dir: str, denom: int = 1000, mg_k: int = 4000,
         )
 
     def _mg_sum(d: pd.DataFrame) -> pd.DataFrame:
-        if "term" not in d.columns:
-            return pd.DataFrame({"term": pd.Series([], dtype=object),
-                                 "mg": pd.Series([], dtype="int64")})
         out = d.groupby("term", sort=False, as_index=False)["mg"].sum()
         # prune the merged table back to mg_k counters (mergeable-summaries
         # merge: subtract the (mg_k+1)-th value — every prune removes
@@ -1545,9 +1460,6 @@ def heavy_hitters_ds(sf_dir: str, denom: int = 1000, mg_k: int = 4000,
                              "cnt": vc.to_numpy(dtype="int64")})
 
     def _cnt_sum(d: pd.DataFrame) -> pd.DataFrame:
-        if "term" not in d.columns:
-            return pd.DataFrame({"term": pd.Series([], dtype=object),
-                                 "cnt": pd.Series([], dtype="int64")})
         return d.groupby("term", sort=False, as_index=False)["cnt"].sum()
 
     exact = hash_partitioned_agg(

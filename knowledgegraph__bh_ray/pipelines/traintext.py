@@ -46,7 +46,7 @@ def _dup_positions_ds(docs, k: int, num_parts: int, hash_grams: bool):
     occurs ≥2 times in the corpus: per-batch gram emission, ONE gram-key
     exchange, partition-local ≥2 verdict.  Shared by substring_spans_ds
     (span stats) and substring_clean_ds (span removal)."""
-    from ..stages.grouped import PART_COL, _key_hash
+    from ..stages.grouped import exchange
 
     def _grams(batch: pd.DataFrame) -> pd.DataFrame:
         toks = _tok_series(batch["text"])
@@ -79,27 +79,13 @@ def _dup_positions_ds(docs, k: int, num_parts: int, hash_grams: bool):
                 out["gram"].to_numpy(dtype=object), categorize=False)
         return out
 
-    def _route_gram(batch: pd.DataFrame) -> pd.DataFrame:
-        out = _grams(batch)
-        out[PART_COL] = (_key_hash(out, ["gram"]) % num_parts).astype("int64")
-        return out
-
     def _dup_positions(group: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({"doc_id": pd.Series([], dtype="int64"),
-                              "pos": pd.Series([], dtype="int64")})
-        if "gram" not in group.columns or not len(group):
-            return empty
         cnt = group.groupby("gram", sort=False)["gram"].transform("size")
         d = group[cnt >= 2]
-        return pd.DataFrame({"doc_id": d["doc_id"].to_numpy(),
-                             "pos": d["pos"].to_numpy()}) if len(d) else empty
+        return pd.DataFrame({"doc_id": d["doc_id"].to_numpy(dtype="int64"),
+                             "pos": d["pos"].to_numpy(dtype="int64")})
 
-    return (
-        docs.map_batches(_route_gram, batch_format="pandas")
-        .repartition(num_parts)
-        .groupby(PART_COL)
-        .map_groups(_dup_positions, batch_format="pandas")
-    )
+    return exchange(docs, ["gram"], _dup_positions, num_parts, map=_grams)
 
 
 def substring_spans_ds(sf_dir: str, k: int = 8, num_parts: int = 8,
@@ -127,7 +113,7 @@ def substring_spans_ds(sf_dir: str, k: int = 8, num_parts: int = 8,
     default stays string-exact so the DuckDB mirror is equality-checkable;
     hash≡string equivalence is pytest-pinned on the test corpus.
     """
-    from ..stages.grouped import PART_COL, _key_hash
+    from ..stages.grouped import exchange
 
     docs = read_table(sf_dir, "documents", columns=["doc_id", "text"])
     dup_pos = _dup_positions_ds(docs, k, num_parts, hash_grams)
@@ -141,23 +127,9 @@ def substring_spans_ds(sf_dir: str, k: int = 8, num_parts: int = 8,
                 batch["text"].str.strip() != "", 0).astype("int64"),
         })
 
-    def _route_doc(batch: pd.DataFrame) -> pd.DataFrame:
-        out = batch.copy()
-        if "n_tokens" not in out.columns:  # dup-position rows
-            out["n_tokens"] = np.int64(-1)
-        if not len(out):
-            out = pd.DataFrame({"doc_id": pd.Series([], dtype="int64"),
-                                "pos": pd.Series([], dtype="int64"),
-                                "n_tokens": pd.Series([], dtype="int64")})
-        out[PART_COL] = (_key_hash(out, ["doc_id"]) % num_parts).astype("int64")
-        return out
-
     def _spans(group: pd.DataFrame) -> pd.DataFrame:
         cols = {"doc_id": "int64", "n_tokens": "int64", "dup_tokens": "int64",
                 "n_spans": "int64", "dup_frac_micros": "int64"}
-        empty = pd.DataFrame({c: pd.Series([], dtype=t) for c, t in cols.items()})
-        if "doc_id" not in group.columns or not len(group):
-            return empty
         marks = group[group["pos"] < 0]
         toks = dict(zip(marks["doc_id"], marks["n_tokens"]))
         d = group[group["pos"] >= 0].sort_values(["doc_id", "pos"],
@@ -191,14 +163,13 @@ def substring_spans_ds(sf_dir: str, k: int = 8, num_parts: int = 8,
             out[c] = out[c].astype(t)
         return out[list(cols.keys())]
 
+    def _with_n_tokens(d: pd.DataFrame) -> pd.DataFrame:
+        # dup-position rows carry no n_tokens
+        return d if "n_tokens" in d.columns else d.assign(n_tokens=np.int64(-1))
+
     markers = docs.map_batches(_markers, batch_format="pandas")
-    return (
-        dup_pos.union(markers)
-        .map_batches(_route_doc, batch_format="pandas")
-        .repartition(num_parts)
-        .groupby(PART_COL)
-        .map_groups(_spans, batch_format="pandas")
-    )
+    return exchange(dup_pos.union(markers), ["doc_id"], _spans, num_parts,
+                    map=_with_n_tokens)
 
 
 def substring_clean_ds(sf_dir: str, k: int = 8, num_parts: int = 8,
@@ -218,7 +189,7 @@ def substring_clean_ds(sf_dir: str, k: int = 8, num_parts: int = 8,
     text is whitespace-normalized lowercase by construction (the mirror's
     ``string_agg(tok, ' ')`` over the same tokenization).
     """
-    from ..stages.grouped import PART_COL, _key_hash
+    from ..stages.grouped import exchange
 
     docs = read_table(sf_dir, "documents", columns=["doc_id", "text"])
     dup_pos = _dup_positions_ds(docs, k, num_parts, hash_grams)
@@ -230,23 +201,9 @@ def substring_clean_ds(sf_dir: str, k: int = 8, num_parts: int = 8,
             "text": batch["text"].astype(str),
         })
 
-    def _route_doc(batch: pd.DataFrame) -> pd.DataFrame:
-        out = batch.copy()
-        if "text" not in out.columns:  # dup-position rows
-            out["text"] = ""
-        if not len(out):
-            out = pd.DataFrame({"doc_id": pd.Series([], dtype="int64"),
-                                "pos": pd.Series([], dtype="int64"),
-                                "text": pd.Series([], dtype=object)})
-        out[PART_COL] = (_key_hash(out, ["doc_id"]) % num_parts).astype("int64")
-        return out
-
     def _clean(group: pd.DataFrame) -> pd.DataFrame:
         cols = {"doc_id": "int64", "text_clean": object, "n_tokens": "int64",
                 "n_removed": "int64"}
-        empty = pd.DataFrame({c: pd.Series([], dtype=t) for c, t in cols.items()})
-        if "doc_id" not in group.columns or not len(group):
-            return empty
         texts = group[group["pos"] < 0]
         dups = group[group["pos"] >= 0]
         pos_by_doc: dict[int, np.ndarray] = {
@@ -278,13 +235,12 @@ def substring_clean_ds(sf_dir: str, k: int = 8, num_parts: int = 8,
             df[c] = df[c].astype(t)
         return df
 
-    return (
-        dup_pos.union(docs.map_batches(_text_rows, batch_format="pandas"))
-        .map_batches(_route_doc, batch_format="pandas")
-        .repartition(num_parts)
-        .groupby(PART_COL)
-        .map_groups(_clean, batch_format="pandas")
-    )
+    def _with_text(d: pd.DataFrame) -> pd.DataFrame:
+        # dup-position rows carry no text
+        return d if "text" in d.columns else d.assign(text="")
+
+    texts = docs.map_batches(_text_rows, batch_format="pandas")
+    return exchange(dup_pos.union(texts), ["doc_id"], _clean, num_parts, map=_with_text)
 
 
 # ---------------------------------------------------------------------------
@@ -309,9 +265,6 @@ def _word_counts_ds(sf_dir: str, num_parts: int):
         return pd.DataFrame({"word": vc.index, "n": vc.to_numpy(dtype="int64")})
 
     def _sum(d: pd.DataFrame) -> pd.DataFrame:
-        if "word" not in d.columns:
-            return pd.DataFrame({"word": pd.Series([], dtype=object),
-                                 "n": pd.Series([], dtype="int64")})
         return d.groupby("word", sort=False, as_index=False)["n"].sum()
 
     return hash_partitioned_agg(
@@ -404,10 +357,6 @@ def bpe_merges_ds(sf_dir: str, n_merges: int = 30, num_parts: int = 8,
         })
 
     def _cnt_sum(d: pd.DataFrame) -> pd.DataFrame:
-        if "left" not in d.columns:
-            return pd.DataFrame({"left": pd.Series([], dtype=object),
-                                 "right": pd.Series([], dtype=object),
-                                 "cnt": pd.Series([], dtype="int64")})
         return d.groupby(["left", "right"], sort=False, as_index=False)["cnt"].sum()
 
     types = words.map_batches(_to_syms, batch_format="pandas").materialize()

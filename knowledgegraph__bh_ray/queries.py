@@ -63,6 +63,34 @@ def _scratch(sf_dir: str, tag: str) -> str:
     )
 
 
+def _install_checkpoint(tmp: str, out: str) -> None:
+    """Install the finished checkpoint dir ``tmp`` at ``out`` so that a
+    concurrent reader never sees ``out`` missing: an existing ``out`` is
+    swapped with ``tmp`` in one atomic ``renameat2(RENAME_EXCHANGE)``, and
+    only then is the old copy (now at ``tmp``) deleted.  Where the kernel
+    or filesystem lacks the exchange, the old dir is renamed aside, the new
+    one renamed in, and the old one deleted."""
+    import ctypes
+    import shutil
+
+    if os.path.isdir(out):
+        swap = getattr(ctypes.CDLL(None, use_errno=True), "renameat2", None)
+        if swap is not None:
+            swap.argtypes = [ctypes.c_int, ctypes.c_char_p, ctypes.c_int,
+                             ctypes.c_char_p, ctypes.c_uint]
+            swap.restype = ctypes.c_int
+            at_fdcwd, rename_exchange = -100, 2
+            if swap(at_fdcwd, os.fsencode(tmp), at_fdcwd, os.fsencode(out), rename_exchange) == 0:
+                shutil.rmtree(tmp, ignore_errors=True)
+                return
+        old = f"{out}.old{os.getpid()}"
+        os.replace(out, old)
+        os.replace(tmp, out)
+        shutil.rmtree(old, ignore_errors=True)
+        return
+    os.replace(tmp, out)
+
+
 _EXTRACT_CACHE_ROOT = "/tmp/kgbh_extracted"
 EXTRACT_CACHE_VERSION = "2"  # bump when extract semantics change
 
@@ -72,10 +100,9 @@ def ensure_extracted(sf_dir: str, replicas: int = 1) -> str:
     corpus and shared by every dedup/near-dup query — the checkpoint-reuse
     design of pipelines/run.py applied to the query registry, so the
     second-most-expensive stage (HTML extraction) is not re-paid per query.
-    Deterministic, idempotent, atomic (write to tmp dir, rename)."""
+    Deterministic, idempotent, atomic (write to tmp dir, then
+    ``_install_checkpoint``)."""
     import shutil
-
-    import ray.data as rd
 
     pages = ensure_pages(sf_dir, replicas=replicas)
     if replicas == 1:
@@ -90,8 +117,7 @@ def ensure_extracted(sf_dir: str, replicas: int = 1) -> str:
     kg.extracted_ds(pages).select_columns(["url", "text_out"]).write_parquet(tmp)
     with open(os.path.join(tmp, "_VERSION"), "w") as f:
         f.write(EXTRACT_CACHE_VERSION)
-    shutil.rmtree(out, ignore_errors=True)
-    os.replace(tmp, out)
+    _install_checkpoint(tmp, out)
     return out
 
 
@@ -117,7 +143,7 @@ def ensure_page_edges(sf_dir: str, replicas: int = 1) -> str:
     the headline pipeline, so graph operators (k-core, PageRank rounds, node
     similarity) are measured over the edge table they actually consume
     instead of re-paying link extraction per query.  Deterministic,
-    idempotent, atomic (write to tmp dir, rename)."""
+    idempotent, atomic (write to tmp dir, then ``_install_checkpoint``)."""
     import shutil
 
     pages = ensure_pages(sf_dir, replicas=replicas)
@@ -131,8 +157,7 @@ def ensure_page_edges(sf_dir: str, replicas: int = 1) -> str:
     kg.page_graph_edges_ds(pages).write_parquet(tmp)
     with open(os.path.join(tmp, "_VERSION"), "w") as f:
         f.write(PAGE_EDGES_CACHE_VERSION)
-    shutil.rmtree(out, ignore_errors=True)
-    os.replace(tmp, out)
+    _install_checkpoint(tmp, out)
     return out
 
 
@@ -378,16 +403,12 @@ def q_kg_cooccurrence(sf_dir: str):
     vectorized bucket layout — one triu per distinct paragraph-entity-count
     — then the salted count collapses the Zipfian pair keys."""
     from .stages.dedup import _bucket_layout, _intra_bucket_pairs
-    from .stages.grouped import PART_COL, _key_hash, hash_partitioned_agg
+    from .stages.grouped import exchange, hash_partitioned_agg
 
     mentions = q_kg_mentions(sf_dir)
-    num_parts = 8
 
     def _distinct_rows(batch: pd.DataFrame) -> pd.DataFrame:
-        d = batch[["url", "para_idx", "entity"]].drop_duplicates()
-        d = d.copy()
-        d[PART_COL] = (_key_hash(d, ["url", "para_idx"]) % num_parts).astype("int64")
-        return d
+        return batch[["url", "para_idx", "entity"]].drop_duplicates()
 
     def _pairs(group: pd.DataFrame) -> pd.DataFrame:
         g = group.drop_duplicates(subset=["url", "para_idx", "entity"])
@@ -400,20 +421,11 @@ def q_kg_cooccurrence(sf_dir: str):
                              "n_pairs": np.int64(1)})
 
     def _sum(d: pd.DataFrame) -> pd.DataFrame:
-        if "entity_a" not in d.columns:
-            return pd.DataFrame({"entity_a": pd.Series([], dtype=object),
-                                 "entity_b": pd.Series([], dtype=object),
-                                 "n_pairs": pd.Series([], dtype="int64")})
         out = d.groupby(["entity_a", "entity_b"], sort=False, as_index=False)["n_pairs"].sum()
         out["n_pairs"] = out["n_pairs"].astype("int64")
         return out
 
-    pair_rows = (
-        mentions.map_batches(_distinct_rows, batch_format="pandas")
-        .repartition(num_parts)
-        .groupby(PART_COL)
-        .map_groups(_pairs, batch_format="pandas")
-    )
+    pair_rows = exchange(mentions, ["url", "para_idx"], _pairs, 8, map=_distinct_rows)
     return hash_partitioned_agg(pair_rows, ["entity_a", "entity_b"], _sum, num_parts=8)
 
 
@@ -716,8 +728,7 @@ def q_mention_coverage(sf_dir: str):
     import numpy as np
 
     from .functions.metrics import triple_prf
-    from .stages.grouped import PART_COL, _key_hash, distinct_block, \
-        hash_partitioned_agg
+    from .stages.grouped import distinct_block, exchange, hash_partitioned_agg
 
     pages = _prep(sf_dir)
     ments = q_kg_mentions(sf_dir).map_batches(
@@ -735,34 +746,17 @@ def q_mention_coverage(sf_dir: str):
             return pd.DataFrame({"name": d.get("name", []), "bit": np.int64(bit)})
         return _f
 
-    def _route(d: pd.DataFrame) -> pd.DataFrame:
-        out = d.copy()
-        if "name" not in out.columns or not len(out):
-            out = pd.DataFrame({"name": pd.Series([], dtype=object),
-                                "bit": pd.Series([], dtype="int64")})
-        out[PART_COL] = (_key_hash(out, ["name"]) % 8).astype("int64")
-        return out
-
     def _counts(g: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({"tp": pd.Series([], dtype="int64"),
-                              "fp": pd.Series([], dtype="int64"),
-                              "fn": pd.Series([], dtype="int64")})
-        if "name" not in g.columns or not len(g):
-            return empty
         bits = g.groupby("name", sort=False)["bit"].sum()
         return pd.DataFrame({"tp": [int((bits == 3).sum())],
                              "fp": [int((bits == 1).sum())],
                              "fn": [int((bits == 2).sum())]}).astype("int64")
 
-    parts = (
+    parts = exchange(
         m_set.map_batches(_tag(1), batch_format="pandas")
-        .union(n_set.map_batches(_tag(2), batch_format="pandas"))
-        .map_batches(_route, batch_format="pandas")
-        .repartition(8)
-        .groupby(PART_COL)
-        .map_groups(_counts, batch_format="pandas")
-        .to_pandas()  # ≤8 partial rows
-    )
+        .union(n_set.map_batches(_tag(2), batch_format="pandas")),
+        ["name"], _counts, 8,
+    ).to_pandas()  # ≤8 partial rows
     tp, fp, fn = (int(parts["tp"].sum()), int(parts["fp"].sum()),
                   int(parts["fn"].sum()))
     # drive the real G9 scorer on TINY synthetic sets (counts capped — the
@@ -1007,7 +1001,7 @@ def q_kg_pages_without_links(sf_dir: str):
     """Anti-join (NOT IN): crawled pages no other page links to (zero
     inbound scoped links) — reduce-side anti semi-join, no broadcast (the
     matching side is corpus-sized)."""
-    from .stages.grouped import distinct_block, hash_partitioned_agg, reduce_side_anti_join
+    from .stages.grouped import distinct_block, hash_partitioned_agg, reduce_side_join
 
     pages = _prep(sf_dir)
     ext = kg.extracted_ds(pages).select_columns(["url", "title", "n_paras"])
@@ -1015,7 +1009,8 @@ def q_kg_pages_without_links(sf_dir: str):
         kg.links_ds(pages).select_columns(["link_url"]), ["link_url"],
         distinct_block(["link_url"]),
     )
-    out = reduce_side_anti_join(ext, ["url", "title", "n_paras"], "url", targets, "link_url")
+    out = reduce_side_join(ext, ["url", "title", "n_paras"], "url", targets, "link_url",
+                           how="anti")
 
     def _pin(d: pd.DataFrame) -> pd.DataFrame:
         if "n_paras" not in d.columns:  # empty passthrough block

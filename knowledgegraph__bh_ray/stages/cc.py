@@ -16,8 +16,9 @@ per-round label-table checksum aggregate (an order-invariant uint64 sum),
 not a driver-side compare.
 
 The joins are REDUCE-SIDE merges built from the engine's own partitioning
-machinery (tag sides → union → hash-partition on the key → one vectorized
-pandas merge per partition) rather than ``Dataset.join``: converged labels
+machinery (``stages/grouped.reduce_side_join`` / ``exchange``: tag sides
+→ union → hash-partition on the key → one vectorized pandas merge per
+partition) rather than ``Dataset.join``: converged labels
 are maximally skewed (one giant component ⇒ one label value), and Ray's
 Arrow hash join errors out when a shuffle partition receives zero rows on
 one side — which skewed keys make routine.  Skew note: a giant component
@@ -37,6 +38,8 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+
+from .grouped import SIZE_DISPATCH_THRESHOLD
 
 
 def connected_components_pairs(pairs: pd.DataFrame, a: str = "id_a", b: str = "id_b",
@@ -111,7 +114,7 @@ def _label_checksum(labels_ds) -> int:
 
 def connected_components_ds(pairs_ds, a: str = "id_a", b: str = "id_b",
                             max_rounds: int = 16, num_parts: int = 8,
-                            driver_threshold: int = 2_000_000):
+                            driver_threshold: int = SIZE_DISPATCH_THRESHOLD):
     """Dataset of pairs → Dataset(node, cluster).
 
     Dispatch is COUNTED, not assumed: the directed edge list is materialized
@@ -123,63 +126,34 @@ def connected_components_ds(pairs_ds, a: str = "id_a", b: str = "id_b",
     cluster) output (property-tested)."""
     import ray.data as rd
 
-    from .grouped import distinct_block, hash_partitioned_agg
+    from .grouped import (distinct_block, exchange, hash_partitioned_agg,
+                          reduce_side_join)
     from .spill import pin
 
     def _both(batch: pd.DataFrame) -> pd.DataFrame:
+        # directed edges (src → node): a label flows from src to node
         return pd.concat(
             [
-                batch[[a, b]].rename(columns={a: "src", b: "dst"}),
-                batch[[a, b]].rename(columns={b: "src", a: "dst"}),
+                batch[[a, b]].rename(columns={a: "src", b: "node"}),
+                batch[[a, b]].rename(columns={b: "src", a: "node"}),
             ],
             ignore_index=True,
         )
 
     # materialize the directed edge list ONCE (object store, not driver) so
     # each round's join does not re-run the upstream pair-generation DAG
-    edges_raw = pin(pairs_ds.map_batches(_both, batch_format="pandas"), "cc-edges")
-    n_directed = edges_raw.count()
+    edges = pin(pairs_ds.map_batches(_both, batch_format="pandas"), "cc-edges")
+    n_directed = edges.count()
     if n_directed == 0:
         return rd.from_pandas(pd.DataFrame({"node": [], "cluster": []}))
     if n_directed <= driver_threshold:
-        pdf = edges_raw.to_pandas()
-        return rd.from_pandas(dsu_pairs(pdf, "src", "dst"))
-
-    from .grouped import PART_COL, _key_hash
-
-    edges = edges_raw
-
-    def _route(ds):
-        """Attach the shuffle partition id (hash of 'k') and repartition —
-        the common front half of every reduce-side merge below.  Inputs
-        always carry full columns (the tagging lambdas emit them even for
-        zero rows), so the assign works on empty frames too."""
-        keyed = ds.map_batches(
-            lambda d: d.assign(**{PART_COL: (_key_hash(d, ["k"]) % num_parts).astype("int64")}),
-            batch_format="pandas",
-        )
-        return keyed.repartition(num_parts).groupby(PART_COL)
+        pdf = edges.to_pandas()
+        return rd.from_pandas(dsu_pairs(pdf, "src", "node"))
 
     def _propagate(labels_ds):
-        """(node,label) ⋈ edges on src → candidate (node=dst, label)."""
-        e = edges.map_batches(
-            lambda d: pd.DataFrame({"k": d.get("src", []), "dst": d.get("dst", []),
-                                    "label": None, "_s": 0}),
-            batch_format="pandas",
-        )
-        l = labels_ds.map_batches(
-            lambda d: pd.DataFrame({"k": d.get("node", []), "dst": None,
-                                    "label": d.get("label", []), "_s": 1}),
-            batch_format="pandas",
-        )
-
-        def _merge(g: pd.DataFrame) -> pd.DataFrame:
-            le = g[g["_s"] == 0]
-            ri = g[g["_s"] == 1]
-            m = le[["k", "dst"]].merge(ri[["k", "label"]], on="k", how="inner")
-            return pd.DataFrame({"node": m["dst"], "label": m["label"]})
-
-        return _route(e.union(l)).map_groups(_merge, batch_format="pandas")
+        """(node,label) ⋈ edges on src → candidate (node, label)."""
+        return reduce_side_join(edges, ["node"], "src", labels_ds, "node",
+                                vals=["label"], num_parts=num_parts)
 
     def _jump(labels_ds):
         """Pointer jumping: label ← label(label) — self reduce-side merge
@@ -201,11 +175,9 @@ def connected_components_ds(pairs_ds, a: str = "id_a", b: str = "id_b",
             m = le[["k", "node"]].merge(ri[["k", "jlabel"]], on="k", how="left")
             return pd.DataFrame({"node": m["node"], "label": m["jlabel"].fillna(m["k"])})
 
-        return _route(a_side.union(b_side)).map_groups(_merge, batch_format="pandas")
+        return exchange(a_side.union(b_side), ["k"], _merge, num_parts)
 
     def _min_label_block(df: pd.DataFrame) -> pd.DataFrame:
-        if "node" not in df.columns:  # empty passthrough block
-            return pd.DataFrame({"node": [], "label": []})
         return df.groupby("node", sort=False, as_index=False)["label"].min()
 
     labels = (
@@ -259,7 +231,7 @@ def ancestor_closure_ds(nodes_ds, id_col: str = "id", parent_col: str = "parent"
     chains terminate at the depth cap exactly like the SQL recursion."""
     import ray.data as rd
 
-    from .grouped import PART_COL, _key_hash
+    from .grouped import exchange
 
     def _base(d: pd.DataFrame) -> pd.DataFrame:
         if id_col not in d.columns:
@@ -298,16 +270,7 @@ def ancestor_closure_ds(nodes_ds, id_col: str = "id", parent_col: str = "parent"
             return pd.DataFrame({"id": m["id"][keep], "anc": m["a2"][keep],
                                  "depth": depth[keep]})
 
-        return (
-            f_side.union(c_side)
-            .map_batches(
-                lambda d: d.assign(**{PART_COL: (_key_hash(d, ["k"]) % num_parts).astype("int64")}),
-                batch_format="pandas",
-            )
-            .repartition(num_parts)
-            .groupby(PART_COL)
-            .map_groups(_merge, batch_format="pandas")
-        )
+        return exchange(f_side.union(c_side), ["k"], _merge, num_parts)
 
     p = 1
     while p < max_depth:

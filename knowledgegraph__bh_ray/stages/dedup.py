@@ -188,14 +188,7 @@ def minhash_pairs_ds(ds, id_col: str, text_col: str, threshold: float = 0.8):
     per-partition: drop singleton buckets *vectorized* (the overwhelming
     majority), pairwise-verify only real collision buckets → distinct pairs.
     """
-    from .grouped import PART_COL, _key_hash, distinct_block, hash_partitioned_agg
-
-    num_parts = 16
-
-    def _bands(batch: pd.DataFrame) -> pd.DataFrame:
-        out = minhash_bands_batch(batch, id_col, text_col)
-        out[PART_COL] = (_key_hash(out, ["band_id", "band_hash"]) % num_parts).astype("int64")
-        return out
+    from .grouped import distinct_block, exchange, hash_partitioned_agg
 
     def _verify_part(group: pd.DataFrame) -> pd.DataFrame:
         g = group.drop_duplicates(subset=["band_id", "band_hash", id_col])
@@ -226,12 +219,8 @@ def minhash_pairs_ds(ds, id_col: str, text_col: str, threshold: float = 0.8):
         # this partition yields identical rows — ship one
         return out.drop_duplicates(subset=["id_a", "id_b"])
 
-    bands = ds.map_batches(_bands, batch_format="pandas")
-    pairs = (
-        bands.repartition(num_parts)
-        .groupby(PART_COL)
-        .map_groups(_verify_part, batch_format="pandas")
-    )
+    pairs = exchange(ds, ["band_id", "band_hash"], _verify_part, 16,
+                     map=lambda b: minhash_bands_batch(b, id_col, text_col))
     return hash_partitioned_agg(pairs, ["id_a", "id_b"], distinct_block(["id_a", "id_b"]),
                                 num_parts=8)
 
@@ -297,14 +286,7 @@ def simhash_bands_batch(batch: pd.DataFrame, id_col: str, text_col: str) -> pd.D
 def simhash_pairs_ds(ds, id_col: str, text_col: str, max_hamming: int = 3):
     """Near-dup pairs by simhash: equal band → candidate, Hamming ≤ k verify.
     Same partitioned-bucket layout as minhash_pairs_ds."""
-    from .grouped import PART_COL, _key_hash, distinct_block, hash_partitioned_agg
-
-    num_parts = 16
-
-    def _bands(batch: pd.DataFrame) -> pd.DataFrame:
-        out = simhash_bands_batch(batch, id_col, text_col)
-        out[PART_COL] = (_key_hash(out, ["band_id", "band_val"]) % num_parts).astype("int64")
-        return out
+    from .grouped import distinct_block, exchange, hash_partitioned_agg
 
     def _verify_part(group: pd.DataFrame) -> pd.DataFrame:
         g = group.drop_duplicates(subset=["band_id", "band_val", id_col])
@@ -333,12 +315,8 @@ def simhash_pairs_ds(ds, id_col: str, text_col: str, max_hamming: int = 3):
         # the replica-amplified bench corpus, PERF.md round 3)
         return out.drop_duplicates(subset=["id_a", "id_b"])
 
-    bands = ds.map_batches(_bands, batch_format="pandas")
-    pairs = (
-        bands.repartition(num_parts)
-        .groupby(PART_COL)
-        .map_groups(_verify_part, batch_format="pandas")
-    )
+    pairs = exchange(ds, ["band_id", "band_val"], _verify_part, 16,
+                     map=lambda b: simhash_bands_batch(b, id_col, text_col))
     return hash_partitioned_agg(pairs, ["id_a", "id_b"], distinct_block(["id_a", "id_b"]),
                                 num_parts=8)
 

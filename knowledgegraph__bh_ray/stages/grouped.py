@@ -1,4 +1,11 @@
-"""Skew-aware grouped aggregation machinery (SURVEY.md §4 "Skew / stragglers").
+"""Keyed exchange and skew-aware grouped aggregation (SURVEY.md §4 "Skew /
+stragglers").
+
+``exchange`` is the engine's only keyed shuffle: every hash-partitioned
+aggregation, reduce-side join and per-key window in the package routes
+rows through it, so how a keyed exchange runs on Ray is decided here and
+nowhere else.  ``reduce_side_join`` (inner / left / semi / anti) and the
+aggregations below are built on it.
 
 Web-text entity keys are Zipfian — a bare ``groupby(key)`` ships every
 occurrence of the head entity to one reducer, and per-*group* Python
@@ -11,10 +18,10 @@ engine therefore runs as:
      reducer, and it is also the skew guard: after it, any key contributes
      at most one row per (batch, salt) — the head key's rows are already
      spread across ``salt_buckets`` logical reducers.
-  2. **hash-partitioned combine**: rows are routed to ``num_parts``
-     partitions by a hash of (keys, salt); ``groupby(_part).map_groups``
-     fires the UDF once per *partition* (16 calls, not one per key), and
-     inside the partition the same vectorized combine collapses everything.
+  2. **hash-partitioned combine**: ``exchange`` routes rows to
+     ``num_parts`` partitions by a hash of (keys, salt) and fires the UDF
+     once per *partition* (16 calls, not one per key); inside the
+     partition the same vectorized combine collapses everything.
   3. **final combine**: identical, partitioned by hash(keys) only, merging
      the per-salt rows (≤ salt_buckets per key).
 
@@ -42,6 +49,10 @@ PART_COL = "_part"
 # local mode); coalescing small datasets before a shuffle removes pure
 # overhead.
 DEFAULT_COMBINE_PARTITIONS = 16
+
+# Counted size dispatch: a side of at most this many rows is collected to
+# the driver or broadcast; a larger one takes the reduce-side path.
+SIZE_DISPATCH_THRESHOLD = 2_000_000
 
 
 def coalesced_groupby(ds, keys, num_partitions: int = DEFAULT_COMBINE_PARTITIONS):
@@ -73,6 +84,62 @@ def _salt_of(values, salt_buckets: int) -> np.ndarray:
     )
 
 
+def exchange(
+    ds,
+    by: list[str] | Callable[[pd.DataFrame], np.ndarray],
+    reduce: Callable[[pd.DataFrame], pd.DataFrame],
+    num_parts: int = DEFAULT_COMBINE_PARTITIONS,
+    map: Callable[[pd.DataFrame], pd.DataFrame] | None = None,
+):
+    """The engine's one keyed shuffle: every row lands in partition
+    ``hash(by) % num_parts`` (or ``by(df)`` when ``by`` is a callable
+    returning partition ids), then ``reduce`` runs once per partition on
+    all of its rows.
+
+    ``map`` (optional) transforms each batch first, in the same
+    ``map_batches`` UDF that computes the route column.  ``reduce`` never
+    sees the route column and never an empty frame: zero-row batches carry
+    no rows into any partition, and column-less ones (empty passthrough
+    blocks) skip ``map`` entirely.
+
+    The route is a sort-based ``groupby(_part).map_groups``, not Ray's
+    Arrow hash join, which fails when a shuffle partition gets zero rows
+    on one side (PERF.md round 2)."""
+
+    def _route(batch: pd.DataFrame) -> pd.DataFrame:
+        out = map(batch) if map is not None and len(batch.columns) else batch
+        return _with_route(out, by, num_parts)
+
+    return _shuffle(ds.map_batches(_route, batch_format="pandas"), reduce, num_parts)
+
+
+def _with_route(out: pd.DataFrame, by, num_parts: int) -> pd.DataFrame:
+    """``out`` plus the partition-id column ``exchange`` routes on."""
+    if not len(out):
+        part = np.zeros(0, dtype="int64")
+    elif callable(by):
+        part = by(out)
+    else:
+        part = _key_hash(out, by) % num_parts
+    # insert, not setitem: setitem warns on a masked slice from ``map``
+    out.insert(len(out.columns), PART_COL, np.asarray(part).astype("int64"))
+    return out
+
+
+def _shuffle(routed, reduce, num_parts: int):
+    """The shuffle half of ``exchange``: rows that already carry the route
+    column meet in their partition, where ``reduce`` runs without it."""
+
+    def _reduce(group: pd.DataFrame) -> pd.DataFrame:
+        return reduce(group.drop(columns=[PART_COL]))
+
+    return (
+        routed.repartition(num_parts)
+        .groupby(PART_COL)
+        .map_groups(_reduce, batch_format="pandas")
+    )
+
+
 def hash_partitioned_agg(
     ds,
     keys: list[str],
@@ -82,21 +149,7 @@ def hash_partitioned_agg(
     """One-level hash-partitioned aggregation: partial per batch, route by
     hash(keys), vectorized combine per partition.  ``block_agg(df)`` must
     collapse rows sharing ``keys`` and be associative."""
-
-    def _partial(batch: pd.DataFrame) -> pd.DataFrame:
-        part = block_agg(batch)
-        part[PART_COL] = (_key_hash(part, keys) % num_parts).astype("int64")
-        return part
-
-    def _combine(group: pd.DataFrame) -> pd.DataFrame:
-        return block_agg(group.drop(columns=[PART_COL]))
-
-    partials = ds.map_batches(_partial, batch_format="pandas")
-    return (
-        partials.repartition(num_parts)
-        .groupby(PART_COL)
-        .map_groups(_combine, batch_format="pandas")
-    )
+    return exchange(ds, keys, block_agg, num_parts, map=block_agg)
 
 
 def salted_grouped_agg(
@@ -124,7 +177,6 @@ def salted_grouped_agg(
     subj-bucketed adjacency, pipelines/kg.py) gets it from this exchange
     instead of a second shuffle.
     """
-    salted = block_agg_salted
 
     def _partial(batch: pd.DataFrame) -> pd.DataFrame:
         part = block_agg(batch)
@@ -132,148 +184,67 @@ def salted_grouped_agg(
         # different batches' partials for the same key get different salts,
         # spreading the head key across salt_buckets logical reducers
         part[SALT_COL] = _salt_of(part[salt_from], salt_buckets)
-        part[PART_COL] = (_key_hash(part, keys + [SALT_COL]) % combine_partitions).astype(
-            "int64"
-        )
         return part
 
-    def _combine_salted(group: pd.DataFrame) -> pd.DataFrame:
-        df = group.drop(columns=[PART_COL])
-        out = salted(df) if salted else block_agg(df.drop(columns=[SALT_COL]))
-        if SALT_COL in out.columns:
-            out = out.drop(columns=[SALT_COL])
-        part = final_route(out) if final_route else _key_hash(out, keys) % combine_partitions
-        out[PART_COL] = np.asarray(part).astype("int64")
-        return out
+    def _combine_salted(df: pd.DataFrame) -> pd.DataFrame:
+        if block_agg_salted is not None:
+            out = block_agg_salted(df).drop(columns=[SALT_COL], errors="ignore")
+        else:
+            out = block_agg(df.drop(columns=[SALT_COL]))
+        # route for the final level inside this UDF: a separate route
+        # stage after map_groups costs ~0.1 s per aggregation (PERF.md
+        # round 7)
+        return _with_route(out, final_route or keys, combine_partitions)
 
-    def _combine_final(group: pd.DataFrame) -> pd.DataFrame:
-        out = block_agg(group.drop(columns=[PART_COL]))
+    def _combine_final(df: pd.DataFrame) -> pd.DataFrame:
+        out = block_agg(df)
         return finish(out) if finish else out
 
-    partials = ds.map_batches(_partial, batch_format="pandas")
-    level2 = (
-        partials.repartition(combine_partitions)
-        .groupby(PART_COL)
-        .map_groups(_combine_salted, batch_format="pandas")
-    )
-    return (
-        level2.repartition(combine_partitions)
-        .groupby(PART_COL)
-        .map_groups(_combine_final, batch_format="pandas")
-    )
+    level2 = exchange(ds, keys + [SALT_COL], _combine_salted, combine_partitions,
+                      map=_partial)
+    return _shuffle(level2, _combine_final, combine_partitions)
 
 
 # ---------------------------------------------------------------------------
-# Reduce-side joins (no broadcast, no Arrow hash join)
+# Reduce-side join (no broadcast, no Arrow hash join)
 # ---------------------------------------------------------------------------
-#
-# The scale fallback for vocabulary broadcasts: when the small side outgrows
-# worker memory, co-locate both sides by key hash and merge per partition.
-# Expressed with the same tag → union → hash-partition → vectorized-pandas
-# machinery as the aggregations (Ray's Arrow hash join errors out when a
-# shuffle partition receives zero rows on one side, which skewed web keys
-# make routine — see stages/cc.py).
 
 
-def _tagged_union(ds_left, ds_right, cols: list[str], make_left, make_right):
-    def _l(d: pd.DataFrame) -> pd.DataFrame:
-        return make_left(d)
+def reduce_side_join(ds, cols: list[str], key_col: str, other_ds, other_key: str,
+                     vals=(), how: str = "inner",
+                     num_parts: int = DEFAULT_COMBINE_PARTITIONS,
+                     salt_from: str | None = None, salt_buckets: int = 8):
+    """``ds`` joined to ``other_ds`` on ``ds[key_col] == other_ds[other_key]``,
+    both sides arbitrarily large: the scale fallback for vocabulary
+    broadcasts.  Both sides are tagged, unioned and co-located by key hash
+    through one ``exchange``; each partition merges in vectorized pandas.
 
-    def _r(d: pd.DataFrame) -> pd.DataFrame:
-        return make_right(d)
-
-    return ds_left.map_batches(_l, batch_format="pandas").union(
-        ds_right.map_batches(_r, batch_format="pandas")
-    )
-
-
-def reduce_side_semi_join(ds, cols: list[str], key_col: str, keys_ds, keys_col: str,
-                          num_parts: int = DEFAULT_COMBINE_PARTITIONS):
-    """Keep ``ds`` rows whose ``key_col`` appears in ``keys_ds[keys_col]`` —
-    both sides arbitrarily large, routed by key hash, membership test
-    vectorized (`isin`) per partition."""
-
-    def _mk_data(d: pd.DataFrame) -> pd.DataFrame:
-        out = {c: d.get(c, []) for c in cols}
-        out["_k"] = d.get(key_col, [])
-        return pd.DataFrame(out).assign(_s=0)
-
-    def _mk_keys(d: pd.DataFrame) -> pd.DataFrame:
-        out = {c: None for c in cols}
-        out["_k"] = d.get(keys_col, pd.Series([], dtype=object))
-        return pd.DataFrame(out).assign(_s=1)
-
-    u = _tagged_union(ds, keys_ds, cols, _mk_data, _mk_keys)
-    keyed = u.map_batches(
-        lambda d: d.assign(**{PART_COL: (_key_hash(d, ["_k"]) % num_parts).astype("int64")}),
-        batch_format="pandas",
-    )
-
-    def _merge(g: pd.DataFrame) -> pd.DataFrame:
-        le = g[g["_s"] == 0]
-        ri = g[g["_s"] == 1]
-        kept = le[le["_k"].isin(ri["_k"].unique())]
-        return kept[cols].reset_index(drop=True)
-
-    return keyed.repartition(num_parts).groupby(PART_COL).map_groups(
-        _merge, batch_format="pandas"
-    )
-
-
-def reduce_side_anti_join(ds, cols: list[str], key_col: str, keys_ds, keys_col: str,
-                          num_parts: int = DEFAULT_COMBINE_PARTITIONS):
-    """Keep ``ds`` rows whose ``key_col`` does NOT appear in
-    ``keys_ds[keys_col]`` (NOT IN / EXCEPT shape) — both sides arbitrarily
-    large; a broadcast would be corpus-sized when most rows match."""
-
-    def _mk_data(d: pd.DataFrame) -> pd.DataFrame:
-        out = {c: d.get(c, []) for c in cols}
-        out["_k"] = d.get(key_col, [])
-        return pd.DataFrame(out).assign(_s=0)
-
-    def _mk_keys(d: pd.DataFrame) -> pd.DataFrame:
-        out = {c: None for c in cols}
-        out["_k"] = d.get(keys_col, pd.Series([], dtype=object))
-        return pd.DataFrame(out).assign(_s=1)
-
-    u = _tagged_union(ds, keys_ds, cols, _mk_data, _mk_keys)
-    keyed = u.map_batches(
-        lambda d: d.assign(**{PART_COL: (_key_hash(d, ["_k"]) % num_parts).astype("int64")}),
-        batch_format="pandas",
-    )
-
-    def _merge(g: pd.DataFrame) -> pd.DataFrame:
-        le = g[g["_s"] == 0]
-        ri = g[g["_s"] == 1]
-        kept = le[~le["_k"].isin(ri["_k"].unique())]
-        return kept[cols].reset_index(drop=True)
-
-    return keyed.repartition(num_parts).groupby(PART_COL).map_groups(
-        _merge, batch_format="pandas"
-    )
-
-
-def reduce_side_lookup(ds, cols: list[str], key_col: str, lut_ds, lut_key: str,
-                       lut_vals: list[str], how: str = "inner",
-                       num_parts: int = DEFAULT_COMBINE_PARTITIONS,
-                       salt_from: str | None = None, salt_buckets: int = 8):
-    """``ds ⋈ lut`` on ``ds[key_col] == lut[lut_key]`` appending
-    ``lut_vals`` columns — the distributed form of a broadcast-dict lookup.
-    ``lut`` keys must be unique (a canonical map is).
+    ``how``:
+      * ``"inner"`` / ``"left"`` — ``cols`` plus the ``vals`` columns of the
+        matching ``other_ds`` row (the distributed form of a broadcast-dict
+        lookup); ``other_ds`` keys must be unique (a canonical map is);
+      * ``"semi"`` / ``"anti"`` — the ``cols`` of rows whose key does /
+        does NOT appear in ``other_ds`` (IN / NOT IN).
 
     ``salt_from``: Zipf-skew guard for hot keys (a corpus-frequent term
-    routes ALL its data rows to one reducer otherwise).  Data rows salt by
-    ``hash(salt_from) % salt_buckets`` and route on (key, salt); the lut —
-    one row per key — replicates across all salt buckets, so the hot key's
-    data spreads over ``salt_buckets`` reducers at the cost of
-    ``salt_buckets×`` the (small) lut."""
+    routes ALL its ``ds`` rows to one reducer otherwise).  ``ds`` rows salt
+    by ``hash(salt_from) % salt_buckets`` and route on (key, salt); each
+    ``other_ds`` row replicates across all salt buckets, so the hot key's
+    rows spread over ``salt_buckets`` reducers at the cost of
+    ``salt_buckets×`` the (small) other side."""
+    if how not in ("inner", "left", "semi", "anti"):
+        raise ValueError(f"unknown join type {how!r}")
+    vals = list(vals)
 
-    def _mk_data(d: pd.DataFrame) -> pd.DataFrame:
-        out = {c: d.get(c, []) for c in cols}
-        out["_k"] = d.get(key_col, [])
-        for v in lut_vals:
-            out[v] = None
-        df = pd.DataFrame(out).assign(_s=0)
+    def _side(d: pd.DataFrame, key: str, s: int) -> pd.DataFrame:
+        # side 0 (ds) carries cols, side 1 (other_ds) carries vals
+        out = {c: d.get(c, []) if s == 0 else None for c in cols}
+        out["_k"] = d.get(key, pd.Series([], dtype=object))
+        out.update({v: d.get(v, []) if s == 1 else None for v in vals})
+        return pd.DataFrame(out).assign(_s=s)
+
+    def _data(d: pd.DataFrame) -> pd.DataFrame:
+        df = _side(d, key_col, 0)
         if salt_from is not None:
             df[SALT_COL] = (
                 _salt_of(d[salt_from], salt_buckets)
@@ -282,37 +253,30 @@ def reduce_side_lookup(ds, cols: list[str], key_col: str, lut_ds, lut_key: str,
             )
         return df
 
-    def _mk_lut(d: pd.DataFrame) -> pd.DataFrame:
-        out = {c: None for c in cols}
-        out["_k"] = d.get(lut_key, pd.Series([], dtype=object))
-        for v in lut_vals:
-            out[v] = d.get(v, [])
-        df = pd.DataFrame(out).assign(_s=1)
+    def _other(d: pd.DataFrame) -> pd.DataFrame:
+        df = _side(d, other_key, 1)
         if salt_from is not None:
-            # replicate each lut row into every salt bucket
+            # replicate each row into every salt bucket
             n = len(df)
             df = df.loc[df.index.repeat(salt_buckets)].reset_index(drop=True)
             df[SALT_COL] = np.tile(np.arange(salt_buckets, dtype="int64"), n)
         return df
 
-    route_cols = ["_k"] if salt_from is None else ["_k", SALT_COL]
-    u = _tagged_union(ds, lut_ds, cols, _mk_data, _mk_lut)
-    keyed = u.map_batches(
-        lambda d: d.assign(
-            **{PART_COL: (_key_hash(d, route_cols) % num_parts).astype("int64")}
-        ),
-        batch_format="pandas",
-    )
-
     def _merge(g: pd.DataFrame) -> pd.DataFrame:
         le = g[g["_s"] == 0]
-        ri = g[g["_s"] == 1].drop_duplicates(subset=["_k"])
-        m = le[cols + ["_k"]].merge(ri[["_k"] + lut_vals], on="_k", how=how)
-        return m[cols + lut_vals].reset_index(drop=True)
+        ri = g[g["_s"] == 1]
+        if how in ("semi", "anti"):
+            hit = le["_k"].isin(ri["_k"].unique())
+            return le[hit if how == "semi" else ~hit][cols].reset_index(drop=True)
+        ri = ri.drop_duplicates(subset=["_k"])
+        m = le[cols + ["_k"]].merge(ri[["_k"] + vals], on="_k", how=how)
+        return m[cols + vals].reset_index(drop=True)
 
-    return keyed.repartition(num_parts).groupby(PART_COL).map_groups(
-        _merge, batch_format="pandas"
+    tagged = ds.map_batches(_data, batch_format="pandas").union(
+        other_ds.map_batches(_other, batch_format="pandas")
     )
+    by = ["_k"] if salt_from is None else ["_k", SALT_COL]
+    return exchange(tagged, by, _merge, num_parts)
 
 
 # ---------------------------------------------------------------------------

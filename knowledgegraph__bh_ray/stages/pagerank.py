@@ -18,6 +18,8 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
+from .grouped import SIZE_DISPATCH_THRESHOLD
+
 
 def pagerank_pairs(edges: pd.DataFrame, damping: float = 0.85, iters: int = 10,
                    src: str = "src_url", dst: str = "dst_url") -> pd.DataFrame:
@@ -56,9 +58,8 @@ def triangles_ds(edges_ds, src: str = "src_url", dst: str = "dst_url",
     corpus-scale)."""
     import ray.data as rd
 
-    from .grouped import (PART_COL, _key_hash, distinct_block,
-                          hash_partitioned_agg, reduce_side_lookup,
-                          reduce_side_semi_join)
+    from .grouped import (distinct_block, exchange, hash_partitioned_agg,
+                          reduce_side_join)
 
     def _canon(d: pd.DataFrame) -> pd.DataFrame:
         a = d.get(src, pd.Series([], dtype=object))
@@ -97,12 +98,12 @@ def triangles_ds(edges_ds, src: str = "src_url", dst: str = "dst_url",
                                  col: d.get("deg", pd.Series([], dtype="int64"))})
         return _f
 
-    e_du = reduce_side_lookup(
+    e_du = reduce_side_join(
         und, ["u", "v"], "u",
         degs.map_batches(_as_lut("du"), batch_format="pandas"), "node", ["du"],
         num_parts=num_parts,
     )
-    e_dd = reduce_side_lookup(
+    e_dd = reduce_side_join(
         e_du, ["u", "v", "du"], "v",
         degs.map_batches(_as_lut("dv"), batch_format="pandas"), "node", ["dv"],
         num_parts=num_parts,
@@ -137,15 +138,7 @@ def triangles_ds(edges_ds, src: str = "src_url", dst: str = "dst_url",
         m = m[keep]
         return pd.DataFrame({"third": m["a"], "x": m["b_1"], "y": m["b_2"]})
 
-    wedges = (
-        oriented.map_batches(
-            lambda d: d.assign(**{PART_COL: (_key_hash(d, ["a"]) % num_parts).astype("int64")}),
-            batch_format="pandas",
-        )
-        .repartition(num_parts)
-        .groupby(PART_COL)
-        .map_groups(_wedge, batch_format="pandas")
-    )
+    wedges = exchange(oriented, ["a"], _wedge, num_parts)
 
     # closing edge: (x, y) with x ≺ y in degree order closes iff the
     # ORIENTED edge x→y exists — semi-join on the composite key
@@ -164,11 +157,11 @@ def triangles_ds(edges_ds, src: str = "src_url", dst: str = "dst_url",
             return pd.DataFrame({"xy": pd.Series([], dtype=object)})
         return pd.DataFrame({"xy": d["a"].astype(str) + SEP + d["b"].astype(str)})
 
-    closed = reduce_side_semi_join(
+    closed = reduce_side_join(
         wedges.map_batches(_wkey, batch_format="pandas"),
         ["third", "x", "y"], "xy",
         oriented.map_batches(_ekey, batch_format="pandas"), "xy",
-        num_parts=num_parts,
+        how="semi", num_parts=num_parts,
     )
 
     # present each triangle lexicographically as (u < v < w)
@@ -190,7 +183,7 @@ def triangles_ds(edges_ds, src: str = "src_url", dst: str = "dst_url",
 
 def pagerank_ds(edges_ds, damping: float = 0.85, iters: int = 10,
                 num_parts: int = 8, src: str = "src_url", dst: str = "dst_url",
-                driver_threshold: int = 2_000_000):
+                driver_threshold: int = SIZE_DISPATCH_THRESHOLD):
     """Dataset(src, dst) → Dataset(url, rank); see module docstring.
 
     Counted dispatch (same policy as stages/cc.py): the edge list is
@@ -199,7 +192,8 @@ def pagerank_ds(edges_ds, damping: float = 0.85, iters: int = 10,
     barrier overhead), above it the distributed rounds run."""
     import ray.data as rd
 
-    from .grouped import PART_COL, _key_hash, distinct_block, hash_partitioned_agg
+    from .grouped import (distinct_block, exchange, hash_partitioned_agg,
+                          reduce_side_join)
 
     def _both_nodes(d: pd.DataFrame) -> pd.DataFrame:
         # runs over the RENAMED edge table (src/dst)
@@ -252,36 +246,10 @@ def pagerank_ds(edges_ds, damping: float = 0.85, iters: int = 10,
         batch_format="pandas",
     ), "pr-ranks")
 
-    def _route(ds_in, key):
-        return (
-            ds_in.map_batches(
-                lambda d: d.assign(**{PART_COL: (_key_hash(d, [key]) % num_parts).astype("int64")}),
-                batch_format="pandas",
-            )
-            .repartition(num_parts)
-            .groupby(PART_COL)
-        )
-
     for _ in range(iters):
         # ranks ⋈ degs on url/node (left) → share = damping * rank / deg
-        a_side = ranks.map_batches(
-            lambda d: pd.DataFrame({"k": d.get("url", []), "rank": d.get("rank", []),
-                                    "deg": None, "_s": 0}),
-            batch_format="pandas",
-        )
-        b_side = degs.map_batches(
-            lambda d: pd.DataFrame({"k": d.get("node", []), "rank": None,
-                                    "deg": d.get("deg", []), "_s": 1}),
-            batch_format="pandas",
-        )
-
-        def _attach(g: pd.DataFrame) -> pd.DataFrame:
-            le = g[g["_s"] == 0]
-            ri = g[g["_s"] == 1]
-            m = le[["k", "rank"]].merge(ri[["k", "deg"]], on="k", how="left")
-            return pd.DataFrame({"url": m["k"], "rank": m["rank"], "deg": m["deg"]})
-
-        rk = _route(a_side.union(b_side), "k").map_groups(_attach, batch_format="pandas")
+        rk = reduce_side_join(ranks, ["url", "rank"], "url", degs, "node", ["deg"],
+                              how="left", num_parts=num_parts)
         rk = pin(rk, "pr-rk")
 
         # dangling mass: one tiny aggregate
@@ -314,7 +282,7 @@ def pagerank_ds(edges_ds, damping: float = 0.85, iters: int = 10,
             share = damping * m["rank"].astype(float) / m["deg"].astype(float)
             return pd.DataFrame({"url": m["dst"], "contrib": share})
 
-        contribs = _route(e_side.union(r_side), "k").map_groups(_contrib, batch_format="pandas")
+        contribs = exchange(e_side.union(r_side), ["k"], _contrib, num_parts)
 
         base = (1.0 - damping) / n + damping * dangling / n
 
@@ -322,9 +290,6 @@ def pagerank_ds(edges_ds, damping: float = 0.85, iters: int = 10,
             return pd.DataFrame({"url": d.get("url", []), "contrib": 0.0})
 
         def _sum_contrib(d: pd.DataFrame) -> pd.DataFrame:
-            if "url" not in d.columns:
-                return pd.DataFrame({"url": pd.Series([], dtype=object),
-                                     "contrib": pd.Series([], dtype="float64")})
             return d.groupby("url", sort=False, as_index=False)["contrib"].sum()
 
         summed = hash_partitioned_agg(
@@ -365,8 +330,8 @@ def k_core_pairs(und: pd.DataFrame, k: int, u: str = "u", v: str = "v"):
 
 def k_core_ds(edges_ds, k: int = 4, src: str = "src_url", dst: str = "dst_url",
               num_parts: int = 8, max_rounds: int = 50,
-              driver_threshold: int = 2_000_000,
-              bcast_dead_threshold: int = 2_000_000):
+              driver_threshold: int = SIZE_DISPATCH_THRESHOLD,
+              bcast_dead_threshold: int = SIZE_DISPATCH_THRESHOLD):
     """k-core of the undirected graph: iteratively peel vertices with
     degree < ``k`` until fixpoint; output ``(url, core_deg)`` for surviving
     vertices (``core_deg`` = degree inside the stable core, ≥ k by
@@ -388,8 +353,7 @@ def k_core_ds(edges_ds, k: int = 4, src: str = "src_url", dst: str = "dst_url",
     import ray
     import ray.data as rd
 
-    from .grouped import (distinct_block, hash_partitioned_agg,
-                          reduce_side_semi_join)
+    from .grouped import distinct_block, hash_partitioned_agg, reduce_side_join
     from .spill import pin
 
     def _canon(d: pd.DataFrame) -> pd.DataFrame:
@@ -464,10 +428,10 @@ def k_core_ds(edges_ds, k: int = 4, src: str = "src_url", dst: str = "dst_url",
                 batch_format="pandas",
             )
             alive = pin(alive, "kcore-alive")
-            nxt = reduce_side_semi_join(und, ["u", "v"], "u", alive, "node",
-                                        num_parts=num_parts)
-            und = pin(reduce_side_semi_join(nxt, ["u", "v"], "v", alive,
-                                            "node", num_parts=num_parts),
+            nxt = reduce_side_join(und, ["u", "v"], "u", alive, "node",
+                                   how="semi", num_parts=num_parts)
+            und = pin(reduce_side_join(nxt, ["u", "v"], "v", alive, "node",
+                                       how="semi", num_parts=num_parts),
                       "kcore-und")
         if und.count() == 0:
             return rd.from_pandas(empty)
@@ -483,7 +447,7 @@ def k_core_ds(edges_ds, k: int = 4, src: str = "src_url", dst: str = "dst_url",
 
 def node_similarity_ds(edges_ds, src: str = "src_url", dst: str = "dst_url",
                        num_parts: int = 8, max_middle_degree: int | None = None,
-                       deg_broadcast_threshold: int = 2_000_000):
+                       deg_broadcast_threshold: int = SIZE_DISPATCH_THRESHOLD):
     """Common-neighbor Jaccard node similarity — the classic
     link-prediction / related-item feature: every node pair (a < b) that
     shares ≥1 neighbor, scored ``|N(a)∩N(b)| / |N(a)∪N(b)|`` as exact
@@ -511,8 +475,8 @@ def node_similarity_ds(edges_ds, src: str = "src_url", dst: str = "dst_url",
     similarity signal but dominates the pair volume); the cap drops whole
     middles BEFORE pair generation, bounding per-middle work at cap²."""
     from .dedup import _bucket_layout, _intra_bucket_pairs
-    from .grouped import (PART_COL, _key_hash, distinct_block,
-                          hash_partitioned_agg, reduce_side_lookup)
+    from .grouped import (distinct_block, exchange, hash_partitioned_agg,
+                          reduce_side_join)
     from .spill import pin
 
     def _canon(d: pd.DataFrame) -> pd.DataFrame:
@@ -547,29 +511,21 @@ def node_similarity_ds(edges_ds, src: str = "src_url", dst: str = "dst_url",
     ), "nsim-degs")
 
     def _adj(d: pd.DataFrame) -> pd.DataFrame:
-        if "u" not in d.columns or not len(d):
-            return pd.DataFrame({"m": pd.Series([], dtype=object),
-                                 "n": pd.Series([], dtype=object)})
-        out = pd.DataFrame(
+        return pd.DataFrame(
             {"m": pd.concat([d["u"], d["v"]], ignore_index=True),
              "n": pd.concat([d["v"], d["u"]], ignore_index=True)}
         )
-        out[PART_COL] = (_key_hash(out, ["m"]) % num_parts).astype("int64")
-        return out
 
     def _pairs(g: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({"node_a": pd.Series([], dtype=object),
-                              "node_b": pd.Series([], dtype=object),
-                              "common": pd.Series([], dtype="int64")})
-        if "m" not in g.columns or not len(g):
-            return empty
         g = g.sort_values(["m", "n"], kind="mergesort")
         starts, counts = _bucket_layout(g, ["m"])
         if max_middle_degree is not None:
             keep_rows = np.repeat(counts <= max_middle_degree, counts)
             g = g[keep_rows]
             if not len(g):
-                return empty
+                return pd.DataFrame({"node_a": pd.Series([], dtype=object),
+                                     "node_b": pd.Series([], dtype=object),
+                                     "common": pd.Series([], dtype="int64")})
             starts, counts = _bucket_layout(g, ["m"])
         I, J = _intra_bucket_pairs(starts, counts)
         nb = g["n"].to_numpy()
@@ -577,12 +533,7 @@ def node_similarity_ds(edges_ds, src: str = "src_url", dst: str = "dst_url",
         return pd.DataFrame({"node_a": nb[I], "node_b": nb[J],
                              "common": np.int64(1)})
 
-    pair_rows = (
-        und.map_batches(_adj, batch_format="pandas")
-        .repartition(num_parts)
-        .groupby(PART_COL)
-        .map_groups(_pairs, batch_format="pandas")
-    )
+    pair_rows = exchange(und, ["m"], _pairs, num_parts, map=_adj)
 
     def _common_sum(d: pd.DataFrame) -> pd.DataFrame:
         return d.groupby(["node_a", "node_b"], sort=False, as_index=False)["common"].sum()
@@ -639,12 +590,12 @@ def node_similarity_ds(edges_ds, src: str = "src_url", dst: str = "dst_url",
                                  col: d.get("deg", pd.Series([], dtype="int64"))})
         return _f
 
-    with_da = reduce_side_lookup(
+    with_da = reduce_side_join(
         common, ["node_a", "node_b", "common"], "node_a",
         degs.map_batches(_as_lut("deg_a"), batch_format="pandas"), "node", ["deg_a"],
         num_parts=num_parts,
     )
-    with_db = reduce_side_lookup(
+    with_db = reduce_side_join(
         with_da, ["node_a", "node_b", "common", "deg_a"], "node_b",
         degs.map_batches(_as_lut("deg_b"), batch_format="pandas"), "node", ["deg_b"],
         num_parts=num_parts,

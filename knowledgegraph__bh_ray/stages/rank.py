@@ -30,7 +30,7 @@ import numpy as np
 import pandas as pd
 import ray
 
-from .grouped import PART_COL, hash_partitioned_agg
+from .grouped import hash_partitioned_agg
 
 DEFAULT_SAMPLE_K = 4096
 
@@ -96,9 +96,6 @@ def attach_sorted_rank(ds, key: str, rank_col: str = "rank",
         return out
 
     def _count_sum(d: pd.DataFrame) -> pd.DataFrame:
-        if "_bucket" not in d.columns or not len(d):
-            return pd.DataFrame({"_bucket": pd.Series([], dtype="int64"),
-                                 "n": pd.Series([], dtype="int64")})
         out = d.groupby("_bucket", sort=False, as_index=False)["n"].sum()
         out["n"] = out["n"].astype("int64")
         return out

@@ -1,17 +1,7 @@
 import numpy as np
 import pandas as pd
 
-from knowledgegraph__bh_ray.functions.bloom import BloomFilter
 from knowledgegraph__bh_ray.stages.ner import PatternTagger
-
-
-def test_bloom_no_false_negatives_and_low_fp():
-    keys = [f"id{i:06d}" for i in range(5000)]
-    bf = BloomFilter.build(keys, fp_rate=0.01)
-    assert all(k in bf for k in keys)  # no false negatives, ever
-    probes = [f"other{i:06d}" for i in range(5000)]
-    fp = sum(1 for p in probes if p in bf) / len(probes)
-    assert fp < 0.03  # ~target rate
 
 
 def test_pattern_tagger_rules():
@@ -33,18 +23,6 @@ def test_pattern_tagger_batch_shape():
     assert set(df.columns) == {"url", "para_idx", "entity", "etype", "start", "end"}
     assert len(df) == 2
     assert df["para_idx"].dtype == np.int64
-
-
-def test_edges_bloom_path_identical(ray_session, pages_small):
-    from knowledgegraph__bh_ray.pipelines import kg
-
-    a = kg.edges_ds(pages_small).to_pandas()
-    b = kg.edges_ds(pages_small, use_bloom=True).to_pandas()
-    key = ["subj", "pred", "obj"]
-    pd.testing.assert_frame_equal(
-        a.sort_values(key).reset_index(drop=True)[key + ["weight"]],
-        b.sort_values(key).reset_index(drop=True)[key + ["weight"]],
-    )
 
 
 def test_edges_bucketed_join_identical(ray_session, pages_small):

@@ -1,5 +1,4 @@
 import pandas as pd
-import pytest
 import ray.data as rd
 
 from knowledgegraph__bh_ray.sources.conll import parse_conll_text, parse_ner_json_lines
@@ -58,28 +57,6 @@ def test_ner_json_parse():
     assert rows == [{"text": "北京", "labels": ["B-LOC", "E-LOC"]}]
     rows2 = parse_ner_json_lines('[{"text": "a", "labels": ["O"]}]')
     assert rows2 == [{"text": "a", "labels": ["O"]}]
-
-
-def test_registry_compose_and_validation():
-    from knowledgegraph__bh_ray import registry
-
-    assert {"extract_parse", "flatten_nodes", "flatten_triples"} <= set(registry.names())
-    fn = registry.compose(["extract_parse", "flatten_triples"])
-    assert callable(fn)
-    with pytest.raises(ValueError):
-        registry.compose(["flatten_nodes", "extract_parse"])  # column contract violated
-    with pytest.raises(KeyError):
-        registry.get("nope")
-
-
-def test_registry_pipeline_runs(ray_session, pages_small):
-    from knowledgegraph__bh_ray import registry
-    from knowledgegraph__bh_ray.sources import read_pages
-
-    fn = registry.compose(["extract_parse", "flatten_triples"])
-    out = fn(read_pages(pages_small, columns=["url", "html"]))
-    assert out.count() > 0
-    assert "subj" in out.schema().names
 
 
 def test_cc_adversarial_chain(ray_session):

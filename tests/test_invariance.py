@@ -70,38 +70,46 @@ def test_salted_agg_equals_pandas_groupby(ray_session):
 
 
 def test_reduce_side_ops_partition_invariance(ray_session):
-    """The reduce-side join family must be invariant to partition count
-    (same algebraic guarantee as the salted aggregations)."""
+    """Every reduce-side join type equals its pandas result at any partition
+    count — including more partitions than distinct keys (empty shuffle
+    partitions) and an empty other side."""
     import pandas as pd
     import ray.data as rd
 
-    from knowledgegraph__bh_ray.stages.grouped import (
-        reduce_side_anti_join,
-        reduce_side_lookup,
-        reduce_side_semi_join,
-    )
+    from knowledgegraph__bh_ray.stages.grouped import reduce_side_join
 
     data = pd.DataFrame({"rid": range(120), "k": [f"k{i % 17}" for i in range(120)]})
-    keys = pd.DataFrame({"kk": [f"k{i}" for i in range(0, 17, 2)]})
-    lut = pd.DataFrame({"kk": [f"k{i}" for i in range(17)], "v": [f"v{i}" for i in range(17)]})
+    lut = pd.DataFrame({"kk": [f"k{i}" for i in range(0, 17, 2)],
+                        "v": [f"v{i}" for i in range(0, 17, 2)]})
 
-    def run(fn, **kw):
-        outs = []
-        for parts in (3, 16):
-            ds = rd.from_pandas(data).repartition(5)
-            out = fn(ds, num_parts=parts, **kw).to_pandas()
-            outs.append(out.sort_values("rid").reset_index(drop=True).astype(str))
-        return outs
+    def expected(how, other):
+        hit = data["k"].isin(other["kk"])
+        if how == "semi":
+            return data[hit]
+        if how == "anti":
+            return data[~hit]
+        m = data.merge(other, left_on="k", right_on="kk", how=how)
+        return m[["rid", "k", "v"]]
 
-    a, b = run(lambda ds, **kw: reduce_side_semi_join(ds, ["rid", "k"], "k",
-                                                      rd.from_pandas(keys), "kk", **kw))
-    assert a.equals(b) and len(a) > 0
-    a, b = run(lambda ds, **kw: reduce_side_anti_join(ds, ["rid", "k"], "k",
-                                                      rd.from_pandas(keys), "kk", **kw))
-    assert a.equals(b) and len(a) > 0
-    a, b = run(lambda ds, **kw: reduce_side_lookup(ds, ["rid", "k"], "k",
-                                                   rd.from_pandas(lut), "kk", ["v"], **kw))
-    assert a.equals(b) and len(a) == 120
+    def norm(df, cols):
+        if not len(df):
+            return pd.DataFrame({c: pd.Series([], dtype=str) for c in cols})
+        df = df[cols].astype(object)
+        df = df.where(df.notna(), None).astype(str)
+        return df.sort_values("rid", key=lambda s: s.astype(int)).reset_index(drop=True)
+
+    for how in ("inner", "left", "semi", "anti"):
+        vals = ["v"] if how in ("inner", "left") else []
+        cols = ["rid", "k"] + vals
+        for other in (lut, lut.iloc[:0]):
+            want = norm(expected(how, other), cols)
+            for parts in (3, 64):  # 64 > 17 keys: most partitions empty
+                got = reduce_side_join(
+                    rd.from_pandas(data).repartition(5), ["rid", "k"], "k",
+                    rd.from_pandas(other), "kk", vals, how=how, num_parts=parts,
+                ).to_pandas()
+                pd.testing.assert_frame_equal(norm(got, cols), want,
+                                              obj=f"{how}/{len(other)}/{parts}")
 
 
 def test_node_similarity_partition_invariance(ray_session):

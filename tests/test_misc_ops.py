@@ -110,13 +110,13 @@ def test_reduce_side_anti_join_equals_pandas(ray_session):
     import pandas as pd
     import ray.data as rd
 
-    from knowledgegraph__bh_ray.stages.grouped import reduce_side_anti_join
+    from knowledgegraph__bh_ray.stages.grouped import reduce_side_join
 
     data = pd.DataFrame({"k": [f"k{i}" for i in range(30)], "v": range(30)})
     keys = pd.DataFrame({"kk": [f"k{i}" for i in range(0, 30, 3)]})
     got = (
-        reduce_side_anti_join(rd.from_pandas(data), ["k", "v"], "k",
-                              rd.from_pandas(keys), "kk")
+        reduce_side_join(rd.from_pandas(data), ["k", "v"], "k",
+                         rd.from_pandas(keys), "kk", how="anti")
         .to_pandas()
         .sort_values("k")
         .reset_index(drop=True)
@@ -165,21 +165,21 @@ def test_salted_lookup_equals_unsalted(ray_session):
     import pandas as pd
     import ray.data as rd
 
-    from knowledgegraph__bh_ray.stages.grouped import reduce_side_lookup
+    from knowledgegraph__bh_ray.stages.grouped import reduce_side_join
 
     data = pd.DataFrame(
         {"rid": range(200), "k": ["hot"] * 150 + [f"k{i}" for i in range(50)]}
     )
     lut = pd.DataFrame({"kk": ["hot"] + [f"k{i}" for i in range(50)],
                         "v": ["H"] + [f"v{i}" for i in range(50)]})
-    kw = dict(cols=["rid", "k"], key_col="k", lut_key="kk", lut_vals=["v"])
+    kw = dict(cols=["rid", "k"], key_col="k", other_key="kk", vals=["v"])
     plain = (
-        reduce_side_lookup(rd.from_pandas(data), lut_ds=rd.from_pandas(lut), **kw)
+        reduce_side_join(rd.from_pandas(data), other_ds=rd.from_pandas(lut), **kw)
         .to_pandas().sort_values("rid").reset_index(drop=True)
     )
     salted = (
-        reduce_side_lookup(rd.from_pandas(data), lut_ds=rd.from_pandas(lut),
-                           salt_from="rid", salt_buckets=4, **kw)
+        reduce_side_join(rd.from_pandas(data), other_ds=rd.from_pandas(lut),
+                         salt_from="rid", salt_buckets=4, **kw)
         .to_pandas().sort_values("rid").reset_index(drop=True)
     )
     assert plain[["rid", "k", "v"]].astype(str).equals(salted[["rid", "k", "v"]].astype(str))
