@@ -6,8 +6,10 @@ synthesized Common-Crawl-style pages table at $GRAFT_SF_DIR (default
 /root/testdata/sf0.1), amplified ×$GRAFT_REPLICAS (default 10 → ~50k pages
 at sf0.1).  Secondary timings cover the other operator families.
 
-  python bench.py             # one run at RAY_GRAFT_CPUS (default 32)
-  python bench.py --scaling   # fresh processes at 8 and 32 CPUs → efficiency
+  python bench.py             # one run at RAY_GRAFT_CPUS (default: the
+                              # CPUs this process may run on)
+  python bench.py --scaling   # fresh processes at 1, 2 and 4 CPUs, plus the
+                              # no-Ray hardware control at the same levels
 """
 
 from __future__ import annotations
@@ -22,11 +24,12 @@ import time
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
 REPLICAS = int(os.environ.get("GRAFT_REPLICAS", "10"))
 # --scaling amplifies the corpus further so compute dominates the fixed
-# per-job costs and the 8→32-CPU comparison measures the pipeline, not
-# scheduler overhead (both levels use the same input)
+# per-job costs and the 1→2→4-CPU comparison measures the pipeline, not
+# scheduler overhead (every level uses the same input)
 SCALING_REPLICAS = int(os.environ.get("GRAFT_SCALING_REPLICAS", "80"))
 HEADLINE_ONLY = os.environ.get("GRAFT_HEADLINE_ONLY", "0") == "1"
-NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", len(os.sched_getaffinity(0))))
+SCALING_CPUS = (1, 2, 4)
 
 
 def run_bench() -> dict:
@@ -249,25 +252,26 @@ def _work_mp(n):  # top-level for multiprocessing pickling
     return c
 
 
-def hardware_control(lo: int, hi: int) -> dict:
+def hardware_control() -> dict:
     """Machine-achievable speedup control: the same CPU-bound string
-    workload on raw multiprocessing (no Ray, no engine).  This virtualized
-    box does NOT deliver hi/lo× throughput for hi/lo× processes (measured
-    ~2.5× for 8→32 even with zero framework overhead — host-level
-    contention), so the pipeline's raw ratio must be read against this
-    ceiling; on a real N→4N-node cluster the nodes are independent
-    machines and the ceiling does not apply."""
+    workload on raw multiprocessing (no Ray, no engine) at each process
+    count in ``SCALING_CPUS``.  A shared virtualized box need not deliver k×
+    throughput for k× processes even with zero framework overhead
+    (host-level contention), so the pipeline's raw ratio must be read
+    against this ceiling; on a real N→4N-node cluster the nodes are
+    independent machines and the ceiling does not apply."""
     import multiprocessing as mp
     import time as _t
 
     out = {}
-    for procs in (lo, hi):
+    for procs in SCALING_CPUS:
         with mp.Pool(procs) as pool:
             pool.map(_work_mp, [10] * procs)  # warm
             t0 = _t.time()
             pool.map(_work_mp, [2000] * 256, chunksize=4)
             out[procs] = _t.time() - t0
-    return {"sec": {str(lo): round(out[lo], 2), str(hi): round(out[hi], 2)},
+    lo, hi = SCALING_CPUS[0], SCALING_CPUS[-1]
+    return {"sec": {str(p): round(out[p], 2) for p in SCALING_CPUS},
             "speedup": round(out[lo] / out[hi], 3)}
 
 
@@ -288,30 +292,26 @@ def run_scaling() -> dict:
         ).stdout
         return json.loads(out.strip().splitlines()[-1])
 
-    # best-of-2 per level: this box has ±30% co-tenant noise (PERF.md), and
-    # contention hits the 32-CPU run harder — min per level is the
-    # reproducible capability number; all raw times are reported
-    lo, hi = 8, 32
-    runs_lo = [run_at(lo)]
-    runs_hi = [run_at(hi)]
-    runs_lo.append(run_at(lo))
-    runs_hi.append(run_at(hi))
-    r_lo = min(runs_lo, key=lambda r: r["value"])
-    r_hi = min(runs_hi, key=lambda r: r["value"])
-    t_lo, t_hi = r_lo["value"], r_hi["value"]
-    speedup = t_lo / t_hi
-    eff = speedup / (hi / lo)
-    hw = hardware_control(lo, hi)
+    # best-of-2 per level: this box has ±30% co-tenant noise (PERF.md) —
+    # min per level is the reproducible capability number; all raw times
+    # are reported.  Levels interleave so drift hits each one alike.
+    runs = {c: [] for c in SCALING_CPUS}
+    for _ in range(2):
+        for c in SCALING_CPUS:
+            runs[c].append(run_at(c))
+    best = {c: min(runs[c], key=lambda r: r["value"]) for c in SCALING_CPUS}
+    lo, hi = SCALING_CPUS[0], SCALING_CPUS[-1]
+    speedup = best[lo]["value"] / best[hi]["value"]
+    hw = hardware_control()
     return {
         "metric": "scaling",
-        "cpus": [lo, hi],
-        "sec": [t_lo, t_hi],
-        "raw_sec": {str(lo): [r["value"] for r in runs_lo],
-                    str(hi): [r["value"] for r in runs_hi]},
-        "pages_per_sec": [r_lo["pages_per_sec"], r_hi["pages_per_sec"]],
-        "triples_per_sec": [r_lo["triples_per_sec"], r_hi["triples_per_sec"]],
+        "cpus": list(SCALING_CPUS),
+        "sec": [best[c]["value"] for c in SCALING_CPUS],
+        "raw_sec": {str(c): [r["value"] for r in runs[c]] for c in SCALING_CPUS},
+        "pages_per_sec": [best[c]["pages_per_sec"] for c in SCALING_CPUS],
+        "triples_per_sec": [best[c]["triples_per_sec"] for c in SCALING_CPUS],
         "speedup": round(speedup, 3),
-        "scaling_efficiency": round(eff, 3),
+        "scaling_efficiency": round(speedup / (hi / lo), 3),
         "hw_control": hw,  # machine-achievable speedup, no Ray/engine
         "normalized_efficiency": round(speedup / hw["speedup"], 3),
         "sf": SF_DIR,

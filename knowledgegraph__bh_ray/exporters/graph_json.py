@@ -9,9 +9,12 @@ these keys).
 
 Deterministic deltas vs the reference: node indices follow sorted-url
 order instead of BFS-encounter order (the BFS visit order is an artifact
-of the single-process crawl loop, not of the graph); duplicate
-(src, dst) links keep the lexicographically-min link text; children /
-parents lists are ordered by target index.
+of the single-process crawl loop, not of the graph); children / parents
+lists are ordered by target index.  Link COUNTS differ as well as order:
+the export keeps one link per (src, dst), with the lexicographically-min
+link text as its name, while the reference keeps every distinct
+``{name, index}`` child, so a page linking one target under two anchor
+texts has one child here and two there.
 
 Two code paths, byte-identical on the same graph (pinned in
 tests/test_graph_and_export.py):

@@ -25,11 +25,6 @@ def md5_id(name: str) -> str:
     return hashlib.md5(name.encode("utf-8")).hexdigest()[:MD5_ID_LEN]
 
 
-def md5_id_array(names) -> np.ndarray:
-    """Vectorized md5_id over an iterable of strings → object ndarray."""
-    return np.array([md5_id(n) for n in names], dtype=object)
-
-
 def stable_u64(s: str) -> int:
     """Stable 64-bit hash of a string (first 8 bytes of md5, big-endian).
 

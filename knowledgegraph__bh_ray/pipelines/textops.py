@@ -28,7 +28,7 @@ from ..functions.hashing import (min_k_sketch, rolling_fingerprints,
                                  seeded_md5_digests, seeded_md5_sortkey,
                                  seeded_md5_u32)
 from ..sources import read_table
-from ..stages.grouped import SIZE_DISPATCH_THRESHOLD
+from ..stages.grouped import SIZE_DISPATCH_THRESHOLD, collect_if_small
 
 # keep in sync with the SQL mirrors (oracle_sql in __ray_entry__)
 RE_WS = re.compile(r"\s+")
@@ -1065,10 +1065,10 @@ def lm_perplexity_ds(sf_dir: str, num_parts: int = 8,
         grams, ["doc_id", "w1", "bigram"], "bigram", cnt2, "bigram", ["c2"],
         num_parts=num_parts, salt_from="doc_id",
     )
-    if vocab <= vocab_broadcast_threshold:
+    cpd = collect_if_small(cnt1, vocab_broadcast_threshold)
+    if cpd is not None:
         # counted dispatch: attach c1 from a broadcast vocab map inside the
         # scoring pass — no token-scale exchange for the unigram lookup
-        cpd = cnt1.to_pandas()
         c1_ref = ray.put(pd.Series(
             cpd.get("c1", pd.Series(dtype="int64")).to_numpy("int64"),
             index=cpd.get("term", pd.Series(dtype=object))))

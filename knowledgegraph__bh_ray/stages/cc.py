@@ -8,17 +8,16 @@ the driver:
 
     labels(v) ← min(labels(v), min over neighbors u of labels(u))
 
-Per round: ``edges ⋈ labels`` on src flows each node's label to its
-neighbors, a hash-partitioned min-combine collapses candidates, then one
-pointer-jumping self-join (label ← label(label)) turns O(diameter)
-propagation into O(log n) rounds.  Convergence is detected with a tiny
-per-round label-table checksum aggregate (an order-invariant uint64 sum),
-not a driver-side compare.
+Per round: one ``graphops.propagate`` step (``edges ⋈ labels`` on src
+flows each node's label to its neighbors, a hash-partitioned min-combine
+collapses candidates), then one pointer-jumping left self-join (label ←
+label(label)) turns O(diameter) propagation into O(log n) rounds.
+Convergence is detected with a tiny per-round label-table checksum
+aggregate (an order-invariant uint64 sum), not a driver-side compare.
 
-The joins are REDUCE-SIDE merges built from the engine's own partitioning
-machinery (``stages/grouped.reduce_side_join`` / ``exchange``: tag sides
-→ union → hash-partition on the key → one vectorized pandas merge per
-partition) rather than ``Dataset.join``: converged labels
+Both joins are ``stages/grouped.reduce_side_join`` calls (hash-partition
+both sides on the key, one vectorized pandas merge per partition) rather
+than ``Dataset.join``: converged labels
 are maximally skewed (one giant component ⇒ one label value), and Ray's
 Arrow hash join errors out when a shuffle partition receives zero rows on
 one side — which skewed keys make routine.  Skew note: a giant component
@@ -39,7 +38,8 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from .grouped import SIZE_DISPATCH_THRESHOLD
+from .graphops import degrees, propagate
+from .grouped import SIZE_DISPATCH_THRESHOLD, collect_if_small
 
 
 def connected_components_pairs(pairs: pd.DataFrame, a: str = "id_a", b: str = "id_b",
@@ -126,16 +126,15 @@ def connected_components_ds(pairs_ds, a: str = "id_a", b: str = "id_b",
     cluster) output (property-tested)."""
     import ray.data as rd
 
-    from .grouped import (distinct_block, exchange, hash_partitioned_agg,
-                          reduce_side_join)
+    from .grouped import reduce_side_join
     from .spill import pin
 
     def _both(batch: pd.DataFrame) -> pd.DataFrame:
-        # directed edges (src → node): a label flows from src to node
+        # directed edges (src → dst): a label flows from src to dst
         return pd.concat(
             [
-                batch[[a, b]].rename(columns={a: "src", b: "node"}),
-                batch[[a, b]].rename(columns={b: "src", a: "node"}),
+                batch[[a, b]].rename(columns={a: "src", b: "dst"}),
+                batch[[a, b]].rename(columns={b: "src", a: "dst"}),
             ],
             ignore_index=True,
         )
@@ -143,68 +142,43 @@ def connected_components_ds(pairs_ds, a: str = "id_a", b: str = "id_b",
     # materialize the directed edge list ONCE (object store, not driver) so
     # each round's join does not re-run the upstream pair-generation DAG
     edges = pin(pairs_ds.map_batches(_both, batch_format="pandas"), "cc-edges")
-    n_directed = edges.count()
-    if n_directed == 0:
-        return rd.from_pandas(pd.DataFrame({"node": [], "cluster": []}))
-    if n_directed <= driver_threshold:
-        pdf = edges.to_pandas()
-        return rd.from_pandas(dsu_pairs(pdf, "src", "node"))
+    small = collect_if_small(edges, driver_threshold)
+    if small is not None:
+        if not len(small):
+            return rd.from_pandas(pd.DataFrame({"node": [], "cluster": []}))
+        return rd.from_pandas(dsu_pairs(small, "src", "dst"))
 
-    def _propagate(labels_ds):
-        """(node,label) ⋈ edges on src → candidate (node, label)."""
-        return reduce_side_join(edges, ["node"], "src", labels_ds, "node",
-                                vals=["label"], num_parts=num_parts)
-
-    def _jump(labels_ds):
-        """Pointer jumping: label ← label(label) — self reduce-side merge
-        keyed on the label value (min labels are themselves node ids)."""
-        a_side = labels_ds.map_batches(
-            lambda d: pd.DataFrame({"k": d.get("label", []), "node": d.get("node", []),
-                                    "jlabel": None, "_s": 0}),
-            batch_format="pandas",
-        )
-        b_side = labels_ds.map_batches(
-            lambda d: pd.DataFrame({"k": d.get("node", []), "node": None,
-                                    "jlabel": d.get("label", []), "_s": 1}),
-            batch_format="pandas",
-        )
-
-        def _merge(g: pd.DataFrame) -> pd.DataFrame:
-            le = g[g["_s"] == 0]
-            ri = g[g["_s"] == 1]
-            m = le[["k", "node"]].merge(ri[["k", "jlabel"]], on="k", how="left")
-            return pd.DataFrame({"node": m["node"], "label": m["jlabel"].fillna(m["k"])})
-
-        return exchange(a_side.union(b_side), ["k"], _merge, num_parts)
-
-    def _min_label_block(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby("node", sort=False, as_index=False)["label"].min()
-
-    labels = (
-        hash_partitioned_agg(
-            edges.map_batches(
-                lambda d: d[["src"]].rename(columns={"src": "node"})
-                if "src" in d.columns
-                else pd.DataFrame({"node": []}),
-                batch_format="pandas",
-            ),
-            ["node"],
-            distinct_block(["node"]),
-            num_parts=num_parts,
-        )
-        .map_batches(
-            lambda d: pd.DataFrame({"node": d.get("node", []), "label": d.get("node", [])}),
-            batch_format="pandas",
-        )
+    # every node is the src of some directed edge (both directions are in
+    # the table); each starts labelled with itself
+    labels = degrees(edges, ["src"], num_parts).map_batches(
+        lambda d: pd.DataFrame({"node": d.get("node", []), "label": d.get("node", [])}),
+        batch_format="pandas",
     )
     labels = pin(labels, "cc-labels")
 
+    def _fill(d: pd.DataFrame) -> pd.DataFrame:
+        if "jlabel" not in d.columns:
+            return d
+        return pd.DataFrame({"node": d["node"], "label": d["jlabel"].fillna(d["label"])})
+
     prev_chk = _label_checksum(labels)
     for _ in range(max_rounds):
-        cand = labels.union(_propagate(labels))
-        new_labels = hash_partitioned_agg(cand, ["node"], _min_label_block,
-                                          num_parts=num_parts)
-        labels = pin(_jump(new_labels), "cc-labels")
+        # pinned: both sides of the jump below read it, and an unpinned
+        # Dataset re-runs its two shuffles once per reader
+        new_labels = pin(propagate(edges, labels, "label", "min", labels, num_parts),
+                         "cc-cand")
+        # pointer jumping: label ← label(label), a left self-join keyed on
+        # the label value (min labels are themselves node ids)
+        jumped = reduce_side_join(
+            new_labels, ["node", "label"], "label",
+            new_labels.map_batches(
+                lambda d: pd.DataFrame({"node": d.get("node", []),
+                                        "jlabel": d.get("label", [])}),
+                batch_format="pandas",
+            ),
+            "node", ["jlabel"], how="left", num_parts=num_parts,
+        )
+        labels = pin(jumped.map_batches(_fill, batch_format="pandas"), "cc-labels")
         chk = _label_checksum(labels)
         if chk == prev_chk:
             break

@@ -55,6 +55,16 @@ DEFAULT_COMBINE_PARTITIONS = 16
 SIZE_DISPATCH_THRESHOLD = 2_000_000
 
 
+def collect_if_small(ds, threshold: int) -> pd.DataFrame | None:
+    """The counted size dispatch, the one place it is decided: ``ds`` as a
+    driver-side frame when it counts at most ``threshold`` rows (the caller
+    then runs its driver-side path or broadcasts the frame), else ``None``
+    (the caller takes its distributed path).  An empty ``ds`` comes back
+    as a frame that may have no columns.  Pass a pinned ``ds``: the count
+    and the collect each execute an unpinned one."""
+    return ds.to_pandas() if ds.count() <= threshold else None
+
+
 def coalesced_groupby(ds, keys, num_partitions: int = DEFAULT_COMBINE_PARTITIONS):
     """repartition (cheap, no shuffle-sort) + groupby — the engine's default
     wide-aggregation entry for already-small datasets."""

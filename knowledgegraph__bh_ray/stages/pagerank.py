@@ -1,11 +1,14 @@
-"""Distributed PageRank over the page-link graph.
+"""Distributed PageRank, triangles, k-core and node similarity over the
+page-link graph, written on the shared graph kernels of
+``stages/graphops.py``.
 
-Same iterative-round shape as connected components (stages/cc.py): the edge
-list materializes ONCE to the object store; each round is a reduce-side
-merge (edges ⋈ ranks on src — tag, union, hash-route, vectorized pandas
-merge per partition; Ray's Arrow join is avoided for the same skewed-key
-reason) followed by one hash-partitioned sum per dst.  The driver holds
-only scalars (iteration counter, dangling mass, node count).
+PageRank has the same iterative-round shape as connected components
+(stages/cc.py): the edge list materializes ONCE to the object store; each
+round attaches out-degrees to the ranks (a reduce-side left join), then one
+``graphops.propagate`` step sends ``damping * rank / deg`` along every edge
+and sums the shares per destination.  Ray's Arrow join is avoided for the
+same skewed-key reason as in cc.py.  The driver holds only scalars
+(iteration counter, dangling mass, node count).
 
 Fixed iteration count (deterministic control flow); rank VALUES are float64
 sums whose partition-order addition differs in final ulps across runs —
@@ -18,7 +21,8 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from .grouped import SIZE_DISPATCH_THRESHOLD
+from .graphops import attach, degrees, propagate, undirected
+from .grouped import SIZE_DISPATCH_THRESHOLD, collect_if_small
 
 
 def pagerank_pairs(edges: pd.DataFrame, damping: float = 0.85, iters: int = 10,
@@ -56,58 +60,14 @@ def triangles_ds(edges_ds, src: str = "src_url", dst: str = "dst_url",
     generates ~no wedges; tests/test_pagerank.py pins the star case).
     Every exchange is hash-partitioned; no broadcast (the edge set is
     corpus-scale)."""
-    import ray.data as rd
-
-    from .grouped import (distinct_block, exchange, hash_partitioned_agg,
-                          reduce_side_join)
-
-    def _canon(d: pd.DataFrame) -> pd.DataFrame:
-        a = d.get(src, pd.Series([], dtype=object))
-        b = d.get(dst, pd.Series([], dtype=object))
-        lo = np.where(np.asarray(a) < np.asarray(b), a, b) if len(d) else []
-        hi = np.where(np.asarray(a) < np.asarray(b), b, a) if len(d) else []
-        out = pd.DataFrame({"u": lo, "v": hi})
-        return out[out["u"] != out["v"]] if len(out) else out
-
+    from .grouped import exchange, reduce_side_join
     from .spill import pin
 
-    und = pin(hash_partitioned_agg(
-        edges_ds.map_batches(_canon, batch_format="pandas"),
-        ["u", "v"], distinct_block(["u", "v"]), num_parts=num_parts,
-    ), "tri-und")
-
-    # undirected degree per vertex (partial counts → partitioned combine)
-    def _deg_rows(d: pd.DataFrame) -> pd.DataFrame:
-        if "u" not in d.columns:
-            return pd.DataFrame({"node": pd.Series([], dtype=object),
-                                 "deg": pd.Series([], dtype="int64")})
-        return pd.DataFrame({"node": pd.concat([d["u"], d["v"]], ignore_index=True),
-                             "deg": np.int64(1)})
-
-    def _deg_sum(d: pd.DataFrame) -> pd.DataFrame:
-        return d.groupby("node", sort=False, as_index=False)["deg"].sum()
-
-    degs = hash_partitioned_agg(
-        und.map_batches(_deg_rows, batch_format="pandas"),
-        ["node"], _deg_sum, num_parts=num_parts,
-    )
-
-    def _as_lut(col: str):
-        def _f(d: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame({"node": d.get("node", pd.Series([], dtype=object)),
-                                 col: d.get("deg", pd.Series([], dtype="int64"))})
-        return _f
-
-    e_du = reduce_side_join(
-        und, ["u", "v"], "u",
-        degs.map_batches(_as_lut("du"), batch_format="pandas"), "node", ["du"],
-        num_parts=num_parts,
-    )
-    e_dd = reduce_side_join(
-        e_du, ["u", "v", "du"], "v",
-        degs.map_batches(_as_lut("dv"), batch_format="pandas"), "node", ["dv"],
-        num_parts=num_parts,
-    )
+    und = undirected(edges_ds, src, dst, num_parts, "tri-und")
+    # pinned: both endpoint lookups read it
+    degs = pin(degrees(und, ["u", "v"], num_parts), "tri-degs")
+    # threshold 0: the lookups stay reduce-side joins (no broadcast)
+    e_dd = attach(und, ["u", "v"], ["u", "v"], degs, ["du", "dv"], num_parts, 0)
 
     # orient low-(deg, id) → high-(deg, id); carry the high end's degree so
     # wedge pairs can be ordered without another lookup
@@ -192,113 +152,67 @@ def pagerank_ds(edges_ds, damping: float = 0.85, iters: int = 10,
     barrier overhead), above it the distributed rounds run."""
     import ray.data as rd
 
-    from .grouped import (distinct_block, exchange, hash_partitioned_agg,
-                          reduce_side_join)
-
-    def _both_nodes(d: pd.DataFrame) -> pd.DataFrame:
-        # runs over the RENAMED edge table (src/dst)
-        return pd.concat(
-            [
-                pd.DataFrame({"url": d.get("src", [])}),
-                pd.DataFrame({"url": d.get("dst", [])}),
-            ],
-            ignore_index=True,
-        )
-
+    from .grouped import reduce_side_join
     from .spill import pin
 
     edges = pin(edges_ds.map_batches(
         lambda d: pd.DataFrame({"src": d.get(src, []), "dst": d.get(dst, [])}),
         batch_format="pandas",
     ), "pr-edges")
-    n_edges = edges.count()
-    if n_edges == 0:
-        return rd.from_pandas(pd.DataFrame({"url": [], "rank": []}))
-    if n_edges <= driver_threshold:
-        pdf = edges.to_pandas()
+    small = collect_if_small(edges, driver_threshold)
+    if small is not None:
+        if not len(small):
+            return rd.from_pandas(pd.DataFrame({"url": [], "rank": []}))
         return rd.from_pandas(
-            pagerank_pairs(pdf, damping=damping, iters=iters, src="src", dst="dst")
+            pagerank_pairs(small, damping=damping, iters=iters, src="src", dst="dst")
         )
 
-    nodes = pin(hash_partitioned_agg(
-        edges.map_batches(_both_nodes, batch_format="pandas"),
-        ["url"], distinct_block(["url"]), num_parts=num_parts,
-    ), "pr-nodes")
+    # the node set: every endpoint, one row each
+    nodes = pin(degrees(edges, ["src", "dst"], num_parts), "pr-nodes")
     n = nodes.count()
-
     # out-degree per src (tiny vs corpus: one row per linking node)
-    def _deg_rows(d: pd.DataFrame) -> pd.DataFrame:
-        if "src" not in d.columns:
-            return pd.DataFrame({"node": pd.Series([], dtype=object),
-                                 "deg": pd.Series([], dtype="int64")})
-        return pd.DataFrame({"node": d["src"], "deg": np.int64(1)})
-
-    def _deg_sum(d: pd.DataFrame) -> pd.DataFrame:
-        return d.groupby("node", sort=False, as_index=False)["deg"].sum()
-
-    degs = pin(hash_partitioned_agg(edges.map_batches(_deg_rows, batch_format="pandas"),
-                                    ["node"], _deg_sum, num_parts=num_parts), "pr-degs")
+    degs = pin(degrees(edges, ["src"], num_parts), "pr-degs")
 
     # attach degree to ranks once per round via reduce-side merge; nodes
     # with no out-edges (deg NaN) are the dangling set
     ranks = pin(nodes.map_batches(
-        lambda d: pd.DataFrame({"url": d.get("url", []), "rank": 1.0 / n}),
+        lambda d: pd.DataFrame({"url": d.get("node", []), "rank": 1.0 / n}),
         batch_format="pandas",
     ), "pr-ranks")
+    zeros = nodes.map_batches(
+        lambda d: pd.DataFrame({"node": d.get("node", []), "share": 0.0}),
+        batch_format="pandas",
+    )
+
+    # dangling mass: one tiny aggregate
+    def _dang(d: pd.DataFrame) -> pd.DataFrame:
+        if "deg" not in d.columns:
+            return pd.DataFrame({"m": [0.0]})
+        return pd.DataFrame({"m": [float(d.loc[d["deg"].isna(), "rank"].sum())]})
+
+    # what each node sends along each of its out-edges
+    def _share(d: pd.DataFrame) -> pd.DataFrame:
+        if "deg" not in d.columns:
+            return pd.DataFrame({"node": pd.Series([], dtype=object),
+                                 "share": pd.Series([], dtype=float)})
+        return pd.DataFrame({"node": d["url"], "share": damping * d["rank"].astype(float)
+                             / d["deg"].astype(float)})
 
     for _ in range(iters):
         # ranks ⋈ degs on url/node (left) → share = damping * rank / deg
         rk = reduce_side_join(ranks, ["url", "rank"], "url", degs, "node", ["deg"],
                               how="left", num_parts=num_parts)
         rk = pin(rk, "pr-rk")
-
-        # dangling mass: one tiny aggregate
-        def _dang(d: pd.DataFrame) -> pd.DataFrame:
-            if "deg" not in d.columns:
-                return pd.DataFrame({"m": [0.0]})
-            return pd.DataFrame({"m": [float(d.loc[d["deg"].isna(), "rank"].sum())]})
-
         dangling = float(
             rk.map_batches(_dang, batch_format="pandas").to_pandas()["m"].sum()
         )
-
-        # contributions: edges ⋈ rk on src → (dst, damping*rank/deg)
-        e_side = edges.map_batches(
-            lambda d: pd.DataFrame({"k": d.get("src", []), "dst": d.get("dst", []),
-                                    "rank": None, "deg": None, "_s": 0}),
-            batch_format="pandas",
-        )
-        r_side = rk.map_batches(
-            lambda d: pd.DataFrame({"k": d.get("url", []), "dst": None,
-                                    "rank": d.get("rank", []), "deg": d.get("deg", []),
-                                    "_s": 1}),
-            batch_format="pandas",
-        )
-
-        def _contrib(g: pd.DataFrame) -> pd.DataFrame:
-            le = g[g["_s"] == 0]
-            ri = g[g["_s"] == 1]
-            m = le[["k", "dst"]].merge(ri[["k", "rank", "deg"]], on="k", how="inner")
-            share = damping * m["rank"].astype(float) / m["deg"].astype(float)
-            return pd.DataFrame({"url": m["dst"], "contrib": share})
-
-        contribs = exchange(e_side.union(r_side), ["k"], _contrib, num_parts)
-
         base = (1.0 - damping) / n + damping * dangling / n
 
-        def _zero_rows(d: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame({"url": d.get("url", []), "contrib": 0.0})
-
-        def _sum_contrib(d: pd.DataFrame) -> pd.DataFrame:
-            return d.groupby("url", sort=False, as_index=False)["contrib"].sum()
-
-        summed = hash_partitioned_agg(
-            nodes.map_batches(_zero_rows, batch_format="pandas").union(contribs),
-            ["url"], _sum_contrib, num_parts=num_parts,
-        )
+        summed = propagate(edges, rk.map_batches(_share, batch_format="pandas"),
+                           "share", "sum", zeros, num_parts)
         ranks = pin(summed.map_batches(
-            lambda d: pd.DataFrame({"url": d.get("url", []),
-                                    "rank": d.get("contrib", pd.Series([], dtype=float)) + base}),
+            lambda d: pd.DataFrame({"url": d.get("node", []),
+                                    "rank": d.get("share", pd.Series([], dtype=float)) + base}),
             batch_format="pandas",
         ), "pr-ranks")
 
@@ -353,62 +267,33 @@ def k_core_ds(edges_ds, k: int = 4, src: str = "src_url", dst: str = "dst_url",
     import ray
     import ray.data as rd
 
-    from .grouped import distinct_block, hash_partitioned_agg, reduce_side_join
+    from .grouped import reduce_side_join
     from .spill import pin
 
-    def _canon(d: pd.DataFrame) -> pd.DataFrame:
-        a = d.get(src, pd.Series([], dtype=object))
-        b = d.get(dst, pd.Series([], dtype=object))
-        lo = np.where(np.asarray(a) < np.asarray(b), a, b) if len(d) else []
-        hi = np.where(np.asarray(a) < np.asarray(b), b, a) if len(d) else []
-        out = pd.DataFrame({"u": lo, "v": hi})
-        return out[out["u"] != out["v"]] if len(out) else out
-
-    und = pin(hash_partitioned_agg(
-        edges_ds.map_batches(_canon, batch_format="pandas"),
-        ["u", "v"], distinct_block(["u", "v"]), num_parts=num_parts,
-    ), "kcore-und")
-    n_edges = und.count()
+    und = undirected(edges_ds, src, dst, num_parts, "kcore-und")
     empty = pd.DataFrame({"url": pd.Series([], dtype=object),
                           "core_deg": pd.Series([], dtype="int64")})
-    if n_edges == 0:
-        return rd.from_pandas(empty)
-    if n_edges <= driver_threshold:
-        out, _ = k_core_pairs(und.to_pandas(), k)
+    small = collect_if_small(und, driver_threshold)
+    if small is not None:
+        out = k_core_pairs(small, k)[0] if len(small) else empty
         return rd.from_pandas(out if len(out) else empty)
-
-    def _deg_rows(d: pd.DataFrame) -> pd.DataFrame:
-        if "u" not in d.columns:
-            return pd.DataFrame({"node": pd.Series([], dtype=object),
-                                 "deg": pd.Series([], dtype="int64")})
-        return pd.DataFrame({"node": pd.concat([d["u"], d["v"]], ignore_index=True),
-                             "deg": np.int64(1)})
-
-    def _deg_sum(d: pd.DataFrame) -> pd.DataFrame:
-        return d.groupby("node", sort=False, as_index=False)["deg"].sum()
-
-    def _degrees(e):
-        return hash_partitioned_agg(
-            e.map_batches(_deg_rows, batch_format="pandas"),
-            ["node"], _deg_sum, num_parts=num_parts,
-        )
 
     for _ in range(max_rounds):
         # pinned: consumed twice below (dead filter + possibly alive side),
         # and an unpinned Dataset re-executes its degree-agg DAG per consumer
-        degs = pin(_degrees(und), "kcore-degs")
+        degs = pin(degrees(und, ["u", "v"], num_parts), "kcore-degs")
         dead = pin(degs.map_batches(
             lambda d: pd.DataFrame(
                 {"node": d.get("node", pd.Series([], dtype=object))}
             )[np.asarray(d.get("deg", pd.Series([], dtype="int64"))) < k],
             batch_format="pandas",
         ), "kcore-dead")
-        n_dead = dead.count()
-        if n_dead == 0:
+        shell = collect_if_small(dead, bcast_dead_threshold)
+        if shell is not None and not len(shell):
             break
-        if n_dead <= bcast_dead_threshold:
+        if shell is not None:
             # shell is small: drop its incident edges in one pass
-            dead_ref = ray.put(frozenset(dead.to_pandas()["node"]))
+            dead_ref = ray.put(frozenset(shell["node"]))
 
             def _drop(d: pd.DataFrame) -> pd.DataFrame:
                 if "u" not in d.columns:
@@ -442,7 +327,7 @@ def k_core_ds(edges_ds, k: int = 4, src: str = "src_url", dst: str = "dst_url",
         return pd.DataFrame({"url": d["node"],
                              "core_deg": d["deg"].astype("int64")})
 
-    return _degrees(und).map_batches(_out, batch_format="pandas")
+    return degrees(und, ["u", "v"], num_parts).map_batches(_out, batch_format="pandas")
 
 
 def node_similarity_ds(edges_ds, src: str = "src_url", dst: str = "dst_url",
@@ -459,13 +344,13 @@ def node_similarity_ds(edges_ds, src: str = "src_url", dst: str = "dst_url",
     (one ``triu_indices`` per distinct list size — the dedup bucket trick,
     no per-middle Python) → pair-count aggregation → degree attach.
 
-    Degree attach is COUNTED DISPATCH (the kcore dead-shell rule): the
-    degree table is node-scale while the pair table is the largest
-    intermediate, so when ``count(degs) ≤ deg_broadcast_threshold`` the
-    degree map is ``ray.put`` once and both endpoint degrees attach in ONE
-    shuffle-free pass; above the threshold the original two reduce-side
-    lookups run (no broadcast — correct when even the node set is too big
-    for a worker heap).  Both paths are equality-pinned in
+    Degree attach is ``graphops.attach``, COUNTED DISPATCH (the kcore
+    dead-shell rule): the degree table is node-scale while the pair table
+    is the largest intermediate, so when ``count(degs) ≤
+    deg_broadcast_threshold`` the degree map is ``ray.put`` once and both
+    endpoint degrees attach in ONE shuffle-free pass; above the threshold
+    two reduce-side lookups run (no broadcast — correct when even the node
+    set is too big for a worker heap).  Both paths are equality-pinned in
     tests/test_pagerank.py.
 
     Unlike triangle counting, the hub blowup here is SEMANTIC: a middle of
@@ -475,40 +360,14 @@ def node_similarity_ds(edges_ds, src: str = "src_url", dst: str = "dst_url",
     similarity signal but dominates the pair volume); the cap drops whole
     middles BEFORE pair generation, bounding per-middle work at cap²."""
     from .dedup import _bucket_layout, _intra_bucket_pairs
-    from .grouped import (distinct_block, exchange, hash_partitioned_agg,
-                          reduce_side_join)
+    from .grouped import exchange, hash_partitioned_agg
     from .spill import pin
 
-    def _canon(d: pd.DataFrame) -> pd.DataFrame:
-        a = d.get(src, pd.Series([], dtype=object))
-        b = d.get(dst, pd.Series([], dtype=object))
-        lo = np.where(np.asarray(a) < np.asarray(b), a, b) if len(d) else []
-        hi = np.where(np.asarray(a) < np.asarray(b), b, a) if len(d) else []
-        out = pd.DataFrame({"u": lo, "v": hi})
-        return out[out["u"] != out["v"]] if len(out) else out
-
-    und = pin(hash_partitioned_agg(
-        edges_ds.map_batches(_canon, batch_format="pandas"),
-        ["u", "v"], distinct_block(["u", "v"]), num_parts=num_parts,
-    ), "nsim-und")
-
-    def _deg_rows(d: pd.DataFrame) -> pd.DataFrame:
-        if "u" not in d.columns:
-            return pd.DataFrame({"node": pd.Series([], dtype=object),
-                                 "deg": pd.Series([], dtype="int64")})
-        return pd.DataFrame({"node": pd.concat([d["u"], d["v"]], ignore_index=True),
-                             "deg": np.int64(1)})
-
-    def _deg_sum(d: pd.DataFrame) -> pd.DataFrame:
-        return d.groupby("node", sort=False, as_index=False)["deg"].sum()
-
+    und = undirected(edges_ds, src, dst, num_parts, "nsim-und")
     # pinned: degs feeds BOTH reduce-side lookups below — unpinned it would
     # re-run its shuffle DAG once per consumer (the tfidf materialize-once
     # rule); the pin is node-scale, not edge-scale
-    degs = pin(hash_partitioned_agg(
-        und.map_batches(_deg_rows, batch_format="pandas"),
-        ["node"], _deg_sum, num_parts=num_parts,
-    ), "nsim-degs")
+    degs = pin(degrees(und, ["u", "v"], num_parts), "nsim-degs")
 
     def _adj(d: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
@@ -541,14 +400,19 @@ def node_similarity_ds(edges_ds, src: str = "src_url", dst: str = "dst_url",
     common = hash_partitioned_agg(pair_rows, ["node_a", "node_b"], _common_sum,
                                   num_parts=num_parts)
 
-    def _empty_scored() -> pd.DataFrame:
-        return pd.DataFrame({
-            c: pd.Series([], dtype=object if c in ("node_a", "node_b") else "int64")
-            for c in ("node_a", "node_b", "common", "deg_a", "deg_b",
-                      "jaccard_micros")
-        })
+    scored = attach(common, ["node_a", "node_b", "common"], ["node_a", "node_b"],
+                    degs, ["deg_a", "deg_b"], num_parts, deg_broadcast_threshold)
 
-    def _scored(d: pd.DataFrame, c, da, db) -> pd.DataFrame:
+    def _score(d: pd.DataFrame) -> pd.DataFrame:
+        if "common" not in d.columns or not len(d):
+            return pd.DataFrame({
+                c: pd.Series([], dtype=object if c in ("node_a", "node_b") else "int64")
+                for c in ("node_a", "node_b", "common", "deg_a", "deg_b",
+                          "jaccard_micros")
+            })
+        c = d["common"].astype("int64")
+        da = d["deg_a"].astype("int64")
+        db = d["deg_b"].astype("int64")
         return pd.DataFrame(
             {
                 "node_a": d["node_a"],
@@ -562,49 +426,4 @@ def node_similarity_ds(edges_ds, src: str = "src_url", dst: str = "dst_url",
             }
         )
 
-    if degs.count() <= deg_broadcast_threshold:
-        import ray
-
-        dpd = degs.to_pandas()
-        lut_ref = ray.put(
-            pd.Series(dpd.get("deg", pd.Series(dtype="int64")).to_numpy("int64"),
-                      index=dpd.get("node", pd.Series(dtype=object)))
-        )
-
-        def _attach_score(d: pd.DataFrame) -> pd.DataFrame:
-            if "common" not in d.columns or not len(d):
-                return _empty_scored()
-            lut = ray.get(lut_ref)
-            return _scored(
-                d,
-                d["common"].astype("int64"),
-                d["node_a"].map(lut).astype("int64"),
-                d["node_b"].map(lut).astype("int64"),
-            )
-
-        return common.map_batches(_attach_score, batch_format="pandas")
-
-    def _as_lut(col: str):
-        def _f(d: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame({"node": d.get("node", pd.Series([], dtype=object)),
-                                 col: d.get("deg", pd.Series([], dtype="int64"))})
-        return _f
-
-    with_da = reduce_side_join(
-        common, ["node_a", "node_b", "common"], "node_a",
-        degs.map_batches(_as_lut("deg_a"), batch_format="pandas"), "node", ["deg_a"],
-        num_parts=num_parts,
-    )
-    with_db = reduce_side_join(
-        with_da, ["node_a", "node_b", "common", "deg_a"], "node_b",
-        degs.map_batches(_as_lut("deg_b"), batch_format="pandas"), "node", ["deg_b"],
-        num_parts=num_parts,
-    )
-
-    def _score(d: pd.DataFrame) -> pd.DataFrame:
-        if "common" not in d.columns or not len(d):
-            return _empty_scored()
-        return _scored(d, d["common"].astype("int64"),
-                       d["deg_a"].astype("int64"), d["deg_b"].astype("int64"))
-
-    return with_db.map_batches(_score, batch_format="pandas")
+    return scored.map_batches(_score, batch_format="pandas")

@@ -52,38 +52,30 @@ class CounterActor:
 
 
 class ShardedCounter:
-    """Run-scoped counter over ``n_shards`` zero-CPU ``CounterActor``s.
+    """Run-scoped counter on one zero-CPU ``CounterActor``.
 
     Map UDFs increment with an AWAITED call on purpose (the r4 race fix):
     fire-and-forget actor calls from workers have no ordering vs the
     driver's post-barrier read, so each batch waits for its increment
     before completing.  That is one round trip per 256-page batch, 1–4 ms
     (kgbench ``lineage.counter_rtt_ms``), so one actor is far from
-    saturated at a handful of workers: the default is one shard, i.e. one
-    extra process per session.  More shards spread the round trips of a
-    large worker pool; a worker routes by its pid, so all increments from
-    one process hit one shard (no key hashing needed for commutative
-    sums), and ``get_all`` merges shard dicts AFTER the dataset barrier,
-    when every increment has already been awaited by its batch."""
+    saturated at a handful of workers: one extra process per session.
+    ``get_all`` reads AFTER the dataset barrier, when every increment has
+    already been awaited by its batch."""
 
-    def __init__(self, n_shards: int = 1):
-        self.shards = [CounterActor.remote() for _ in range(n_shards)]
+    def __init__(self):
+        self.actor = CounterActor.remote()
 
     def incr_many_blocking(self, stats: dict) -> None:
         """Call from inside a map UDF: awaited, so the counts are visible
         to any get_all() that runs after this batch's dataset barrier."""
-        h = self.shards[os.getpid() % len(self.shards)]
-        ray.get(h.incr_many.remote(stats))
+        ray.get(self.actor.incr_many.remote(stats))
 
     def get_all(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for d in ray.get([h.get_all.remote() for h in self.shards]):
-            for k, v in d.items():
-                out[k] = out.get(k, 0) + int(v)
-        return out
+        return ray.get(self.actor.get_all.remote())
 
     def reset(self) -> None:
-        ray.get([h.reset.remote() for h in self.shards])
+        ray.get(self.actor.reset.remote())
 
 
 class Manifest:

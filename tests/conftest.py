@@ -40,3 +40,13 @@ def golden_small(pages_small):
     from knowledgegraph__bh_ray.oracle import ensure_golden
 
     return ensure_golden(SF_SMOKE)
+
+
+@pytest.fixture(scope="session")
+def page_graph_small(pages_small):
+    """The sf0.001 page-link graph (src_url, dst_url, text), materialized.
+    A real graph: repeated (src, dst) pairs with different anchor texts and
+    placeholder targets that were never crawled."""
+    from knowledgegraph__bh_ray.pipelines import kg
+
+    return kg.page_graph_edges_ds(pages_small).materialize()

@@ -15,7 +15,7 @@ def test_cc_driver_reference():
     assert out["x"] == out["y"] == "x"
 
 
-def test_cc_distributed_matches_reference(ray_session):
+def test_cc_distributed_matches_reference(ray_session, page_graph_small):
     import numpy as np
 
     rng = np.random.default_rng(3)
@@ -24,14 +24,20 @@ def test_cc_distributed_matches_reference(ray_session):
     b = rng.integers(0, 200, 150)
     pairs = pd.DataFrame({"id_a": np.minimum(a, b), "id_b": np.maximum(a, b)})
     pairs = pairs[pairs["id_a"] != pairs["id_b"]].drop_duplicates()
-    want = connected_components_pairs(pairs).sort_values("node").reset_index(drop=True)
-    got = (
-        connected_components_ds(rd.from_pandas(pairs))
-        .to_pandas()
-        .sort_values("node")
-        .reset_index(drop=True)
-    )
-    pd.testing.assert_frame_equal(got.astype(str), want.astype(str))
+    # the random pairs on the default (counted) dispatch, then the sf0.001
+    # page graph with the distributed rounds forced
+    for ds, cols, kw in ((rd.from_pandas(pairs), ("id_a", "id_b"), {}),
+                         (page_graph_small, ("src_url", "dst_url"),
+                          {"driver_threshold": 0})):
+        want = (connected_components_pairs(ds.to_pandas(), *cols)
+                .sort_values("node").reset_index(drop=True))
+        got = (
+            connected_components_ds(ds, *cols, **kw)
+            .to_pandas()
+            .sort_values("node")
+            .reset_index(drop=True)
+        )
+        pd.testing.assert_frame_equal(got.astype(str), want.astype(str))
 
 
 CONLL = """中 B-LOC

@@ -86,16 +86,19 @@ class TestKCoreDistributed:
             )
             pd.testing.assert_frame_equal(got, ref)
 
-    def test_driver_path_equals_distributed(self, ray_session):
+    def test_driver_path_equals_distributed(self, ray_session, page_graph_small):
         from knowledgegraph__bh_ray.stages.pagerank import k_core_ds
 
         pairs = [("hub", f"l{i}") for i in range(6)] + [
             ("a", "b"), ("b", "c"), ("a", "c"), ("c", "hub")
         ]
-        small = k_core_ds(_edges_ds(pairs), k=2).to_pandas()
-        dist = k_core_ds(_edges_ds(pairs), k=2, driver_threshold=0).to_pandas()
-        key = lambda d: d.sort_values("url").reset_index(drop=True)  # noqa: E731
-        pd.testing.assert_frame_equal(key(small), key(dist))
+        # a toy graph, then the sf0.001 page graph at the registry's k
+        for ds, k in ((_edges_ds(pairs), 2), (page_graph_small, 4)):
+            small = k_core_ds(ds, k=k).to_pandas()
+            dist = k_core_ds(ds, k=k, driver_threshold=0).to_pandas()
+            key = lambda d: d.sort_values("url").reset_index(drop=True)  # noqa: E731
+            pd.testing.assert_frame_equal(key(small), key(dist))
+            assert len(small) > 0
 
     def test_sf001_converges_within_sql_unroll(self, ray_session):
         """The DuckDB mirror unrolls 6 peel rounds; the engine's fixpoint

@@ -17,6 +17,29 @@ def test_triple_prf():
     m = triple_prf(pred, gold)
     assert m["precision"] == 0.5 and m["recall"] == 0.5 and m["tp"] == 1
 
+    # mid-sized sets with a known overlap: thousands of triples sharing
+    # subjects and predicates, so only the full (subj, pred, obj) key
+    # separates them
+    def _triples(tag, n):
+        return {(f"s{i % 97}", f"r{i % 7}", f"{tag}{i}") for i in range(n)}
+
+    for tp, fp, fn, want in ((3000, 1000, 3000, (0.75, 0.5, 0.6)),
+                             (2718, 1414, 3141, None)):
+        shared = _triples("t", tp)
+        pred = shared | _triples("p", fp)
+        gold = shared | _triples("g", fn)
+        assert (len(pred), len(gold)) == (tp + fp, tp + fn)
+        m = triple_prf(pred, gold)
+        assert m["tp"] == tp
+        if want is not None:
+            assert (m["precision"], m["recall"], m["f1"]) == want
+        assert m["f1"] == pytest.approx(2 * tp / (2 * tp + fp + fn), rel=1e-12)
+        # the integer-micro rule q_mention_coverage reports
+        micros = (tp * 1_000_000 // (tp + fp), tp * 1_000_000 // (tp + fn),
+                  2 * tp * 1_000_000 // (2 * tp + fp + fn))
+        for got, mic in zip((m["precision"], m["recall"], m["f1"]), micros):
+            assert abs(got * 1_000_000 - mic) <= 1
+
 
 def test_tag_prf_perfect_and_partial():
     y = ["B-LOC", "E-LOC", "O", "S-PER"]

@@ -23,16 +23,19 @@ def test_reference_properties():
     assert r["a"] > r["d"]  # hub outranks the leaf
 
 
-def test_distributed_matches_reference(ray_session):
-    want = pagerank_pairs(_graph()).sort_values("url").reset_index(drop=True)
-    got = (
-        pagerank_ds(rd.from_pandas(_graph()), num_parts=2, driver_threshold=0)
-        .to_pandas()
-        .sort_values("url")
-        .reset_index(drop=True)
-    )
-    assert got["url"].tolist() == want["url"].tolist()
-    assert np.allclose(got["rank"].to_numpy(), want["rank"].to_numpy(), atol=1e-9)
+def test_distributed_matches_reference(ray_session, page_graph_small):
+    # the toy graph, then the sf0.001 page graph (3 iterations for speed)
+    for ds, iters in ((rd.from_pandas(_graph()), 10), (page_graph_small, 3)):
+        want = (pagerank_pairs(ds.to_pandas(), iters=iters)
+                .sort_values("url").reset_index(drop=True))
+        got = (
+            pagerank_ds(ds, iters=iters, num_parts=2, driver_threshold=0)
+            .to_pandas()
+            .sort_values("url")
+            .reset_index(drop=True)
+        )
+        assert got["url"].tolist() == want["url"].tolist()
+        assert np.allclose(got["rank"].to_numpy(), want["rank"].to_numpy(), atol=1e-9)
 
 
 def test_empty_graph(ray_session):
@@ -167,19 +170,21 @@ def test_node_similarity_stop_hub_cap(ray_session):
     assert (capped["deg_a"] == 40).all()
 
 
-def test_node_similarity_dispatch_equivalence(ray_session):
+def test_node_similarity_dispatch_equivalence(ray_session, page_graph_small):
     """Counted-dispatch gate: the broadcast degree attach (default — the
     degree table is node-scale) and the reduce-side two-lookup fallback
     (deg_broadcast_threshold=0, the too-many-nodes path) must produce
-    identical output, capped and uncapped."""
+    identical output, capped and uncapped, on a random graph and on the
+    sf0.001 page graph."""
     from knowledgegraph__bh_ray.stages.pagerank import node_similarity_ds
 
     rng = np.random.default_rng(33)
     n = 25
     edges = list({(f"n{a:02d}", f"n{b:02d}")
                   for a, b in rng.integers(0, n, size=(90, 2)) if a != b})
-    ds = rd.from_pandas(pd.DataFrame(edges, columns=["src_url", "dst_url"]))
-    for cap in (None, 4):
+    random_ds = rd.from_pandas(pd.DataFrame(edges, columns=["src_url", "dst_url"]))
+    for ds, cap in ((random_ds, None), (random_ds, 4),
+                    (page_graph_small, None), (page_graph_small, 4)):
         a = (node_similarity_ds(ds, max_middle_degree=cap)
              .to_pandas().sort_values(["node_a", "node_b"]).reset_index(drop=True))
         b = (node_similarity_ds(ds, max_middle_degree=cap,

@@ -157,13 +157,12 @@ def test_pipeline_tagger_slot_pluggable(ray_session, pages_small, tmp_path):
 
 def test_sharded_counter_exact_across_shards(ray_session):
     """ShardedCounter: concurrent awaited increments from many remote
-    tasks (different pids → different shards) must sum exactly in
-    get_all(), and reset() clears every shard."""
+    tasks must sum exactly in get_all(), and reset() clears them."""
     import ray
 
     from knowledgegraph__bh_ray.state.lineage import ShardedCounter
 
-    c = ShardedCounter(n_shards=4)
+    c = ShardedCounter()
 
     @ray.remote
     def bump(counter, i):
@@ -173,9 +172,6 @@ def test_sharded_counter_exact_across_shards(ray_session):
     total = sum(ray.get([bump.remote(c, i) for i in range(40)]))
     got = c.get_all()
     assert got == {"a": total, "b": 40}
-    # increments actually spread over >1 shard actor (pid routing)
-    per_shard = ray.get([h.get_all.remote() for h in c.shards])
-    assert sum(1 for d in per_shard if d) > 1, per_shard
     c.reset()
     assert c.get_all() == {}
 
