@@ -8,7 +8,7 @@
 
 Each function returns a *lazy* ``ray.data.Dataset``; nothing materializes
 until the caller consumes (write_parquet / to_pandas on small results).
-Wide steps use the salted three-level aggregation in stages/grouped.py;
+Wide steps use the size-planned aggregation in stages/grouped.py;
 small-side lookups (node-id vocabulary, canonical map) are broadcast via
 ``ray.put`` — never re-shipped per batch and never a second shuffle.
 
@@ -25,6 +25,7 @@ import pyarrow as pa
 from ..sources import read_pages
 from ..stages.extract import extract_parse_batch, extract_text_batch, flatten_list_column
 from ..stages.grouped import (
+    SizeEstimate,
     count_first_block,
     keep_first_block,
     salted_grouped_agg,
@@ -80,16 +81,21 @@ def triples_raw_ds(source):
     )
 
 
-def nodes_ds(source, salt_buckets: int = 16):
+def nodes_ds(source, salt_buckets: int = 16, est: SizeEstimate | None = None):
     """Global node dedup: keep-first by canonical id, ordered by ``seq``
     (G1 resolved keep-first to match the scored Neo4j-side semantics G6 —
-    SURVEY.md §7.4 'last-write-wins vs first-wins')."""
+    SURVEY.md §7.4 'last-write-wins vs first-wins').
+
+    ``est``: the size of the node occurrences, which picks the
+    aggregation's arm (stages/grouped.plan_arm); ``None`` keeps the salted
+    plan."""
     return salted_grouped_agg(
         nodes_raw_ds(source),
         keys=["id"],
         block_agg=keep_first_block(["id"], "seq"),
         salt_from="url",
         salt_buckets=salt_buckets,
+        est=est,
     )
 
 
@@ -115,8 +121,9 @@ TRIPLE_COLS = ["url", "seq", "subj", "pred", "obj", "subj_name", "obj_name", "pr
 EDGE_KEYS = ["subj", "pred", "obj"]
 
 
-def _edge_agg(kept, adjacency_buckets: int | None, salt_buckets: int = 16):
-    """Salted dedup-count of linked triples per (subj, pred, obj).
+def _edge_agg(kept, adjacency_buckets: int | None, salt_buckets: int = 16,
+              est: SizeEstimate | None = None):
+    """Dedup-count of linked triples per (subj, pred, obj).
 
     ``adjacency_buckets=n`` lays the result out as the sorted, subj-bucketed
     adjacency table: the aggregation's final exchange routes by
@@ -125,7 +132,9 @@ def _edge_agg(kept, adjacency_buckets: int | None, salt_buckets: int = 16):
     ``subj_bucket`` column, ready for
     ``write_parquet(partition_cols=["subj_bucket"])``.  A reader doing
     per-entity lookups prunes to one bucket dir and one sorted range, and
-    building the layout costs no shuffle beyond the aggregation's own."""
+    building the layout costs no shuffle beyond the aggregation's own.  On
+    the ``local`` arm (``est`` small) ``finish`` sorts the whole result
+    once, which gives every bucket the same rows in the same order."""
     layout = {}
     if adjacency_buckets is not None:
         from ..functions.hashing import bucket_of
@@ -145,12 +154,14 @@ def _edge_agg(kept, adjacency_buckets: int | None, salt_buckets: int = 16):
         block_agg=count_first_block(EDGE_KEYS, "seq"),
         salt_from="url",
         salt_buckets=salt_buckets,
+        est=est,
         **layout,
     )
 
 
 def edges_ds(source, node_ids: frozenset | None = None, salt_buckets: int = 16,
-             join_mode: str = "broadcast", adjacency_buckets: int | None = None):
+             join_mode: str = "broadcast", adjacency_buckets: int | None = None,
+             est: SizeEstimate | None = None):
     """Triple dedup + graph materialization (G2/G6): drop dangling endpoints
     (reference policy J1: both endpoints must be known concepts), then
     groupby (subj, pred, obj) → weight = occurrence count, representative
@@ -166,7 +177,8 @@ def edges_ds(source, node_ids: frozenset | None = None, salt_buckets: int = 16,
         vocabulary outgrows worker memory.  Output identical (tested).
 
     ``adjacency_buckets``: emit the subj-bucketed adjacency layout (see
-    ``_edge_agg``)."""
+    ``_edge_agg``).  ``est``: the size of the raw triples, which picks the
+    aggregation's arm (stages/grouped.plan_arm)."""
     import ray
 
     triples = triples_raw_ds(source)
@@ -189,7 +201,7 @@ def edges_ds(source, node_ids: frozenset | None = None, salt_buckets: int = 16,
             return batch[m].reset_index(drop=True)
 
         kept = triples.map_batches(_drop_dangling, batch_format="pandas")
-    return _edge_agg(kept, adjacency_buckets, salt_buckets)
+    return _edge_agg(kept, adjacency_buckets, salt_buckets, est)
 
 
 def canonical_nodes_ds(source, salt_buckets: int = 16):
@@ -199,9 +211,10 @@ def canonical_nodes_ds(source, salt_buckets: int = 16):
 
 
 def edges_canonical_ds(source, canon_map: dict | None = None,
-                       join_mode: str = "broadcast", adjacency_buckets: int | None = None):
+                       join_mode: str = "broadcast", adjacency_buckets: int | None = None,
+                       est: SizeEstimate | None = None):
     """Canonicalized, deduplicated edge table: endpoints rewritten to
-    canonical ids, unknown blocking keys dropped, then the same salted
+    canonical ids, unknown blocking keys dropped, then the same
     dedup-count as edges_ds.
 
     ``join_mode="broadcast"`` (default): the canonical map is broadcast and
@@ -213,7 +226,7 @@ def edges_canonical_ds(source, canon_map: dict | None = None,
     worker memory.  Output identical (tested).
 
     ``adjacency_buckets``: emit the subj-bucketed adjacency layout (see
-    ``_edge_agg``)."""
+    ``_edge_agg``).  ``est``: as for ``edges_ds``."""
     import ray
 
     from ..state.broadcast import from_broadcast
@@ -264,7 +277,7 @@ def edges_canonical_ds(source, canon_map: dict | None = None,
             return from_broadcast(ref, CanonicalizeTriples)(batch)
 
         linked = triples.map_batches(_canonicalize, batch_format="pandas")
-    return _edge_agg(linked, adjacency_buckets)
+    return _edge_agg(linked, adjacency_buckets, est=est)
 
 
 # ---------------------------------------------------------------------------

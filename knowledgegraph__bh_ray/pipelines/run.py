@@ -15,6 +15,16 @@ Phase structure (each phase is a resume unit, SURVEY.md §7.2 step 6):
 ``subj_bucket=K`` holds exactly the subjects with ``bucket_of(subj, 16) ==
 K``, rows sorted by subj within the bucket.
 
+Phases 2-4 size their aggregation from the checkpoint's Parquet footers
+(element count and uncompressed bytes of the ``nodes`` / ``triples`` list
+column — no data read) and pass the estimate on, so an input one task can
+hold runs on ``stages/grouped``'s one-task ``local`` arm instead of the
+salted shuffles.  Each of their manifest records carries the ``arm`` it
+ran on and the ``est_rows`` / ``est_bytes`` that picked it.
+
+Every unit writes at least one file: when no page survives extraction its
+tables are empty but typed, and every record says ``rows: 0``.
+
 Phase 2+ read the *parsed checkpoint*, column-pruned to what each phase
 needs — extraction runs exactly once per page per run, and a killed run
 resumes from the last completed unit (write-then-log manifest).  Outputs are
@@ -28,30 +38,70 @@ import time
 
 import pandas as pd
 import pyarrow as pa
+import pyarrow.parquet as pq
 import ray.data as rd
 
 from ..functions.hashing import bucket_of
 from ..sources import read_pages
+from ..stages.extract import PARSED_SCHEMA, flatten_list_column
+from ..stages.grouped import SizeEstimate, plan_arm
 from ..state.lineage import Manifest, ShardedCounter
 from . import kg
+
+CANON_SCHEMA = pa.schema([(c, pa.string()) for c in ("norm_key", "canon_name", "canon_id")])
+# the mention columns every tagger emits (stages/ner.py, stages/crf.py)
+MENTIONS_SCHEMA = pa.schema([("url", pa.string()), ("para_idx", pa.int64()),
+                             ("entity", pa.string()), ("etype", pa.string()),
+                             ("start", pa.int64()), ("end", pa.int64())])
+
+
+def _footer_size(d: str, column: str | None = None, leaf: str | None = None) -> SizeEstimate:
+    """Size of a parquet dir from its file footers — no data read.
+
+    Without ``column``: the table's rows and uncompressed bytes.  With a
+    list<struct> ``column``: rows = ``num_values`` of its one leaf ``leaf``
+    (the element count — summing every leaf would count each element once
+    per struct field), bytes = the uncompressed size of all its leaves."""
+    rows = nbytes = 0
+    for root, _, files in os.walk(d):
+        for f in files:
+            if not f.endswith(".parquet"):
+                continue
+            meta = pq.ParquetFile(os.path.join(root, f)).metadata
+            if column is None:
+                rows += meta.num_rows
+            for g in range(meta.num_row_groups):
+                rg = meta.row_group(g)
+                for c in range(rg.num_columns):
+                    cc = rg.column(c)
+                    path = cc.path_in_schema
+                    if column is not None and path.split(".", 1)[0] != column:
+                        continue
+                    nbytes += cc.total_uncompressed_size
+                    if column is not None and path.endswith("." + leaf):
+                        rows += cc.num_values
+    return SizeEstimate(rows, nbytes)
 
 
 def _dir_rows(d: str) -> int:
     """Row count of a parquet dir from file footers — no data read."""
-    import pyarrow.parquet as pq
+    return _footer_size(d).rows
 
-    total = 0
-    for root, _, files in os.walk(d):
-        for f in files:
-            if f.endswith(".parquet"):
-                total += pq.ParquetFile(os.path.join(root, f)).metadata.num_rows
-    return total
+
+def _write(ds, out: str, empty: pa.Schema, **write_kw) -> int:
+    """``ds.write_parquet(out)``; returns the rows written.  Ray writes no
+    file for a Dataset without rows, so then a typed empty file is left
+    instead: units downstream and readers find the table's columns."""
+    ds.write_parquet(out, **write_kw)
+    rows = _dir_rows(out)
+    if not rows:
+        os.makedirs(out, exist_ok=True)
+        pq.write_table(empty.empty_table(), os.path.join(out, "empty.parquet"))
+    return rows
 
 
 def _read_small(d: str, columns=None) -> "pd.DataFrame":
     """Driver-side read of a small output table via pyarrow (no Ray job)."""
-    import pyarrow.parquet as pq
-
     return pq.read_table(d, columns=columns).to_pandas()
 
 
@@ -102,6 +152,8 @@ def run_kg_pipeline(
         for g in range(resume_granularity)
     ]
     parsed_dir = os.path.join(out_dir, "parsed")
+    parsed_schema = _add_shard(PARSED_SCHEMA.empty_table(), num_shards).schema
+    empty_parsed = parsed_schema.empty_table()
     for gi, shard_list in enumerate(groups):
         unit = f"parsed:group={gi}"
         if unit in done:
@@ -133,13 +185,8 @@ def run_kg_pipeline(
         group_dir = os.path.join(parsed_dir, f"group={gi}")
         # clean any partial output of a previous killed attempt for this unit
         manifest.clean_unit_dir(group_dir)
-        ds.write_parquet(group_dir)
-        manifest.mark_done(
-            unit,
-            _dir_rows(group_dir),
-            counters=counter.get_all(),
-            wall_sec=time.time() - t0,
-        )
+        rows = _write(ds, group_dir, parsed_schema)
+        manifest.mark_done(unit, rows, counters=counter.get_all(), wall_sec=time.time() - t0)
         _checkpoint_gate()
 
     def _parsed(columns=None):
@@ -151,14 +198,22 @@ def run_kg_pipeline(
         nblocks = max(16, int(_ray.cluster_resources().get("CPU", 8)))
         return rd.read_parquet(parsed_dir, columns=columns, override_num_blocks=nblocks)
 
+    def _plan(column: str, leaf: str) -> tuple[SizeEstimate, dict]:
+        """A list column's size estimate, and the manifest fields that
+        record it with the arm it picks."""
+        est = _footer_size(parsed_dir, column, leaf)
+        return est, {"arm": plan_arm(est), "est_rows": est.rows, "est_bytes": est.bytes}
+
     # ---- phase 2: nodes ----------------------------------------------------
     nodes_dir = os.path.join(out_dir, "nodes")
     if "nodes" not in done:
         t0 = time.time()
         manifest.clean_unit_dir(nodes_dir)
-        nodes = kg.nodes_ds(_parsed(columns=["url", "nodes"]))
-        nodes.write_parquet(nodes_dir)
-        manifest.mark_done("nodes", _dir_rows(nodes_dir), wall_sec=time.time() - t0)
+        est, plan = _plan("nodes", "id")
+        nodes = kg.nodes_ds(_parsed(columns=["url", "nodes"]), est=est)
+        node_schema = flatten_list_column(empty_parsed, "nodes", keep=["url"]).schema
+        rows = _write(nodes, nodes_dir, node_schema)
+        manifest.mark_done("nodes", rows, wall_sec=time.time() - t0, **plan)
         _checkpoint_gate()
 
     # ---- phases 3-5: edges / canonical / mentions --------------------------
@@ -166,19 +221,22 @@ def run_kg_pipeline(
     # run one after another (three streaming executors on one driver GIL
     # thrash — PERF.md round 3).  Each unit writes its own dir and appends
     # its own manifest line.
-    def _mark(unit: str, out: str, t0: float) -> None:
-        manifest.mark_done(unit, _dir_rows(out), wall_sec=time.time() - t0)
-
+    edge_schema = (
+        flatten_list_column(empty_parsed, "triples", keep=["url"]).schema
+        .append(pa.field("weight", pa.int64()))
+        .append(pa.field("subj_bucket", pa.int64()))
+    )
     edges_dir = os.path.join(out_dir, "edges")
 
     def _run_edges() -> None:
         t0 = time.time()
         manifest.clean_unit_dir(edges_dir)
+        est, plan = _plan("triples", "subj")
         node_ids = frozenset(_read_small(nodes_dir, ["id"])["id"])
         edges = kg.edges_ds(_parsed(columns=["url", "triples"]), node_ids=node_ids,
-                            adjacency_buckets=kg.ADJACENCY_BUCKETS)
-        edges.write_parquet(edges_dir, partition_cols=["subj_bucket"])
-        _mark("edges", edges_dir, t0)
+                            adjacency_buckets=kg.ADJACENCY_BUCKETS, est=est)
+        rows = _write(edges, edges_dir, edge_schema, partition_cols=["subj_bucket"])
+        manifest.mark_done("edges", rows, wall_sec=time.time() - t0, **plan)
 
     canon_dir = os.path.join(out_dir, "canonical")
     ecanon_dir = os.path.join(out_dir, "edges_canonical")
@@ -187,6 +245,7 @@ def run_kg_pipeline(
         t0 = time.time()
         manifest.clean_unit_dir(canon_dir)
         manifest.clean_unit_dir(ecanon_dir)
+        est, plan = _plan("triples", "subj")
         # canonical pick over the deduped nodes table ≡ over raw occurrences:
         # each id's keep-first row already carries the min-seq surface form,
         # so min-by-seq per blocking key is unchanged.  The deduped node
@@ -194,8 +253,6 @@ def run_kg_pipeline(
         # computed driver-side in one vectorized pandas pass instead of a
         # Ray job — same keep-first-by-seq semantics as the distributed
         # canonical_map_ds (which remains the oracle-gated query path).
-        import pyarrow.parquet as _pq
-
         from ..functions.hashing import md5_id
         from ..stages.linkage import normalize_surface_series
 
@@ -209,27 +266,22 @@ def run_kg_pipeline(
         )
         canon_pdf["canon_id"] = [md5_id(n) for n in canon_pdf["canon_name"]]
         os.makedirs(canon_dir, exist_ok=True)
-        _pq.write_table(
-            pa.Table.from_pandas(canon_pdf, preserve_index=False),
+        pq.write_table(
+            pa.Table.from_pandas(canon_pdf, schema=CANON_SCHEMA, preserve_index=False),
             os.path.join(canon_dir, "part-00000.parquet"),
         )
-        canon_map = (
-            {
-                k: (i, n)
-                for k, i, n in zip(
-                    canon_pdf["norm_key"], canon_pdf["canon_id"], canon_pdf["canon_name"]
-                )
-            }
-            if "norm_key" in canon_pdf.columns
-            else {}
-        )
+        canon_map = {
+            k: (i, n)
+            for k, i, n in zip(canon_pdf["norm_key"], canon_pdf["canon_id"], canon_pdf["canon_name"])
+        }
         ecanon = kg.edges_canonical_ds(
             _parsed(columns=["url", "triples"]),
             canon_map=canon_map,
             adjacency_buckets=kg.ADJACENCY_BUCKETS,
+            est=est,
         )
-        ecanon.write_parquet(ecanon_dir, partition_cols=["subj_bucket"])
-        _mark("canonical", ecanon_dir, t0)
+        rows = _write(ecanon, ecanon_dir, edge_schema, partition_cols=["subj_bucket"])
+        manifest.mark_done("canonical", rows, wall_sec=time.time() - t0, **plan)
 
     mentions_dir = os.path.join(out_dir, "mentions")
 
@@ -269,8 +321,8 @@ def run_kg_pipeline(
             )
             gaz = (names_pdf["name"].tolist(), names_pdf["type"].tolist())
             mentions = mentions_ds(extracted, gaz)
-        mentions.write_parquet(mentions_dir)
-        _mark("mentions", mentions_dir, t0)
+        rows = _write(mentions, mentions_dir, MENTIONS_SCHEMA)
+        manifest.mark_done("mentions", rows, wall_sec=time.time() - t0)
 
     for unit, fn in [("edges", _run_edges), ("canonical", _run_canonical),
                      ("mentions", _run_mentions)]:

@@ -1,4 +1,4 @@
-"""Keyed exchange and skew-aware grouped aggregation (SURVEY.md §4 "Skew /
+"""Keyed exchange and size-planned grouped aggregation (SURVEY.md §4 "Skew /
 stragglers").
 
 ``exchange`` is the engine's only keyed shuffle: every hash-partitioned
@@ -9,8 +9,10 @@ aggregations below are built on it.
 
 Web-text entity keys are Zipfian — a bare ``groupby(key)`` ships every
 occurrence of the head entity to one reducer, and per-*group* Python
-callbacks pay a fixed cost per distinct key.  Every wide aggregation in this
-engine therefore runs as:
+callbacks pay a fixed cost per distinct key.  ``salted_grouped_agg``
+therefore has two physical plans, picked per call by ``plan_arm``:
+
+* **salted** (no size estimate, or a large input) — three levels:
 
   1. **per-batch partial** (``map_batches``): a *vectorized* combine of the
      rows inside each Arrow batch (pandas groupby/drop_duplicates — C code,
@@ -25,10 +27,18 @@ engine therefore runs as:
   3. **final combine**: identical, partitioned by hash(keys) only, merging
      the per-salt rows (≤ salt_buckets per key).
 
+* **local** (the caller's ``SizeEstimate`` shows at most
+  ``SIZE_DISPATCH_THRESHOLD`` rows and a quarter of the session's object
+  store): the same per-batch partial, then ``repartition(1)`` and one
+  ``map_batches(batch_size=None)`` task that combines everything and runs
+  ``finish``.  No salt, no route column, no shuffle: on the resume
+  pipeline's graph units the two sort-based shuffles cost more fixed plan
+  overhead than one task spends combining (PERF.md round 9).
+
 The block aggregation function must be **associative + commutative** over
 rows sharing a key (min-by-seq keep-first, sum-of-weight, …), which makes
-the result independent of partition count, batch size and execution order —
-property-tested in tests/test_invariance.py.
+the result independent of the arm, partition count, batch size and
+execution order — property-tested in tests/test_invariance.py.
 
 Partition-count note: ``num_parts``/``combine_partitions`` bound the number
 of reduce tasks over *partially-aggregated* data (size ~ |keys|, not
@@ -37,7 +47,7 @@ of reduce tasks over *partially-aggregated* data (size ~ |keys|, not
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pandas as pd
@@ -50,9 +60,36 @@ PART_COL = "_part"
 # overhead.
 DEFAULT_COMBINE_PARTITIONS = 16
 
-# Counted size dispatch: a side of at most this many rows is collected to
-# the driver or broadcast; a larger one takes the reduce-side path.
+# Size dispatch: a side of at most this many rows is collected to the
+# driver or broadcast, and an aggregation input of at most this many
+# (estimated) rows combines in one task; a larger one takes the
+# reduce-side path.
 SIZE_DISPATCH_THRESHOLD = 2_000_000
+
+
+class SizeEstimate(NamedTuple):
+    """An aggregation input's size, known before it runs (the resume
+    pipeline reads it from the checkpoint's Parquet footers): rows and
+    uncompressed bytes."""
+
+    rows: int
+    bytes: int
+
+
+def plan_arm(est: SizeEstimate | None) -> str:
+    """``salted_grouped_agg``'s physical plan for an input of size ``est``:
+    ``"local"`` when one task can hold it — at most
+    ``SIZE_DISPATCH_THRESHOLD`` rows and at most a quarter of the session's
+    object store (the bytes bound keeps a corpus of multi-MB pages off the
+    one-task arm) — else ``"salted"``.  No estimate means ``"salted"``."""
+    if est is None:
+        return "salted"
+    import ray
+
+    store = ray.cluster_resources().get("object_store_memory", 0)
+    if est.rows <= SIZE_DISPATCH_THRESHOLD and est.bytes <= store / 4:
+        return "local"
+    return "salted"
 
 
 def collect_if_small(ds, threshold: int) -> pd.DataFrame | None:
@@ -172,8 +209,10 @@ def salted_grouped_agg(
     block_agg_salted: Callable[[pd.DataFrame], pd.DataFrame] | None = None,
     final_route: Callable[[pd.DataFrame], np.ndarray] | None = None,
     finish: Callable[[pd.DataFrame], pd.DataFrame] | None = None,
+    est: SizeEstimate | None = None,
 ):
-    """Three-level skew-aware aggregation; see module docstring.
+    """Skew-aware aggregation on the arm ``plan_arm(est)`` picks; see the
+    module docstring.
 
     ``block_agg``: vectorized combine of rows sharing ``keys`` within a
     DataFrame.  ``block_agg_salted`` (default: same logic over
@@ -185,8 +224,11 @@ def salted_grouped_agg(
     then runs once per final group on its fully-aggregated rows — a caller
     that needs its output laid out by some function of the keys (e.g. the
     subj-bucketed adjacency, pipelines/kg.py) gets it from this exchange
-    instead of a second shuffle.
+    instead of a second shuffle.  On the ``local`` arm ``finish`` runs once
+    on the whole result (``final_route`` is not needed there).
     """
+    if plan_arm(est) == "local":
+        return _local_agg(ds, block_agg, finish)
 
     def _partial(batch: pd.DataFrame) -> pd.DataFrame:
         part = block_agg(batch)
@@ -213,6 +255,27 @@ def salted_grouped_agg(
     level2 = exchange(ds, keys + [SALT_COL], _combine_salted, combine_partitions,
                       map=_partial)
     return _shuffle(level2, _combine_final, combine_partitions)
+
+
+def _local_agg(ds, block_agg, finish):
+    """The ``local`` arm: per-batch partial, then one task combines every
+    partial and runs ``finish``.  Column-less batches (empty passthrough
+    blocks) skip ``block_agg``, as in ``exchange``."""
+
+    def _partial(batch: pd.DataFrame) -> pd.DataFrame:
+        return block_agg(batch) if len(batch.columns) else batch
+
+    def _combine(df: pd.DataFrame) -> pd.DataFrame:
+        if not len(df.columns):
+            return df
+        out = block_agg(df)
+        return finish(out) if finish else out
+
+    return (
+        ds.map_batches(_partial, batch_format="pandas")
+        .repartition(1)
+        .map_batches(_combine, batch_size=None, batch_format="pandas")
+    )
 
 
 # ---------------------------------------------------------------------------

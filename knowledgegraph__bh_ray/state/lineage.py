@@ -97,13 +97,16 @@ class Manifest:
             return [json.loads(line) for line in f if line.strip()]
 
     def mark_done(self, unit: str, rows: int, counters: dict | None = None,
-                  wall_sec: float | None = None) -> None:
+                  wall_sec: float | None = None, **fields) -> None:
+        """Append ``unit``'s record; ``fields`` (e.g. the aggregation arm a
+        unit ran on) ride along after the fixed keys."""
         rec = {
             "unit": unit,
             "rows": int(rows),
             "counters": counters or {},
             "wall_sec": round(wall_sec, 3) if wall_sec is not None else None,
             "ts": time.time(),
+            **fields,
         }
         with open(self.path, "a", encoding="utf-8") as f:
             f.write(json.dumps(rec, ensure_ascii=False) + "\n")

@@ -17,7 +17,8 @@ def test_empty_batch_extract():
     assert out.num_rows == 0
 
 
-def test_all_verification_pages(tmp_path, ray_session):
+def _verification_pages(tmp_path) -> str:
+    """Two pages that are both dropped as verification pages."""
     t = pa.Table.from_arrays(
         [
             pa.array(["u1", "u2"], pa.string()),
@@ -31,8 +32,36 @@ def test_all_verification_pages(tmp_path, ray_session):
     d = tmp_path / "pages"
     d.mkdir()
     pq.write_table(t, str(d / "part-0.parquet"))
-    ext = kg.extracted_ds(str(d)).to_pandas()
+    return str(d)
+
+
+def test_all_verification_pages(tmp_path, ray_session):
+    ext = kg.extracted_ds(_verification_pages(tmp_path)).to_pandas()
     assert len(ext) == 0
+
+
+def test_all_verification_pages_pipeline(tmp_path, ray_session):
+    """No page survives extraction: every unit still completes, records
+    rows 0 and leaves an empty table with its normal columns."""
+    from knowledgegraph__bh_ray.pipelines.run import run_kg_pipeline
+
+    out = tmp_path / "run"
+    res = run_kg_pipeline(_verification_pages(tmp_path), str(out), num_shards=4)
+    assert {r["unit"]: r["rows"] for r in res["records"]} == {
+        "parsed:group=0": 0, "nodes": 0, "edges": 0, "canonical": 0, "mentions": 0,
+    }
+    expect = {
+        "parsed": {"url", "text_out", "nodes", "triples", "shard"},
+        "nodes": {"url", "seq", "id", "name", "type"},
+        "edges": {"subj", "pred", "obj", "seq", "weight", "subj_bucket"},
+        "canonical": {"norm_key", "canon_name", "canon_id"},
+        "edges_canonical": {"subj", "pred", "obj", "seq", "weight", "subj_bucket"},
+        "mentions": {"url", "para_idx", "entity", "etype", "start", "end"},
+    }
+    for table, cols in expect.items():
+        got = pq.read_table(str(out / table))
+        assert got.num_rows == 0, table
+        assert cols <= set(got.column_names), table
 
 
 def test_page_without_grammar(tmp_path, ray_session):

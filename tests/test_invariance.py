@@ -32,8 +32,19 @@ def test_edges_invariant_to_partitioning(ray_session, pages_small):
 
 
 def test_salted_agg_equals_pandas_groupby(ray_session):
+    """Both arms of the aggregation (salted: no estimate; local: a small
+    one) equal pandas: keep-first, count+first under _edge_agg's adjacency
+    finish, and a zero-row input."""
     import numpy as np
     import ray.data as rd
+
+    from knowledgegraph__bh_ray.functions.hashing import bucket_of
+    from knowledgegraph__bh_ray.stages.grouped import (
+        SIZE_DISPATCH_THRESHOLD,
+        SizeEstimate,
+        keep_first_block,
+        plan_arm,
+    )
 
     rng = np.random.default_rng(0)
     df = pd.DataFrame(
@@ -44,29 +55,65 @@ def test_salted_agg_equals_pandas_groupby(ray_session):
             "v": rng.integers(0, 100, 500),
         }
     )
-    ds = rd.from_pandas(df).repartition(11)
-    out = (
-        salted_grouped_agg(
-            ds,
-            keys=["k"],
-            block_agg=count_first_block(["k"], "seq"),
-            salt_from="url",
-            salt_buckets=5,
+    first = df.sort_values("seq", kind="mergesort").drop_duplicates("k", keep="first")
+    keep_exp = first.sort_values("k").reset_index(drop=True)
+    count_exp = (
+        first.merge(df.groupby("k").size().rename("weight").reset_index(), on="k")
+        .sort_values("k")
+        .reset_index(drop=True)
+    )
+    # triples over 6 subjects: the adjacency finish buckets and sorts them
+    tri = df.assign(subj=df["k"].map(lambda k: f"s{int(k) % 6}"), pred="p",
+                    obj=df["v"].map(lambda v: f"o{v % 4}"))
+    edge_first = tri.sort_values("seq", kind="mergesort").drop_duplicates(kg.EDGE_KEYS)
+    edge_exp = (
+        edge_first.merge(tri.groupby(kg.EDGE_KEYS).size().rename("weight").reset_index(),
+                         on=kg.EDGE_KEYS)
+        .sort_values(kg.EDGE_KEYS)
+        .reset_index(drop=True)
+    )
+
+    local = SizeEstimate(len(df), int(df.memory_usage(deep=True).sum()))
+    assert plan_arm(local) == "local"
+    assert plan_arm(None) == "salted"
+    assert plan_arm(SizeEstimate(SIZE_DISPATCH_THRESHOLD + 1, 0)) == "salted"
+    assert plan_arm(SizeEstimate(1, 1 << 60)) == "salted"
+
+    for est in (None, local):
+        arm = plan_arm(est)
+
+        def agg(block_agg):
+            return salted_grouped_agg(
+                rd.from_pandas(df).repartition(11), keys=["k"], block_agg=block_agg,
+                salt_from="url", salt_buckets=5, est=est,
+            ).to_pandas().sort_values("k").reset_index(drop=True)
+
+        out = agg(count_first_block(["k"], "seq"))
+        pd.testing.assert_frame_equal(
+            out[["k", "seq", "v", "weight"]],
+            count_exp[["k", "seq", "v", "weight"]].astype({"weight": out["weight"].dtype}),
+            obj=f"{arm}/count_first",
         )
-        .to_pandas()
-        .sort_values("k")
-        .reset_index(drop=True)
-    )
-    exp_first = df.sort_values("seq", kind="mergesort").drop_duplicates("k", keep="first")
-    exp = (
-        exp_first.merge(df.groupby("k").size().rename("weight").reset_index(), on="k")
-        .sort_values("k")
-        .reset_index(drop=True)
-    )
-    pd.testing.assert_frame_equal(
-        out[["k", "seq", "v", "weight"]],
-        exp[["k", "seq", "v", "weight"]].astype({"weight": out["weight"].dtype}),
-    )
+        out = agg(keep_first_block(["k"], "seq"))
+        pd.testing.assert_frame_equal(out[["k", "seq", "url", "v"]],
+                                      keep_exp[["k", "seq", "url", "v"]], obj=f"{arm}/keep_first")
+
+        edges = kg._edge_agg(rd.from_pandas(tri).repartition(11), adjacency_buckets=4,
+                             salt_buckets=5, est=est).to_pandas()
+        for b, rows in edges.groupby("subj_bucket", sort=False):
+            assert {bucket_of(x, 4) for x in rows["subj"]} == {b}, arm
+            keys = rows[kg.EDGE_KEYS].reset_index(drop=True)
+            pd.testing.assert_frame_equal(keys, keys.sort_values(kg.EDGE_KEYS).reset_index(drop=True))
+        edges = edges.sort_values(kg.EDGE_KEYS).reset_index(drop=True)
+        pd.testing.assert_frame_equal(
+            edges[kg.EDGE_KEYS + ["seq", "weight"]],
+            edge_exp[kg.EDGE_KEYS + ["seq", "weight"]].astype({"weight": edges["weight"].dtype}),
+            obj=f"{arm}/adjacency",
+        )
+
+        empty = kg._edge_agg(rd.from_pandas(tri.iloc[:0]), adjacency_buckets=4,
+                             salt_buckets=5, est=est)
+        assert len(empty.to_pandas()) == 0, arm
 
 
 def test_reduce_side_ops_partition_invariance(ray_session):

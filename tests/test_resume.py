@@ -69,7 +69,8 @@ def test_resume_skips_completed_units(ray_session, pages_small, tmp_path):
     assert len(records_after) == len(records_before)
 
 
-def _assert_adjacency_layout(out: str, n_buckets: int = 16) -> None:
+def _assert_adjacency_layout(out: str, n_buckets: int = 16,
+                             tables=("edges", "edges_canonical")) -> None:
     """edges/ and edges_canonical/: dir subj_bucket=K holds exactly the
     subjects with bucket_of(subj, n_buckets) == K, rows sorted by subj."""
     import glob
@@ -78,7 +79,7 @@ def _assert_adjacency_layout(out: str, n_buckets: int = 16) -> None:
 
     from knowledgegraph__bh_ray.functions.hashing import bucket_of
 
-    for table in ("edges", "edges_canonical"):
+    for table in tables:
         root = os.path.join(out, table)
         dirs = sorted(glob.glob(os.path.join(root, "subj_bucket=*")))
         assert dirs, table
@@ -99,9 +100,10 @@ def _assert_adjacency_layout(out: str, n_buckets: int = 16) -> None:
 
 
 def test_degree_from_adjacency_no_shuffle(ray_session, pages_small, tmp_path):
-    """Bucketed-layout reuse: the adjacency layout holds, and degree
-    computed per bucket dir (no shuffle) equals the shuffle-based kg_degree
-    aggregation."""
+    """Bucketed-layout reuse: the adjacency layout holds on both arms of
+    the edge aggregation — the pipeline's (local at this size) and the
+    salted one (no estimate) — and degree computed per bucket dir (no
+    shuffle) equals the shuffle-based kg_degree aggregation."""
     import pandas as pd
 
     from knowledgegraph__bh_ray.pipelines import kg
@@ -111,14 +113,27 @@ def test_degree_from_adjacency_no_shuffle(ray_session, pages_small, tmp_path):
     out = str(tmp_path / "run")
     run_kg_pipeline(pages_small, out, num_shards=4)
     _assert_adjacency_layout(out)
+    records = {r["unit"]: r for r in Manifest(out).records()}
+    for unit in ("nodes", "edges", "canonical"):
+        assert records[unit]["arm"] == "local", unit
+        assert records[unit]["est_rows"] >= records[unit]["rows"] > 0, unit
+        assert records[unit]["est_bytes"] > 0, unit
+
+    # the salted arm's final route builds the same layout and rows
+    edges = kg.edges_ds(pages_small, adjacency_buckets=16).materialize()
+    salted = str(tmp_path / "salted")
+    edges.write_parquet(os.path.join(salted, "edges"), partition_cols=["subj_bucket"])
+    _assert_adjacency_layout(salted, tables=("edges",))
+    pd.testing.assert_frame_equal(
+        _canon(rd.read_parquet(os.path.join(salted, "edges")).to_pandas()),
+        _canon(rd.read_parquet(os.path.join(out, "edges")).to_pandas()),
+    )
     got = (
         degree_from_adjacency(out)
         .to_pandas()
         .sort_values("subj")
         .reset_index(drop=True)
     )
-
-    edges = kg.edges_ds(pages_small)
 
     def _to_rows(batch: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
