@@ -23,7 +23,12 @@ import pandas as pd
 import pyarrow as pa
 
 from ..sources import read_pages
-from ..stages.extract import extract_parse_batch, extract_text_batch, flatten_list_column
+from ..stages.extract import (
+    PARSED_SCHEMA,
+    extract_parse_batch,
+    extract_text_batch,
+    flatten_list_column,
+)
 from ..stages.grouped import (
     SizeEstimate,
     count_first_block,
@@ -119,6 +124,16 @@ def _node_id_set(source) -> frozenset:
 
 TRIPLE_COLS = ["url", "seq", "subj", "pred", "obj", "subj_name", "obj_name", "props_json"]
 EDGE_KEYS = ["subj", "pred", "obj"]
+BUCKET_COL = "subj_bucket"
+
+
+def edge_schema(adjacency_buckets: int | None) -> pa.Schema:
+    """``_edge_agg``'s output columns, for a writer whose edge table came
+    out empty: a raw triple row's, the summed ``weight`` and, with an
+    adjacency layout, ``subj_bucket``."""
+    raw = flatten_list_column(PARSED_SCHEMA.empty_table(), "triples", keep=["url"]).schema
+    out = raw.append(pa.field("weight", pa.int64()))
+    return out if adjacency_buckets is None else out.append(pa.field(BUCKET_COL, pa.int64()))
 
 
 def _edge_agg(kept, adjacency_buckets: int | None, salt_buckets: int = 16,
@@ -144,7 +159,7 @@ def _edge_agg(kept, adjacency_buckets: int | None, salt_buckets: int = 16,
 
         def _finish(df: pd.DataFrame) -> pd.DataFrame:
             out = df.sort_values(EDGE_KEYS, kind="mergesort").reset_index(drop=True)
-            out["subj_bucket"] = _route(out)
+            out[BUCKET_COL] = _route(out)
             return out
 
         layout = {"final_route": _route, "finish": _finish}

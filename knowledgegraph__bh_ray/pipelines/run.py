@@ -17,10 +17,11 @@ K``, rows sorted by subj within the bucket.
 
 Phases 2-4 size their aggregation from the checkpoint's Parquet footers
 (element count and uncompressed bytes of the ``nodes`` / ``triples`` list
-column — no data read) and pass the estimate on, so an input one task can
-hold runs on ``stages/grouped``'s one-task ``local`` arm instead of the
-salted shuffles.  Each of their manifest records carries the ``arm`` it
-ran on and the ``est_rows`` / ``est_bytes`` that picked it.
+column — no data read) and pass the estimate on, so an input within
+``grouped.plan_arm``'s measured row and heap bounds runs on the one-task
+``local`` arm instead of the salted shuffles.  Each of their manifest
+records carries the ``arm`` it ran on and the ``est_rows`` /
+``est_bytes`` that picked it.
 
 Every unit writes at least one file: when no page survives extraction its
 tables are empty but typed, and every record says ``rows: 0``.
@@ -45,23 +46,20 @@ from ..functions.hashing import bucket_of
 from ..sources import read_pages
 from ..stages.extract import PARSED_SCHEMA, flatten_list_column
 from ..stages.grouped import SizeEstimate, plan_arm
+from ..stages.ner import MENTIONS_SCHEMA
 from ..state.lineage import Manifest, ShardedCounter
 from . import kg
 
 CANON_SCHEMA = pa.schema([(c, pa.string()) for c in ("norm_key", "canon_name", "canon_id")])
-# the mention columns every tagger emits (stages/ner.py, stages/crf.py)
-MENTIONS_SCHEMA = pa.schema([("url", pa.string()), ("para_idx", pa.int64()),
-                             ("entity", pa.string()), ("etype", pa.string()),
-                             ("start", pa.int64()), ("end", pa.int64())])
 
 
 def _footer_size(d: str, column: str | None = None, leaf: str | None = None) -> SizeEstimate:
     """Size of a parquet dir from its file footers — no data read.
 
-    Without ``column``: the table's rows and uncompressed bytes.  With a
-    list<struct> ``column``: rows = ``num_values`` of its one leaf ``leaf``
-    (the element count — summing every leaf would count each element once
-    per struct field), bytes = the uncompressed size of all its leaves."""
+    Without ``column``: the table's rows (bytes 0).  With a list<struct>
+    ``column``: rows = ``num_values`` of its one leaf ``leaf`` (the element
+    count — summing every leaf would count each element once per struct
+    field), bytes = the uncompressed size of all its leaves."""
     rows = nbytes = 0
     for root, _, files in os.walk(d):
         for f in files:
@@ -70,22 +68,18 @@ def _footer_size(d: str, column: str | None = None, leaf: str | None = None) -> 
             meta = pq.ParquetFile(os.path.join(root, f)).metadata
             if column is None:
                 rows += meta.num_rows
+                continue
             for g in range(meta.num_row_groups):
                 rg = meta.row_group(g)
                 for c in range(rg.num_columns):
                     cc = rg.column(c)
                     path = cc.path_in_schema
-                    if column is not None and path.split(".", 1)[0] != column:
+                    if path.split(".", 1)[0] != column:
                         continue
                     nbytes += cc.total_uncompressed_size
-                    if column is not None and path.endswith("." + leaf):
+                    if path.endswith("." + leaf):
                         rows += cc.num_values
     return SizeEstimate(rows, nbytes)
-
-
-def _dir_rows(d: str) -> int:
-    """Row count of a parquet dir from file footers — no data read."""
-    return _footer_size(d).rows
 
 
 def _write(ds, out: str, empty: pa.Schema, **write_kw) -> int:
@@ -93,7 +87,7 @@ def _write(ds, out: str, empty: pa.Schema, **write_kw) -> int:
     file for a Dataset without rows, so then a typed empty file is left
     instead: units downstream and readers find the table's columns."""
     ds.write_parquet(out, **write_kw)
-    rows = _dir_rows(out)
+    rows = _footer_size(out).rows
     if not rows:
         os.makedirs(out, exist_ok=True)
         pq.write_table(empty.empty_table(), os.path.join(out, "empty.parquet"))
@@ -153,7 +147,6 @@ def run_kg_pipeline(
     ]
     parsed_dir = os.path.join(out_dir, "parsed")
     parsed_schema = _add_shard(PARSED_SCHEMA.empty_table(), num_shards).schema
-    empty_parsed = parsed_schema.empty_table()
     for gi, shard_list in enumerate(groups):
         unit = f"parsed:group={gi}"
         if unit in done:
@@ -211,8 +204,8 @@ def run_kg_pipeline(
         manifest.clean_unit_dir(nodes_dir)
         est, plan = _plan("nodes", "id")
         nodes = kg.nodes_ds(_parsed(columns=["url", "nodes"]), est=est)
-        node_schema = flatten_list_column(empty_parsed, "nodes", keep=["url"]).schema
-        rows = _write(nodes, nodes_dir, node_schema)
+        no_nodes = flatten_list_column(PARSED_SCHEMA.empty_table(), "nodes", keep=["url"])
+        rows = _write(nodes, nodes_dir, no_nodes.schema)
         manifest.mark_done("nodes", rows, wall_sec=time.time() - t0, **plan)
         _checkpoint_gate()
 
@@ -221,11 +214,7 @@ def run_kg_pipeline(
     # run one after another (three streaming executors on one driver GIL
     # thrash — PERF.md round 3).  Each unit writes its own dir and appends
     # its own manifest line.
-    edge_schema = (
-        flatten_list_column(empty_parsed, "triples", keep=["url"]).schema
-        .append(pa.field("weight", pa.int64()))
-        .append(pa.field("subj_bucket", pa.int64()))
-    )
+    edge_schema = kg.edge_schema(kg.ADJACENCY_BUCKETS)
     edges_dir = os.path.join(out_dir, "edges")
 
     def _run_edges() -> None:
@@ -235,7 +224,7 @@ def run_kg_pipeline(
         node_ids = frozenset(_read_small(nodes_dir, ["id"])["id"])
         edges = kg.edges_ds(_parsed(columns=["url", "triples"]), node_ids=node_ids,
                             adjacency_buckets=kg.ADJACENCY_BUCKETS, est=est)
-        rows = _write(edges, edges_dir, edge_schema, partition_cols=["subj_bucket"])
+        rows = _write(edges, edges_dir, edge_schema, partition_cols=[kg.BUCKET_COL])
         manifest.mark_done("edges", rows, wall_sec=time.time() - t0, **plan)
 
     canon_dir = os.path.join(out_dir, "canonical")
@@ -280,7 +269,7 @@ def run_kg_pipeline(
             adjacency_buckets=kg.ADJACENCY_BUCKETS,
             est=est,
         )
-        rows = _write(ecanon, ecanon_dir, edge_schema, partition_cols=["subj_bucket"])
+        rows = _write(ecanon, ecanon_dir, edge_schema, partition_cols=[kg.BUCKET_COL])
         manifest.mark_done("canonical", rows, wall_sec=time.time() - t0, **plan)
 
     mentions_dir = os.path.join(out_dir, "mentions")

@@ -36,6 +36,7 @@ import pandas as pd
 
 from ..functions.bioes import decode_bioes
 from ..functions.hashing import stable_u64
+from .ner import mention_columns, mentions_frame
 
 LABELS = ["O", "B-CONCEPT", "I-CONCEPT", "E-CONCEPT", "S-CONCEPT"]
 VOCAB_SIZE = 512
@@ -229,7 +230,7 @@ class CRFNER:
         return labels_out
 
     def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        out = {"url": [], "para_idx": [], "entity": [], "etype": [], "start": [], "end": []}
+        out = mention_columns()
         paras: list[str] = []
         meta: list[tuple[str, int]] = []
         for url, text in zip(batch["url"], batch["text_out"]):
@@ -250,10 +251,7 @@ class CRFNER:
                 out["start"].append(start)
                 out["end"].append(start + len(entity))
                 pos = start + len(entity)
-        df = pd.DataFrame(out)
-        for c in ("para_idx", "start", "end"):
-            df[c] = df[c].astype("int64")
-        return df
+        return mentions_frame(out)
 
 
 def crf_mentions_ds(extracted, concurrency=(1, 4)):

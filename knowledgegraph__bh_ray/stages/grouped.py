@@ -27,9 +27,8 @@ therefore has two physical plans, picked per call by ``plan_arm``:
   3. **final combine**: identical, partitioned by hash(keys) only, merging
      the per-salt rows (≤ salt_buckets per key).
 
-* **local** (the caller's ``SizeEstimate`` shows at most
-  ``SIZE_DISPATCH_THRESHOLD`` rows and a quarter of the session's object
-  store): the same per-batch partial, then ``repartition(1)`` and one
+* **local** (the caller's ``SizeEstimate`` is within ``plan_arm``'s
+  measured row and heap bounds): the same per-batch partial, then ``repartition(1)`` and one
   ``map_batches(batch_size=None)`` task that combines everything and runs
   ``finish``.  No salt, no route column, no shuffle: on the resume
   pipeline's graph units the two sort-based shuffles cost more fixed plan
@@ -61,10 +60,19 @@ PART_COL = "_part"
 DEFAULT_COMBINE_PARTITIONS = 16
 
 # Size dispatch: a side of at most this many rows is collected to the
-# driver or broadcast, and an aggregation input of at most this many
-# (estimated) rows combines in one task; a larger one takes the
-# reduce-side path.
+# driver or broadcast; a larger one takes the reduce-side path.
 SIZE_DISPATCH_THRESHOLD = 2_000_000
+
+# The ``local`` arm's bounds, measured on the resume units at 4 CPUs
+# (PERF.md round 10).  Rows: the one-task plan beat the salted one at
+# every size tried, up to 4.2M raw triples and 5.3M node occurrences, its
+# lead shrinking as the input grew; the cap is the largest size tried on
+# both units, not a crossover.  Heap: the one combine task's peak per
+# Parquet uncompressed byte of its input, when the partials are as large
+# as the input — the pandas frame with no string shared (9.0× on the
+# triples column) plus the sort and dedup copies (3.1×).
+LOCAL_AGG_MAX_ROWS = 4_000_000
+LOCAL_AGG_HEAP_PER_BYTE = 12
 
 
 class SizeEstimate(NamedTuple):
@@ -78,16 +86,21 @@ class SizeEstimate(NamedTuple):
 
 def plan_arm(est: SizeEstimate | None) -> str:
     """``salted_grouped_agg``'s physical plan for an input of size ``est``:
-    ``"local"`` when one task can hold it — at most
-    ``SIZE_DISPATCH_THRESHOLD`` rows and at most a quarter of the session's
-    object store (the bytes bound keeps a corpus of multi-MB pages off the
-    one-task arm) — else ``"salted"``.  No estimate means ``"salted"``."""
+    ``"local"`` when it has at most ``LOCAL_AGG_MAX_ROWS`` rows and the one
+    combine task's projected peak heap (``est.bytes`` ×
+    ``LOCAL_AGG_HEAP_PER_BYTE``) is at most a quarter of the smallest live
+    node's object store — the task and its one input block land on a
+    single node, so the cluster total says nothing about it — else
+    ``"salted"``.  No estimate means ``"salted"``."""
     if est is None:
         return "salted"
     import ray
 
-    store = ray.cluster_resources().get("object_store_memory", 0)
-    if est.rows <= SIZE_DISPATCH_THRESHOLD and est.bytes <= store / 4:
+    node_store = min(
+        (n["Resources"].get("object_store_memory", 0) for n in ray.nodes() if n["Alive"]),
+        default=0,
+    )
+    if est.rows <= LOCAL_AGG_MAX_ROWS and est.bytes * LOCAL_AGG_HEAP_PER_BYTE <= node_store / 4:
         return "local"
     return "salted"
 

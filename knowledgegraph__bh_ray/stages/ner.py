@@ -20,10 +20,31 @@ from __future__ import annotations
 import re
 
 import pandas as pd
+import pyarrow as pa
 
 from ..functions.bioes import decode_bioes, encode_bioes
 
 MAX_GAZETTEER = 50_000  # vocab cap; longest names win (documented truncation)
+
+# the mentions table every tagger emits (here and stages/crf.py): one row
+# per mention
+MENTIONS_SCHEMA = pa.schema([("url", pa.string()), ("para_idx", pa.int64()),
+                             ("entity", pa.string()), ("etype", pa.string()),
+                             ("start", pa.int64()), ("end", pa.int64())])
+
+
+def mention_columns() -> dict[str, list]:
+    """Empty column lists a tagger appends its mentions to."""
+    return {name: [] for name in MENTIONS_SCHEMA.names}
+
+
+def mentions_frame(cols: dict[str, list]) -> pd.DataFrame:
+    """A tagger's filled ``mention_columns()`` as its output frame."""
+    df = pd.DataFrame(cols)
+    for f in MENTIONS_SCHEMA:
+        if f.type == pa.int64():
+            df[f.name] = df[f.name].astype("int64")
+    return df
 
 
 def _trie_regex_pattern(vocab) -> str | None:
@@ -133,7 +154,7 @@ class GazetteerNER:
         self.pattern = build_gazetteer_pattern(list(names))
 
     def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        out = {"url": [], "para_idx": [], "entity": [], "etype": [], "start": [], "end": []}
+        out = mention_columns()
         for url, text in zip(batch["url"], batch["text_out"]):
             for pi, para in enumerate(text.split("\n")):
                 for m in tag_mentions(para, self.pattern, self.type_of):
@@ -143,10 +164,7 @@ class GazetteerNER:
                     out["etype"].append(m["etype"])
                     out["start"].append(m["start"])
                     out["end"].append(m["end"])
-        df = pd.DataFrame(out)
-        for c in ("para_idx", "start", "end"):
-            df[c] = df[c].astype("int64")
-        return df
+        return mentions_frame(out)
 
 
 def mentions_ds(extracted, gazetteer: tuple[list[str], list[str]], batch_size: int = 256):
@@ -220,7 +238,7 @@ class PatternTagger:
         return out
 
     def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        out = {"url": [], "para_idx": [], "entity": [], "etype": [], "start": [], "end": []}
+        out = mention_columns()
         for url, text in zip(batch["url"], batch["text_out"]):
             for pi, para in enumerate(text.split("\n")):
                 for m in self.tag(para):
@@ -230,10 +248,7 @@ class PatternTagger:
                     out["etype"].append(m["etype"])
                     out["start"].append(m["start"])
                     out["end"].append(m["end"])
-        df = pd.DataFrame(out)
-        for c in ("para_idx", "start", "end"):
-            df[c] = df[c].astype("int64")
-        return df
+        return mentions_frame(out)
 
 
 def pattern_mentions_ds(extracted, concurrency=(1, 4)):

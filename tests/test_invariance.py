@@ -36,11 +36,13 @@ def test_salted_agg_equals_pandas_groupby(ray_session):
     one) equal pandas: keep-first, count+first under _edge_agg's adjacency
     finish, and a zero-row input."""
     import numpy as np
+    import ray
     import ray.data as rd
 
     from knowledgegraph__bh_ray.functions.hashing import bucket_of
     from knowledgegraph__bh_ray.stages.grouped import (
-        SIZE_DISPATCH_THRESHOLD,
+        LOCAL_AGG_HEAP_PER_BYTE,
+        LOCAL_AGG_MAX_ROWS,
         SizeEstimate,
         keep_first_block,
         plan_arm,
@@ -76,8 +78,13 @@ def test_salted_agg_equals_pandas_groupby(ray_session):
     local = SizeEstimate(len(df), int(df.memory_usage(deep=True).sum()))
     assert plan_arm(local) == "local"
     assert plan_arm(None) == "salted"
-    assert plan_arm(SizeEstimate(SIZE_DISPATCH_THRESHOLD + 1, 0)) == "salted"
+    assert plan_arm(SizeEstimate(LOCAL_AGG_MAX_ROWS + 1, 0)) == "salted"
     assert plan_arm(SizeEstimate(1, 1 << 60)) == "salted"
+    # the heap bound: a quarter of the smallest node's object store
+    store = min(n["Resources"]["object_store_memory"] for n in ray.nodes() if n["Alive"])
+    cap = int(store / 4 / LOCAL_AGG_HEAP_PER_BYTE)
+    assert plan_arm(SizeEstimate(1, cap)) == "local"
+    assert plan_arm(SizeEstimate(1, cap + 1)) == "salted"
 
     for est in (None, local):
         arm = plan_arm(est)
