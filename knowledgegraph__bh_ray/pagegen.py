@@ -293,17 +293,6 @@ def _load_base(documents_path: str) -> tuple[list[str], list[str]]:
     return docs.column("text").to_pylist(), docs.column("lang").to_pylist()
 
 
-def generate_pages_table(documents_path: str, replicas: int = 1) -> pa.Table:
-    """documents.parquet → deterministic pages table.
-
-    ``replicas`` > 1 amplifies the corpus for benchmarking: virtual doc
-    ``i`` (0 ≤ i < replicas·n_base) reuses base text ``i % n_base`` with its
-    own seeded grammar content — deterministic, no external data."""
-    texts, langs = _load_base(documents_path)
-    n_docs = len(texts) * replicas
-    return generate_pages_range(texts, langs, 0, n_docs, n_docs)
-
-
 ROWS_PER_FILE = 2048
 
 

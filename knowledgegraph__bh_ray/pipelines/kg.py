@@ -351,30 +351,21 @@ def page_graph_nodes_ds(pages_path: str):
 def node_parents_ds(source):
     """Parent resolution self-join (ops J2/J3) — order-independent: the
     reference resolves ``parent`` only when the parent row precedes the
-    child in file order (csv2owl.py:49-57).  Implemented as a distributed
-    hash-partitioned ``Dataset.join`` (nodes ⋈ nodes on parent = id) — the
-    both-sides-large join form; dangling parents → ''.  (When the node
-    table is vocabulary-sized a broadcast map is equivalent and cheaper —
-    this op deliberately exercises the shuffle join.)"""
+    child in file order (csv2owl.py:49-57).  Implemented as a reduce-side
+    left join (nodes ⋈ nodes on parent = id, stages/grouped.reduce_side_join)
+    — the both-sides-large join form; dangling parents → ''."""
+    from ..stages.grouped import reduce_side_join
+
     nodes = nodes_ds(source)
-    left = nodes.select_columns(["id", "name", "parent"])
-    right = nodes.select_columns(["id", "name"])
-    joined = left.join(
-        right,
-        join_type="left_outer",
-        num_partitions=8,
-        on=("parent",),
-        right_on=("id",),
-        left_suffix="",
-        right_suffix="_p",
+    # .get: the aggregation can hand over column-less empty blocks
+    parents = nodes.map_batches(
+        lambda b: pd.DataFrame({"id": b.get("id", []), "parent_name": b.get("name", [])}),
+        batch_format="pandas",
     )
-
-    def _finish(batch: pd.DataFrame) -> pd.DataFrame:
-        out = batch.rename(columns={"name_p": "parent_name"})
-        out["parent_name"] = out["parent_name"].fillna("")
-        return out[["id", "name", "parent", "parent_name"]]
-
-    return joined.map_batches(_finish, batch_format="pandas")
+    joined = reduce_side_join(nodes, ["id", "name", "parent"], "parent", parents, "id",
+                              vals=["parent_name"], how="left", num_parts=8)
+    return joined.map_batches(lambda b: b.fillna({"parent_name": ""}),
+                              batch_format="pandas")
 
 
 def bfs_reachable(pages_path: str, start_url: str, max_depth: int = 2, max_nodes: int = 100):

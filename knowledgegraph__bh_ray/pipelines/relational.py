@@ -4,8 +4,8 @@ General query/data-processing capability of the engine — grouped aggregates
 with per-batch partials, broadcast hash joins, global sort + limit, and the
 event-stream windowing ops (tumbling window, gap sessionization) that cover
 the "streaming-shaped" surface (SURVEY.md §2.9: the reference is batch-only;
-these are the engine's additions, expressed as groupby/map_groups over a
-partitioned, time-sorted log per the Ray guide).
+these are the engine's additions, expressed as per-partition reduces over
+one keyed ``exchange`` of a time-sorted log, per the Ray guide).
 
 Numeric policy for the DuckDB gate: aggregate integers only — floats are
 floored to integer cents *per row* before summation (`floor(x*100)` is
@@ -223,9 +223,7 @@ def events_quantiles_ds(sf_dir: str, qs: tuple = QUANTILES):
     per-type quantile walk is one cumsum over the merged histogram.
     Semantics = DuckDB ``percentile_disc``: 1-indexed position
     ``max(1, ceil(q·N))`` of the ascending values (verified empirically)."""
-    import math
-
-    from ..stages.grouped import coalesced_groupby, hash_partitioned_agg
+    from ..stages.grouped import exchange, hash_partitioned_agg
 
     def _hist(batch: pd.DataFrame) -> pd.DataFrame:
         cents = np.floor(batch["value"] * 100).astype("int64")
@@ -246,25 +244,25 @@ def events_quantiles_ds(sf_dir: str, qs: tuple = QUANTILES):
     hist = hash_partitioned_agg(ev.map_batches(_hist, batch_format="pandas"),
                                 ["event_type", "cents"], _sum, num_parts=4)
 
-    def _quantiles(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values("cents", kind="mergesort")
-        cents = g["cents"].to_numpy()
-        cum = g["n"].to_numpy().cumsum()
-        total = int(cum[-1])
-        out = {"event_type": [], "q": [], "value_cents": []}
+    def _quantiles(df: pd.DataFrame) -> pd.DataFrame:
+        # every type routed here in one walk: per type, the q-quantile is
+        # the first cents value whose running count reaches its position
+        g = df.sort_values(["event_type", "cents"], kind="mergesort")
+        n = g.groupby("event_type", sort=False)["n"]
+        cum = n.cumsum().to_numpy()
+        total = n.transform("sum").to_numpy()
+        frames = []
         for q in qs:
-            pos = max(1, math.ceil(q * total))
-            idx = int(np.searchsorted(cum, pos, side="left"))
-            out["event_type"].append(g["event_type"].iloc[0])
-            out["q"].append(float(q))
-            out["value_cents"].append(int(cents[idx]))
-        df = pd.DataFrame(out)
-        df["value_cents"] = df["value_cents"].astype("int64")
-        return df
+            hit = g[cum >= np.maximum(1, np.ceil(q * total))]
+            first = hit.drop_duplicates(subset=["event_type"])
+            frames.append(pd.DataFrame({
+                "event_type": first["event_type"].to_numpy(),
+                "q": float(q),
+                "value_cents": first["cents"].to_numpy(dtype="int64"),
+            }))
+        return pd.concat(frames, ignore_index=True)
 
-    return coalesced_groupby(hist, "event_type", 4).map_groups(
-        _quantiles, batch_format="pandas"
-    )
+    return exchange(hist, ["event_type"], _quantiles, 4)
 
 
 def top_anchor_texts_ds(sf_dir: str, links_all_ds, k: int = 3):

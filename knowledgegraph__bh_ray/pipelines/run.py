@@ -326,10 +326,6 @@ def run_kg_pipeline(
     }
 
 
-def read_output(out_dir: str, table: str):
-    return rd.read_parquet(os.path.join(out_dir, table))
-
-
 def degree_from_adjacency(out_dir: str, table: str = "edges"):
     """SHUFFLE-FREE per-entity degree over the bucketed adjacency layout.
 

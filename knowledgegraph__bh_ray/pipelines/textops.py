@@ -391,8 +391,11 @@ def pack_sequences_ds(sf_dir: str, seq_len: int = 512, range_size: int = 64):
       2. per-range token sums via a partitioned agg — one row per range, a
          corpus/range_size-sized table (range_size is set so this is
          ~1e5 rows at 100 TB), cumsum'd on the driver and broadcast once;
-      3. hash shuffle by ``range_key`` → per-group vectorized sort+cumsum,
-         plus the broadcast range offset.
+      3. one ``exchange`` by ``range_key`` → per-partition vectorized
+         sort + within-range cumsum, plus the broadcast range offset.
+
+    Steps 2–3 are ``stages/rank.prefix_offsets`` with weight ``n_tokens``
+    — the helper ``attach_sorted_rank`` runs with weight 1.
 
     The only driver-side state is the per-range sum table; the only
     shuffle moves the narrow int rows.  ``range_size`` defaults low for
@@ -415,41 +418,28 @@ def pack_sequences_ds(sf_dir: str, seq_len: int = 512, range_size: int = 64):
 
     tok = docs.map_batches(_narrow, batch_format="pandas").materialize()
 
-    from ..stages.grouped import hash_partitioned_agg
+    from ..stages.rank import prefix_offsets
 
-    def _sum(d: pd.DataFrame) -> pd.DataFrame:
-        out = d.groupby("range_key", sort=False, as_index=False)["n_tokens"].sum()
-        out["n_tokens"] = out["n_tokens"].astype("int64")
-        return out
-
-    sums = hash_partitioned_agg(
-        tok.select_columns(["range_key", "n_tokens"]), ["range_key"], _sum
-    ).to_pandas()
-    sums = sums.sort_values("range_key", kind="mergesort")
-    range_keys = sums["range_key"].to_numpy(dtype=np.int64)
-    range_offsets = np.concatenate(
-        ([0], np.cumsum(sums["n_tokens"].to_numpy(dtype=np.int64))[:-1])
-    )
-    off_ref = ray.put((range_keys, range_offsets))
-
-    def _within_range(group: pd.DataFrame) -> pd.DataFrame:
-        keys, offs = ray.get(off_ref)
-        g = group.sort_values("doc_id", kind="mergesort")
-        base = offs[np.searchsorted(keys, int(g["range_key"].iloc[0]))]
-        ends = g["n_tokens"].to_numpy(dtype=np.int64).cumsum()
-        token_offset = base + ends - g["n_tokens"].to_numpy(dtype=np.int64)
+    def _emit(g: pd.DataFrame, token_offset: np.ndarray) -> pd.DataFrame:
+        n_tokens = g["n_tokens"].to_numpy(dtype=np.int64)
         return pd.DataFrame(
             {
                 "doc_id": g["doc_id"].to_numpy(dtype=np.int64),
-                "n_tokens": g["n_tokens"].to_numpy(dtype=np.int64),
+                "n_tokens": n_tokens,
                 "token_offset": token_offset,
                 "first_seq": token_offset // seq_len,
-                "last_seq": (token_offset + g["n_tokens"].to_numpy(dtype=np.int64) - 1)
-                // seq_len,
+                "last_seq": (token_offset + n_tokens - 1) // seq_len,
             }
         )
 
-    return tok.groupby("range_key").map_groups(_within_range, batch_format="pandas")
+    # one partition per block of the narrow table, the width Ray's own
+    # groupby picks: at sf0.1 (8 blocks, 79 ranges) the default 16 cost
+    # ~0.3 s of per-task overhead (PERF.md round 11)
+    return prefix_offsets(
+        tok, "range_key",
+        order=lambda g: g.sort_values("doc_id", kind="mergesort"),
+        emit=_emit, weight_col="n_tokens", num_parts=tok.num_blocks(),
+    )
 
 
 def inverted_index_ds(sf_dir: str, num_parts: int = 16):
@@ -628,7 +618,7 @@ def distinct_users_hll_ds(sf_dir: str):
     exact two-level dedup (distinct_users_by_type_ds).  Deterministic and
     merge-invariant (pytest: partitioning cannot change the estimate)."""
     from ..functions.hll import hll_estimate, hll_rows
-    from ..stages.grouped import coalesced_groupby, hash_partitioned_agg
+    from ..stages.grouped import exchange, hash_partitioned_agg
 
     def _partial(batch: pd.DataFrame) -> pd.DataFrame:
         frames = []
@@ -649,17 +639,14 @@ def distinct_users_hll_ds(sf_dir: str):
     regs = hash_partitioned_agg(ev.map_batches(_partial, batch_format="pandas"),
                                 ["event_type", "idx"], _max, num_parts=8)
 
-    def _est(g: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "event_type": [g["event_type"].iloc[0]],
-                "n_users_est": pd.Series(
-                    [hll_estimate(g["idx"].to_numpy(), g["rho"].to_numpy())], dtype="int64"
-                ),
-            }
-        )
+    def _est(df: pd.DataFrame) -> pd.DataFrame:
+        # one estimate per event type routed here: ≤ HLL_M register rows each
+        rows = [(etype, hll_estimate(g["idx"].to_numpy(), g["rho"].to_numpy()))
+                for etype, g in df.groupby("event_type", sort=False)]
+        return pd.DataFrame(rows, columns=["event_type", "n_users_est"]).astype(
+            {"n_users_est": "int64"})
 
-    return coalesced_groupby(regs, "event_type", 4).map_groups(_est, batch_format="pandas")
+    return exchange(regs, ["event_type"], _est, 4)
 
 
 def curate_corpus_ds(sf_dir: str, min_chars: int = 20, min_tokens: int = 5):
@@ -1249,7 +1236,7 @@ def profile_documents_ds(sf_dir: str):
     compare numerically (value stored as micros-free int string but
     compared via int cast), string columns lexicographically — matching
     the mirror's native-type min/max exactly."""
-    from ..stages.grouped import hash_partitioned_agg
+    from ..stages.grouped import exchange, hash_partitioned_agg
 
     NULL_KEY = "\x00null"
 
@@ -1282,9 +1269,10 @@ def profile_documents_ds(sf_dir: str):
         ["column", "value"], _sum, num_parts=8,
     )
 
-    def _fold(group: pd.DataFrame) -> pd.DataFrame:
+    def _fold(df: pd.DataFrame) -> pd.DataFrame:
+        # one profile row per column routed here
         rows = []
-        for col, g in group.groupby("column", sort=False):
+        for col, g in df.groupby("column", sort=False):
             nulls = g[g["value"] == NULL_KEY]
             vals = g[g["value"] != NULL_KEY]
             n_nulls = int(nulls["n"].sum())
@@ -1306,11 +1294,7 @@ def profile_documents_ds(sf_dir: str):
             out[c] = out[c].astype("int64")
         return out
 
-    from ..stages.grouped import coalesced_groupby
-
-    return coalesced_groupby(counts, "column", 4).map_groups(
-        _fold, batch_format="pandas"
-    )
+    return exchange(counts, ["column"], _fold, 4)
 
 
 def mix_corpora_ds(sf_dir: str, seed: str = "m0"):

@@ -289,6 +289,8 @@ def q_kg_stats(sf_dir: str):
     import pyarrow as pa
     import pyarrow.compute as pc
 
+    from .stages.grouped import exchange
+
     pages = _prep(sf_dir)
     parsed = kg.parsed_ds(pages)
 
@@ -307,18 +309,13 @@ def q_kg_stats(sf_dir: str):
             }
         )
 
-    totals = (
-        parsed.map_batches(_partial, batch_format="pyarrow")
-        .map_batches(
-            lambda df: df.assign(_k=np.int64(0)), batch_format="pandas"
-        )
-        .groupby("_k")
-        .map_groups(
-            lambda g: g.drop(columns=["_k"]).sum().to_frame().T.astype("int64"),
-            batch_format="pandas",
-        )
+    # keyless total: every partial routes to the one partition
+    return exchange(
+        parsed.map_batches(_partial, batch_format="pyarrow"),
+        lambda df: np.zeros(len(df), dtype="int64"),
+        lambda g: g.sum().to_frame().T.astype("int64"),
+        num_parts=1,
     )
-    return totals
 
 
 def q_kg_extract_zh(sf_dir: str):

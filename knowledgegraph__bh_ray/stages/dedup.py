@@ -1,13 +1,13 @@
 """Near-duplicate detection suite (training-data ops, task brief).
 
-  * MinHash + LSH   — shingle → minhash signature → banded LSH groupby →
+  * MinHash + LSH   — shingle → minhash signature → banded LSH exchange →
                       candidate pairs → signature-estimated Jaccard verify
   * SimHash         — 64-bit token-feature simhash, banded candidate
                       generation, Hamming-distance verify
   * n-gram Jaccard  — exact word-set Jaccard pairs within a blocking group
   * embedding cosine— exact pairwise cosine within a blocking group
 
-All candidate generation is shuffle-based (``groupby`` on band/bucket keys —
+All candidate generation is shuffle-based (``exchange`` on band/bucket keys —
 never an all-pairs scan across blocks); exact variants restrict the
 quadratic work to within explicitly-blocked groups and exist to oracle-check
 the approximate paths.  Signatures are computed per batch with numpy; the
@@ -94,11 +94,6 @@ def minhash_signatures_batch(texts, n: int = 3) -> np.ndarray:
     return sigs
 
 
-def minhash_signature(text: str) -> np.ndarray:
-    """Single-doc convenience wrapper over the batched kernel."""
-    return minhash_signatures_batch([text])[0]
-
-
 def band_hashes(sigs: np.ndarray) -> np.ndarray:
     """(n_docs, N_PERM) signatures → (n_docs, N_BANDS) uint64 band hashes
     (polynomial combine of the band's rows, vectorized across docs)."""
@@ -159,26 +154,6 @@ def _bucket_layout(g: pd.DataFrame, bucket_cols: list[str]) -> tuple[np.ndarray,
     starts = np.flatnonzero(new_run)
     counts = np.diff(np.concatenate([starts, [n]]))
     return starts, counts
-
-
-def candidate_pairs_from_band(group: pd.DataFrame, id_col: str, threshold: float) -> pd.DataFrame:
-    """One LSH bucket → verified candidate pairs (estimated Jaccard =
-    matching minhash positions / N_PERM ≥ threshold), vectorized over the
-    bucket's (k × k) signature comparison."""
-    g = group.drop_duplicates(subset=[id_col]).sort_values(id_col, kind="mergesort")
-    ids = g[id_col].to_numpy()
-    k = len(ids)
-    if k < 2:
-        return pd.DataFrame({"id_a": pd.Series([], dtype=g[id_col].dtype),
-                             "id_b": pd.Series([], dtype=g[id_col].dtype),
-                             "est_jaccard": pd.Series([], dtype="float64")})
-    sigs = np.vstack(list(g["sig"])).astype(np.uint64)
-    iu, ju = np.triu_indices(k, 1)
-    est = (sigs[iu] == sigs[ju]).mean(axis=1)
-    m = est >= threshold
-    return pd.DataFrame(
-        {"id_a": ids[iu[m]], "id_b": ids[ju[m]], "est_jaccard": est[m].astype(np.float64)}
-    )
 
 
 def minhash_pairs_ds(ds, id_col: str, text_col: str, threshold: float = 0.8):
@@ -251,11 +226,6 @@ def simhash64_batch(texts) -> np.ndarray:
     return out
 
 
-def simhash64(text: str) -> int:
-    """Single-doc convenience wrapper over the batched kernel."""
-    return int(simhash64_batch([text])[0])
-
-
 def _popcount64(x: np.ndarray) -> np.ndarray:
     """Vectorized popcount of a uint64 array (unpackbits over the byte view)."""
     if len(x) == 0:
@@ -326,6 +296,24 @@ def simhash_pairs_ds(ds, id_col: str, text_col: str, max_hamming: int = 3):
 # ---------------------------------------------------------------------------
 
 
+def _blocked(ds, block_col, pairs):
+    """``pairs`` run on each blocking group of ``ds`` (``block_col``: one
+    column or several): one ``exchange`` by the block key, and each
+    partition loops over the blocks routed to it — the quadratic work is
+    per block by nature."""
+    from .grouped import exchange
+
+    keys = [block_col] if isinstance(block_col, str) else list(block_col)
+
+    def _reduce(df: pd.DataFrame) -> pd.DataFrame:
+        return pd.concat(
+            [pairs(g) for _, g in df.groupby(keys, sort=False, dropna=False)],
+            ignore_index=True,
+        )
+
+    return exchange(ds, keys, _reduce)
+
+
 def jaccard_pairs_ds(ds, block_col: str, id_col: str, text_col: str, threshold: float):
     """Exact word-set Jaccard pairs within blocking groups (SQL-mirrorable:
     list_intersect/list_distinct in DuckDB).  Quadratic only within a block."""
@@ -351,9 +339,7 @@ def jaccard_pairs_ds(ds, block_col: str, id_col: str, text_col: str, threshold: 
                                 "jaccard": pd.Series([], dtype="float64")})
         return out
 
-    from .grouped import coalesced_groupby
-
-    return coalesced_groupby(ds, block_col).map_groups(_pairs, batch_format="pandas")
+    return _blocked(ds, block_col, _pairs)
 
 
 def embedding_pairs_ds(ds, block_col: str, id_col: str, vec_col: str, threshold: float):
@@ -373,9 +359,7 @@ def embedding_pairs_ds(ds, block_col: str, id_col: str, vec_col: str, threshold:
             {"id_a": ids[iu[m]], "id_b": ids[ju[m]]}
         ).astype({"id_a": "int64", "id_b": "int64"})
 
-    from .grouped import coalesced_groupby
-
-    return coalesced_groupby(ds, block_col).map_groups(_pairs, batch_format="pandas")
+    return _blocked(ds, block_col, _pairs)
 
 
 LSH_TABLES = 8
@@ -453,7 +437,7 @@ def semantic_dedup_ds(ds, id_col: str, vec_col: str, threshold: float = 0.3,
     """
     import ray
 
-    from .grouped import coalesced_groupby
+    from .grouped import exchange
     from .simsearch import _normalize, train_centroids
 
     C = train_centroids(ds, id_col, vec_col, n_centroids)
@@ -488,9 +472,10 @@ def semantic_dedup_ds(ds, id_col: str, vec_col: str, threshold: float = 0.3,
             kept[i] = True
         return kept, dup_of
 
-    def _greedy(group: pd.DataFrame) -> pd.DataFrame:
+    def _greedy(df: pd.DataFrame) -> pd.DataFrame:
+        # every cluster routed to this partition, one leader pass each
         frames = []
-        for cid, g in group.groupby("cluster_id", sort=False):
+        for cid, g in df.groupby("cluster_id", sort=False):
             g = g.sort_values(id_col, kind="mergesort")
             ids = g[id_col].to_numpy()
             vecs = g["vec"].to_numpy()
@@ -522,7 +507,4 @@ def semantic_dedup_ds(ds, id_col: str, vec_col: str, threshold: float = 0.3,
             }
         )
 
-    assigned = ds.map_batches(_assign, batch_format="pandas")
-    return coalesced_groupby(assigned, "cluster_id").map_groups(
-        _greedy, batch_format="pandas"
-    )
+    return exchange(ds, ["cluster_id"], _greedy, map=_assign)

@@ -2,10 +2,20 @@
 stragglers").
 
 ``exchange`` is the engine's only keyed shuffle: every hash-partitioned
-aggregation, reduce-side join and per-key window in the package routes
-rows through it, so how a keyed exchange runs on Ray is decided here and
-nowhere else.  ``reduce_side_join`` (inner / left / semi / anti) and the
-aggregations below are built on it.
+aggregation, reduce-side join, per-key window and per-key merge in the
+package routes rows through it, so how a keyed exchange runs on Ray is
+decided here and nowhere else.  ``reduce_side_join`` (inner / left / semi /
+anti) and the aggregations below are built on it.  A caller's reduce runs
+once per *partition* and handles every key routed there — vectorized
+where the op allows (top-k merge, prefix offsets, quantile walk), a loop
+over ``df.groupby(key, sort=False)`` where the work is per key by nature
+(blocked pair verification, SemDeDup's greedy pass).
+
+The wide ops that stay outside are keyless: the global ``Dataset.sort``
+behind sorted top-k (``bigram_top_ds``, ``top_parts_ds``, the graph-JSON
+streamer), ``Dataset.unique``, the seeded ``random_shuffle`` sample, and
+the ``repartition(1)`` merges of driver-sized sketches.  ``collect_if_small``
+and ``plan_arm`` below are size dispatches, not shuffles.
 
 Web-text entity keys are Zipfian — a bare ``groupby(key)`` ships every
 occurrence of the head entity to one reducer, and per-*group* Python
@@ -115,12 +125,6 @@ def collect_if_small(ds, threshold: int) -> pd.DataFrame | None:
     return ds.to_pandas() if ds.count() <= threshold else None
 
 
-def coalesced_groupby(ds, keys, num_partitions: int = DEFAULT_COMBINE_PARTITIONS):
-    """repartition (cheap, no shuffle-sort) + groupby — the engine's default
-    wide-aggregation entry for already-small datasets."""
-    return ds.repartition(num_partitions).groupby(keys)
-
-
 def _key_hash(df: pd.DataFrame, cols: list[str]) -> pd.Series:
     """Fast vectorized row hash of key columns (load-balancing only — the
     aggregation result never depends on partition assignment)."""
@@ -219,7 +223,6 @@ def salted_grouped_agg(
     salt_from: str,
     salt_buckets: int = 16,
     combine_partitions: int = DEFAULT_COMBINE_PARTITIONS,
-    block_agg_salted: Callable[[pd.DataFrame], pd.DataFrame] | None = None,
     final_route: Callable[[pd.DataFrame], np.ndarray] | None = None,
     finish: Callable[[pd.DataFrame], pd.DataFrame] | None = None,
     est: SizeEstimate | None = None,
@@ -228,8 +231,8 @@ def salted_grouped_agg(
     module docstring.
 
     ``block_agg``: vectorized combine of rows sharing ``keys`` within a
-    DataFrame.  ``block_agg_salted`` (default: same logic over
-    keys+[_salt]) is used for the intermediate salted level.
+    DataFrame; every level runs it (the salted level without the salt
+    column).
 
     ``final_route`` (default: hash(keys) % combine_partitions) maps the
     salted level's rows to their final group; it must depend on key
@@ -252,10 +255,7 @@ def salted_grouped_agg(
         return part
 
     def _combine_salted(df: pd.DataFrame) -> pd.DataFrame:
-        if block_agg_salted is not None:
-            out = block_agg_salted(df).drop(columns=[SALT_COL], errors="ignore")
-        else:
-            out = block_agg(df.drop(columns=[SALT_COL]))
+        out = block_agg(df.drop(columns=[SALT_COL]))
         # route for the final level inside this UDF: a separate route
         # stage after map_groups costs ~0.1 s per aggregation (PERF.md
         # round 7)

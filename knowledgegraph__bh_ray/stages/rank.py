@@ -4,7 +4,8 @@ The building block the streamed graph-JSON exporter needs (and a generally
 useful wide op Ray Data lacks): assign each row its 0-based position in the
 global ``key`` sort order WITHOUT materializing the table on the driver.
 
-Shape (the pack_sequences prefix-sum pattern, generalized to string keys):
+Shape (the pack_sequences prefix-sum pattern, generalized to string keys;
+both run on ``prefix_offsets`` below):
 
   1. a deterministic uniform row sample (bottom-k over a process-stable
      hash of the key) gives ``num_buckets - 1`` boundary keys — the only
@@ -14,8 +15,8 @@ Shape (the pack_sequences prefix-sum pattern, generalized to string keys):
      in bucket b+1;
   3. per-bucket row counts (a ``num_buckets``-row agg) are cumsum'd on the
      driver into base offsets and broadcast once;
-  4. one hash shuffle by bucket, then a per-bucket vectorized sort +
-     ``arange`` + base offset.
+  4. one ``exchange`` by bucket; each partition sorts its rows once and
+     ranks every bucket routed to it: within-bucket position + base offset.
 
 Rank correctness is boundary-independent (the sample only balances bucket
 sizes); equality vs a serial argsort is pytested and the ``sorted_rank``
@@ -30,7 +31,7 @@ import numpy as np
 import pandas as pd
 import ray
 
-from .grouped import hash_partitioned_agg
+from .grouped import exchange, hash_partitioned_agg
 
 DEFAULT_SAMPLE_K = 4096
 
@@ -87,45 +88,61 @@ def attach_sorted_rank(ds, key: str, rank_col: str = "rank",
 
     routed = ds.map_batches(_route, batch_format="pandas").materialize()
 
-    def _count(d: pd.DataFrame) -> pd.DataFrame:
-        if "_bucket" not in d.columns or not len(d):
-            return pd.DataFrame({"_bucket": pd.Series([], dtype="int64"),
-                                 "n": pd.Series([], dtype="int64")})
-        out = d.groupby("_bucket", sort=False).size().rename("n").reset_index()
-        out["n"] = out["n"].astype("int64")
-        return out
-
-    def _count_sum(d: pd.DataFrame) -> pd.DataFrame:
-        out = d.groupby("_bucket", sort=False, as_index=False)["n"].sum()
-        out["n"] = out["n"].astype("int64")
-        return out
-
-    counts = hash_partitioned_agg(
-        routed.select_columns([key, "_bucket"]).map_batches(
-            _count, batch_format="pandas"),
-        ["_bucket"], _count_sum,
-    ).to_pandas()  # ≤ num_buckets rows
-    counts = counts.sort_values("_bucket", kind="mergesort")
-    bucket_ids = counts["_bucket"].to_numpy(dtype="int64")
-    bases = np.concatenate(
-        ([0], np.cumsum(counts["n"].to_numpy(dtype="int64"))[:-1]))
-    off_ref = ray.put((bucket_ids, bases))
-
-    def _rank(group: pd.DataFrame) -> pd.DataFrame:
-        empty_cols = {c: pd.Series([], dtype=object) for c in cols}
-        empty_cols[rank_col] = pd.Series([], dtype="int64")
-        if key not in group.columns or not len(group):
-            return pd.DataFrame(empty_cols)
-        ids, offs = ray.get(off_ref)
-        g = group.sort_values(key, key=lambda s: s.astype(str),
-                              kind="mergesort")
-        base = offs[np.searchsorted(ids, int(g["_bucket"].iloc[0]))]
+    def _emit(g: pd.DataFrame, offset: np.ndarray) -> pd.DataFrame:
         out = g[cols].reset_index(drop=True)
-        out[rank_col] = base + np.arange(len(g), dtype="int64")
+        out[rank_col] = offset
         return out
 
-    return (
-        routed.repartition(min(num_buckets, 16))
-        .groupby("_bucket")
-        .map_groups(_rank, batch_format="pandas")
+    return prefix_offsets(
+        routed, "_bucket",
+        order=lambda g: g.sort_values(key, key=lambda s: s.astype(str), kind="mergesort"),
+        emit=_emit, num_parts=min(num_buckets, 16),
     )
+
+
+def prefix_offsets(ds, bucket_col: str, order, emit, weight_col: str | None = None,
+                   num_parts: int = 16):
+    """Global exclusive prefix sum of ``weight_col`` (1 per row when
+    ``None``) over an order-preserving partition: bucket ids ascend with
+    the global order, so every row of bucket b precedes every row of
+    bucket b+1.
+
+      1. bucket totals: one hash-partitioned agg, ≤ |buckets| rows,
+         collected and turned into each bucket's base offset (the
+         exclusive prefix over ascending ids) on the driver, broadcast once;
+      2. one ``exchange`` by bucket: each partition sorts its rows with
+         ``order(df)`` and calls ``emit(sorted_df, offset)`` once, where a
+         row's offset is its bucket's base plus the exclusive sum of the
+         weights before it in its bucket — for every bucket routed there.
+
+    ``attach_sorted_rank`` uses weight 1 (offset = rank);
+    ``pack_sequences_ds`` uses each doc's token count (offset = the doc's
+    first token)."""
+
+    def _total(d: pd.DataFrame) -> pd.DataFrame:
+        if "_w" not in d.columns:  # raw rows: this batch's weights
+            w = d[weight_col] if weight_col else np.int64(1)
+            d = pd.DataFrame({bucket_col: d[bucket_col], "_w": w})
+        out = d.groupby(bucket_col, sort=False, as_index=False)["_w"].sum()
+        out["_w"] = out["_w"].astype("int64")
+        return out
+
+    totals = hash_partitioned_agg(
+        ds.select_columns([bucket_col] + ([weight_col] if weight_col else [])),
+        [bucket_col], _total, num_parts,
+    ).to_pandas()  # ≤ |buckets| rows
+    totals = totals.sort_values(bucket_col, kind="mergesort")
+    ids = totals[bucket_col].to_numpy(dtype="int64")
+    bases = np.concatenate(([0], np.cumsum(totals["_w"].to_numpy(dtype="int64"))[:-1]))
+    off_ref = ray.put((ids, bases))
+
+    def _offsets(df: pd.DataFrame) -> pd.DataFrame:
+        ids, bases = ray.get(off_ref)
+        g = order(df)
+        b = g[bucket_col].to_numpy(dtype="int64")
+        w = (g[weight_col].to_numpy(dtype="int64") if weight_col
+             else np.ones(len(g), dtype="int64"))
+        before = pd.Series(w).groupby(b, sort=False).cumsum().to_numpy() - w
+        return emit(g, bases[np.searchsorted(ids, b)] + before)
+
+    return exchange(ds, [bucket_col], _offsets, num_parts)

@@ -30,8 +30,8 @@ def _normalize(M: np.ndarray) -> np.ndarray:
 def brute_topk_ds(ds, queries: dict[int, np.ndarray], id_col: str, vec_col: str, k: int = 10):
     """Dataset(id, vec) × query dict → (query_id, id, rank) exact top-k.
 
-    Per-batch partial top-k (k rows per query per batch) → global merge via
-    a tiny groupby over ≤ k·n_batches·n_queries rows."""
+    Per-batch partial top-k (k rows per query per batch) → global merge in
+    one exchange over ≤ k·n_batches·n_queries rows (``_merge_topk``)."""
     import ray
 
     qids = sorted(queries.keys())
@@ -52,35 +52,40 @@ def brute_topk_ds(ds, queries: dict[int, np.ndarray], id_col: str, vec_col: str,
             out["sim"].extend(sims[qi][top])
         return pd.DataFrame(out)
 
-    def _final(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values(["sim", id_col], ascending=[False, True], kind="mergesort").head(k)
-        g = g.reset_index(drop=True)
+    partials = ds.map_batches(_partial, batch_format="pandas")
+    return _merge_topk(partials, id_col, k)
+
+
+def _merge_topk(partials, id_col: str, k: int):
+    """Per-batch partial top-k rows (query_id, id, sim) → (query_id, id,
+    rank): one ``exchange`` by query id; each partition ranks every query
+    routed to it in one sort (sim descending, id ascending) and keeps each
+    query's first k rows.  Partitions that get no query come out as empty
+    blocks with the real schema, which keeps consumers typed."""
+    from .grouped import exchange
+
+    def _rank(df: pd.DataFrame) -> pd.DataFrame:
+        g = df.sort_values(["query_id", "sim", id_col], ascending=[True, False, True],
+                           kind="mergesort")
+        rank = g.groupby("query_id", sort=False).cumcount().to_numpy(dtype="int64") + 1
+        g = g[rank <= k]
         return pd.DataFrame(
             {
-                "query_id": g["query_id"].astype("int64"),
-                id_col: g[id_col].astype("int64"),
-                "rank": np.arange(1, len(g) + 1, dtype="int64"),
+                "query_id": g["query_id"].to_numpy(dtype="int64"),
+                id_col: g[id_col].to_numpy(dtype="int64"),
+                "rank": rank[rank <= k],
             }
         )
 
-    from .grouped import coalesced_groupby
+    def _pin_schema(d: pd.DataFrame) -> pd.DataFrame:
+        if len(d.columns) == 0:
+            return pd.DataFrame(
+                {c: pd.Series([], dtype="int64") for c in ("query_id", id_col, "rank")}
+            )
+        return d
 
-    partials = ds.map_batches(_partial, batch_format="pandas")
-    ranked = coalesced_groupby(partials, "query_id", 4).map_groups(
-        _final, batch_format="pandas"
-    )
-    return ranked.map_batches(lambda d: _pin_rank_schema(d, id_col), batch_format="pandas")
-
-
-def _pin_rank_schema(d: pd.DataFrame, id_col: str) -> pd.DataFrame:
-    """Give the empty passthrough blocks that fall out of map_groups (more
-    groupby partitions than query groups) the real output schema — silences
-    the executor's schema-mismatch warnings and keeps consumers typed."""
-    if len(d.columns) == 0:
-        return pd.DataFrame(
-            {c: pd.Series([], dtype="int64") for c in ("query_id", id_col, "rank")}
-        )
-    return d
+    ranked = exchange(partials, ["query_id"], _rank, 4)
+    return ranked.map_batches(_pin_schema, batch_format="pandas")
 
 
 def lsh_buckets_batch(batch: pd.DataFrame, vec_col: str) -> pd.DataFrame:
@@ -144,25 +149,9 @@ def lsh_topk_ds(ds, queries: dict[int, np.ndarray], id_col: str, vec_col: str, k
             }
         )
 
-    def _final(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values(["sim", id_col], ascending=[False, True], kind="mergesort").head(k)
-        g = g.reset_index(drop=True)
-        return pd.DataFrame(
-            {
-                "query_id": g["query_id"].astype("int64"),
-                id_col: g[id_col].astype("int64"),
-                "rank": np.arange(1, len(g) + 1, dtype="int64"),
-            }
-        )
-
-    from .grouped import coalesced_groupby
-
     bucketed = ds.map_batches(lambda b: lsh_buckets_batch(b, vec_col), batch_format="pandas")
     partials = bucketed.map_batches(_partial, batch_format="pandas")
-    ranked = coalesced_groupby(partials, "query_id", 4).map_groups(
-        _final, batch_format="pandas"
-    )
-    return ranked.map_batches(lambda d: _pin_rank_schema(d, id_col), batch_format="pandas")
+    return _merge_topk(partials, id_col, k)
 
 
 # ---------------------------------------------------------------------------
@@ -246,24 +235,8 @@ def ivf_topk_ds(ds, queries: dict[int, np.ndarray], id_col: str, vec_col: str,
             }
         )
 
-    def _final(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values(["sim", id_col], ascending=[False, True], kind="mergesort").head(k)
-        g = g.reset_index(drop=True)
-        return pd.DataFrame(
-            {
-                "query_id": g["query_id"].astype("int64"),
-                id_col: g[id_col].astype("int64"),
-                "rank": np.arange(1, len(g) + 1, dtype="int64"),
-            }
-        )
-
-    from .grouped import coalesced_groupby
-
     partials = ds.map_batches(_partial, batch_format="pandas")
-    ranked = coalesced_groupby(partials, "query_id", 4).map_groups(
-        _final, batch_format="pandas"
-    )
-    return ranked.map_batches(lambda d: _pin_rank_schema(d, id_col), batch_format="pandas")
+    return _merge_topk(partials, id_col, k)
 
 
 def embedding_clusters_ds(ds, id_col: str, vec_col: str,

@@ -80,6 +80,44 @@ def test_embedding_pairs_match_bruteforce(ray_session):
     assert got_pairs == want
 
 
+def test_jaccard_pairs_match_python_reference(ray_session):
+    """Exact blocked word-set Jaccard against a pure-Python reference on 12
+    blocks — more blocks than the exchange's partitions, so partitions
+    verify several blocks each; includes a single-doc block, an empty
+    text and case/whitespace variants."""
+    rng = np.random.RandomState(5)
+    vocab = [f"w{i}" for i in range(12)]
+    rows = []
+    for block in range(12):
+        for _ in range(1 + block % 5):
+            words = rng.choice(vocab, size=rng.randint(1, 6)).tolist()
+            rows.append((f"src{block}", len(rows), "  ".join(words).upper()
+                         if len(rows) % 3 == 0 else " ".join(words)))
+    rows.append(("src3", len(rows), "   "))
+    docs = pd.DataFrame(rows, columns=["source", "doc_id", "text"])
+    docs["doc_id"] = docs["doc_id"].astype("int64")
+    got = dedup.jaccard_pairs_ds(
+        rd.from_pandas(docs).repartition(4), "source", "doc_id", "text", 0.5
+    ).to_pandas()
+
+    def _words(t):
+        return set(t.strip().lower().split()) if t.strip() else set()
+
+    want = set()
+    for _, g in docs.groupby("source"):
+        block = list(zip(g["doc_id"], g["text"]))  # doc_id order
+        for n, (i, ti) in enumerate(block):
+            for j, tj in block[n + 1:]:
+                u = len(_words(ti) | _words(tj))
+                jac = len(_words(ti) & _words(tj)) / u if u else 0.0
+                if jac >= 0.5:
+                    want.add((int(i), int(j), jac))
+    assert want
+    assert set(zip(got["id_a"], got["id_b"], got["jaccard"])) == want
+    assert len(got) == len(want)
+    assert str(got["id_a"].dtype) == "int64" and str(got["jaccard"].dtype) == "float64"
+
+
 def test_embedding_lsh_recall(ray_session):
     """LSH-bucketed variant finds a reasonable share of the exact pairs and
     emits no pair below threshold (its pairs are a subset of brute force)."""
@@ -164,39 +202,46 @@ def test_decontaminate_flags_ngram_overlap(ray_session, tmp_path):
 
 def test_pack_sequences_prefix_sum(ray_session, tmp_path):
     """Global token offsets equal the serial cumsum in doc_id order even
-    with doc_id gaps across ranges; bin spans cover seq_len boundaries."""
+    with doc_id gaps across ranges; bin spans cover seq_len boundaries —
+    also with more ranges than the exchange has partitions (one per block
+    of the narrow table), so a partition offsets several ranges."""
     import pyarrow as pa
     import pyarrow.parquet as pq
 
     from knowledgegraph__bh_ray.pipelines.textops import pack_sequences_ds
 
-    # doc ids straddle several range_size=4 ranges, with gaps
-    ids = [0, 1, 5, 6, 9, 17]
-    texts = ["w " * k for k in (3, 5, 4, 7, 2, 6)]  # token counts 3,5,4,7,2,6
-    pq.write_table(
-        pa.table({"doc_id": pa.array(ids, pa.int64()), "text": [t.strip() for t in texts]}),
-        str(tmp_path / "documents.parquet"),
-    )
-    got = (
-        pack_sequences_ds(str(tmp_path), seq_len=8, range_size=4)
-        .to_pandas()
-        .sort_values("doc_id")
-        .reset_index(drop=True)
-    )
-    assert list(got["doc_id"]) == ids
-    # serial reference
-    off, offs = 0, []
-    for k in (3, 5, 4, 7, 2, 6):
-        offs.append(off)
-        off += k
-    assert list(got["token_offset"]) == offs
-    assert list(got["first_seq"]) == [o // 8 for o in offs]
-    assert list(got["last_seq"]) == [
-        (o + k - 1) // 8 for o, k in zip(offs, (3, 5, 4, 7, 2, 6))
+    cases = [
+        # doc ids straddle several range_size=4 ranges, with gaps
+        ([0, 1, 5, 6, 9, 17], [3, 5, 4, 7, 2, 6], 4),
+        # 23 ranges of one or two docs
+        (list(range(0, 90, 2)), [1 + (7 * i) % 11 for i in range(45)], 4),
     ]
-    # doc 6 (offset 12, 7 tokens) must span bins 1..2
-    row = got[got["doc_id"] == 6].iloc[0]
-    assert (row["first_seq"], row["last_seq"]) == (1, 2)
+    for case, (ids, counts, range_size) in enumerate(cases):
+        d = tmp_path / f"case{case}"
+        d.mkdir()
+        pq.write_table(
+            pa.table({"doc_id": pa.array(ids, pa.int64()),
+                      "text": [("w " * k).strip() for k in counts]}),
+            str(d / "documents.parquet"),
+        )
+        got = (
+            pack_sequences_ds(str(d), seq_len=8, range_size=range_size)
+            .to_pandas()
+            .sort_values("doc_id")
+            .reset_index(drop=True)
+        )
+        assert list(got["doc_id"]) == ids
+        # serial reference
+        off, offs = 0, []
+        for k in counts:
+            offs.append(off)
+            off += k
+        assert list(got["token_offset"]) == offs
+        assert list(got["first_seq"]) == [o // 8 for o in offs]
+        assert list(got["last_seq"]) == [(o + k - 1) // 8 for o, k in zip(offs, counts)]
+        if case == 0:  # doc 6 (offset 12, 7 tokens) must span bins 1..2
+            row = got[got["doc_id"] == 6].iloc[0]
+            assert (row["first_seq"], row["last_seq"]) == (1, 2)
 
 
 def test_repetition_filter_signals(ray_session, tmp_path):

@@ -228,3 +228,25 @@ def test_profile_documents_partition_invariance(ray_session, tmp_path):
     df = both.to_pandas()
     row = a.set_index("column").loc["lang"]
     assert row["n_distinct"] == df["lang"].nunique() and row["n_rows"] == n
+
+
+def test_exchange_is_the_only_keyed_shuffle():
+    """Every keyed shuffle in the package goes through stages/grouped.py
+    (``exchange`` and what is built on it): ``map_groups`` and Ray's Arrow
+    hash join (``join_type=``) appear nowhere else, and the old
+    ``coalesced_groupby`` entry is gone."""
+    import pathlib
+
+    import knowledgegraph__bh_ray
+
+    root = pathlib.Path(knowledgegraph__bh_ray.__file__).parent
+    hits = {}
+    for path in sorted(root.rglob("*.py")):
+        src = path.read_text(encoding="utf-8")
+        rel = path.relative_to(root).as_posix()
+        for needle in ("map_groups", "join_type=", "coalesced_groupby"):
+            if needle in src:
+                hits.setdefault(needle, set()).add(rel)
+    assert hits.get("map_groups", set()) <= {"stages/grouped.py"}, hits
+    assert hits.get("join_type=", set()) <= {"stages/grouped.py"}, hits
+    assert "coalesced_groupby" not in hits, hits

@@ -149,6 +149,46 @@ def test_reduce_side_anti_join_equals_pandas(ray_session):
     assert [int(x) for x in got["v"]] == want["v"].tolist()
 
 
+def test_node_parents_equals_pandas_left_merge(ray_session, pages_small):
+    """node_parents_ds equals a pandas left merge of the deduped nodes on
+    parent = id (dangling → ''): on one parentless node, on a child→parent
+    pair (the shapes that leave shuffle partitions empty on one side) and
+    on the sf0.001 pages."""
+    import pandas as pd
+    import ray.data as rd
+
+    from knowledgegraph__bh_ray.pipelines import kg
+    from knowledgegraph__bh_ray.stages.extract import PARSED_SCHEMA
+
+    def _parsed(nodes):
+        return rd.from_arrow(pa.Table.from_pylist([{
+            "url": "https://x.example/p", "title": "p", "summary": "", "text_out": "",
+            "n_paras": 0, "links": [], "triples": [],
+            "nodes": [{"seq": str(i), "id": nid, "name": name, "type": "T",
+                       "parent": parent, "props_json": "{}"}
+                      for i, (nid, name, parent) in enumerate(nodes)],
+        }], schema=PARSED_SCHEMA))
+
+    sources = [
+        lambda: _parsed([("n1", "One", "")]),
+        lambda: _parsed([("n1", "One", ""), ("n2", "Two", "n1")]),
+        lambda: pages_small,
+    ]
+    for source in sources:
+        got = kg.node_parents_ds(source()).to_pandas()
+        nodes = kg.nodes_ds(source()).to_pandas()
+        want = nodes[["id", "name", "parent"]].merge(
+            nodes[["id", "name"]].rename(columns={"id": "parent", "name": "parent_name"}),
+            on="parent", how="left",
+        ).fillna({"parent_name": ""})
+        key = ["id"]
+        pd.testing.assert_frame_equal(
+            got[["id", "name", "parent", "parent_name"]].sort_values(key)
+            .reset_index(drop=True),
+            want.sort_values(key).reset_index(drop=True),
+        )
+
+
 def test_events_quantiles_match_numpy_rule(ray_session):
     """Engine quantiles over sf0.001 events equal the percentile_disc rule
     (pos = max(1, ceil(q*N)) of the ascending integer cents) computed

@@ -40,7 +40,8 @@ def test_sorted_rank_bucket_count_independence(ray_session):
 
     df = pd.DataFrame({"url": [f"k{i:04d}" for i in range(300)][::-1]})
     outs = []
-    for nb in (2, 7, 16):
+    # 40 buckets share 16 partitions: each partition ranks several buckets
+    for nb in (2, 7, 16, 40):
         out = (
             attach_sorted_rank(rd.from_pandas(df).repartition(5), "url",
                                num_buckets=nb, sample_k=64)
@@ -49,7 +50,7 @@ def test_sorted_rank_bucket_count_independence(ray_session):
             .reset_index(drop=True)
         )
         outs.append(list(out["rank"]))
-    assert outs[0] == outs[1] == outs[2] == list(range(300))
+    assert outs[0] == outs[1] == outs[2] == outs[3] == list(range(300))
 
 
 def test_sorted_rank_tiny_input(ray_session):

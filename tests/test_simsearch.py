@@ -5,17 +5,25 @@ import ray.data as rd
 from knowledgegraph__bh_ray.stages import simsearch
 
 SF = "/root/testdata/sf0.001"
+# 3 query ids, then 12: more queries than the 4 partitions of the top-k
+# merge, so partitions rank several queries at once
+QUERY_IDS = ((0, 1, 2), tuple(range(0, 60, 5)))
 
 
-def _brute_truth(emb, queries, k=10):
+def _brute_truth(emb, queries, k=10, allowed=None):
+    """numpy top-k per query (sim descending, id ascending); ``allowed``
+    (qid → row mask) restricts a query to its ANN candidate rows."""
     M = np.vstack(emb["embedding"].values).astype(np.float64)
     M = M / np.linalg.norm(M, axis=1, keepdims=True)
+    ids = emb["vec_id"].values
     out = {}
     for qid, q in queries.items():
         qn = q / np.linalg.norm(q)
         sims = M @ qn
-        order = np.lexsort((emb["vec_id"].values, -sims))
-        out[qid] = [int(emb["vec_id"].values[i]) for i in order[:k]]
+        order = np.lexsort((ids, -sims))
+        if allowed is not None:
+            order = order[allowed[qid][order]]
+        out[qid] = [int(ids[i]) for i in order[:k]]
     return out
 
 
@@ -27,60 +35,85 @@ def _queries(emb, ids=(0, 1, 2)):
     }
 
 
+def _ranked(got, qid):
+    g = got[got["query_id"] == qid].sort_values("rank")
+    assert list(g["rank"]) == list(range(1, len(g) + 1))
+    return g["vec_id"].tolist()
+
+
 def test_brute_topk_matches_numpy(ray_session):
     emb = pq.read_table(f"{SF}/embeddings.parquet").to_pandas()
-    queries = _queries(emb)
-    ds = rd.from_pandas(emb[["vec_id", "embedding"]]).repartition(5)
-    got = simsearch.brute_topk_ds(ds, queries, "vec_id", "embedding", k=10).to_pandas()
-    truth = _brute_truth(emb, queries)
-    for qid in queries:
-        g = got[got["query_id"] == qid].sort_values("rank")["vec_id"].tolist()
-        assert g == truth[qid]
+    for ids in QUERY_IDS:
+        queries = _queries(emb, ids)
+        ds = rd.from_pandas(emb[["vec_id", "embedding"]]).repartition(5)
+        got = simsearch.brute_topk_ds(ds, queries, "vec_id", "embedding", k=10).to_pandas()
+        truth = _brute_truth(emb, queries)
+        assert set(got["query_id"]) == set(queries)
+        for qid in queries:
+            assert _ranked(got, qid) == truth[qid]
 
 
 def test_lsh_topk_recall(ray_session):
     emb = pq.read_table(f"{SF}/embeddings.parquet").to_pandas()
-    queries = _queries(emb)
-    ds = rd.from_pandas(emb[["vec_id", "embedding"]]).repartition(5)
-    got = simsearch.lsh_topk_ds(ds, queries, "vec_id", "embedding", k=10).to_pandas()
-    truth = _brute_truth(emb, queries)
-    for qid in queries:
-        g = set(got[got["query_id"] == qid]["vec_id"])
-        # the query vector itself lives in its own bucket → always recalled
-        assert qid in g
-        recall = len(g & set(truth[qid])) / 10
-        assert recall >= 0.3  # approximate path: bounded quality, not exact
+    buckets = simsearch.lsh_buckets_batch(emb, "embedding")["bucket"].to_numpy()
+    for ids in QUERY_IDS:
+        queries = _queries(emb, ids)
+        ds = rd.from_pandas(emb[["vec_id", "embedding"]]).repartition(5)
+        got = simsearch.lsh_topk_ds(ds, queries, "vec_id", "embedding", k=10).to_pandas()
+        truth = _brute_truth(emb, queries)
+        # exact against numpy over the LSH candidates: rows within
+        # Hamming distance 2 of the query's bucket
+        qb = dict(zip(emb["vec_id"], buckets))
+        near = {q: np.array([bin(int(b) ^ int(qb[q])).count("1") <= 2 for b in buckets])
+                for q in queries}
+        assert set(got["query_id"]) == set(queries)
+        want = _brute_truth(emb, queries, allowed=near)
+        recalls = []
+        for qid in queries:
+            g = _ranked(got, qid)
+            assert g == want[qid]
+            # the query vector itself lives in its own bucket → always recalled
+            assert qid in g
+            recalls.append(len(set(g) & set(truth[qid])) / 10)
+        # approximate path: bounded quality, not exact — per query for the
+        # first three ids, on average over the twelve (one recalls 2 of 10)
+        floor = min(recalls) if len(ids) == 3 else sum(recalls) / len(recalls)
+        assert floor >= 0.3, recalls
 
 
 def test_ivf_recall_floor(ray_session):
-    """IVF path: deterministic centroids; top-k recall vs brute force above
-    a floor; results are a pure function of the data (two runs equal)."""
-    import numpy as np
-    import pyarrow.parquet as pq
-    import ray.data as rd
-
-    from knowledgegraph__bh_ray.stages import simsearch
-
-    sf = "/root/testdata/sf0.001"
-    emb = pq.read_table(f"{sf}/embeddings.parquet").to_pandas()[["vec_id", "embedding"]]
-    qv = {
-        int(r.vec_id): np.array(r.embedding, dtype=np.float64)
-        for r in emb.head(3).itertuples()
-    }
-    ds = rd.from_pandas(emb)
-    brute = simsearch.brute_topk_ds(rd.from_pandas(emb), qv, "vec_id", "embedding", k=10).to_pandas()
-    ivf = simsearch.ivf_topk_ds(ds, qv, "vec_id", "embedding", k=10).to_pandas()
-    ivf2 = simsearch.ivf_topk_ds(rd.from_pandas(emb), qv, "vec_id", "embedding", k=10).to_pandas()
-    key = ["query_id", "rank"]
-    assert ivf.sort_values(key).reset_index(drop=True).equals(
-        ivf2.sort_values(key).reset_index(drop=True)
-    )
-    recalls = []
-    for q in qv:
-        b = set(brute.loc[brute["query_id"] == q, "vec_id"])
-        a = set(ivf.loc[ivf["query_id"] == q, "vec_id"])
-        recalls.append(len(a & b) / len(b))
-    assert sum(recalls) / len(recalls) >= 0.3, recalls
+    """IVF path: deterministic centroids; top-k equals numpy over the
+    probed centroid lists, recall vs brute force is above a floor, and
+    results are a pure function of the data (two runs equal)."""
+    emb = pq.read_table(f"{SF}/embeddings.parquet").to_pandas()[["vec_id", "embedding"]]
+    C = simsearch.train_centroids(rd.from_pandas(emb), "vec_id", "embedding")
+    M = simsearch._normalize(np.vstack(emb["embedding"].values).astype(np.float64))
+    assign = (M @ C.T).argmax(axis=1)
+    for ids in QUERY_IDS:
+        qv = _queries(emb, ids)
+        ds = rd.from_pandas(emb)
+        brute = simsearch.brute_topk_ds(rd.from_pandas(emb), qv, "vec_id", "embedding",
+                                        k=10).to_pandas()
+        ivf = simsearch.ivf_topk_ds(ds, qv, "vec_id", "embedding", k=10).to_pandas()
+        ivf2 = simsearch.ivf_topk_ds(rd.from_pandas(emb), qv, "vec_id", "embedding",
+                                     k=10).to_pandas()
+        key = ["query_id", "rank"]
+        assert ivf.sort_values(key).reset_index(drop=True).equals(
+            ivf2.sort_values(key).reset_index(drop=True)
+        )
+        qids = sorted(qv)
+        Qn = simsearch._normalize(np.vstack([qv[q] for q in qids]))
+        lists = np.argsort(-(Qn @ C.T), axis=1)[:, : simsearch.IVF_PROBE]
+        probed = {q: np.isin(assign, lists[i]) for i, q in enumerate(qids)}
+        want = _brute_truth(emb, qv, allowed=probed)
+        assert set(ivf["query_id"]) == set(qv)
+        recalls = []
+        for q in qv:
+            assert _ranked(ivf, q) == want[q]
+            b = set(brute.loc[brute["query_id"] == q, "vec_id"])
+            a = set(ivf.loc[ivf["query_id"] == q, "vec_id"])
+            recalls.append(len(a & b) / len(b))
+        assert sum(recalls) / len(recalls) >= 0.3, recalls
 
 
 def test_embedding_clusters_consistent_with_semdedup(ray_session):

@@ -4,6 +4,10 @@ order-insensitive value hash (columns sorted by name, rows sorted by all
 columns, values stringified).  Approximates the real driver's
 CORRECTNESS_r{N}.json gate so regressions surface before a round ends.
 
+Every line, rows-only queries included, prints ``hash=`` of the engine's
+own result, so two runs (say, before and after a change) can be diffed
+once the timings are stripped.
+
 Usage: python tools/check_driver.py [sf_dir] [query ...]
 """
 
@@ -83,7 +87,8 @@ def main() -> int:
             failures.append(name)
             continue
         if name not in sqls:
-            print(f"{name:24s} rows-only: {len(mine):7d} rows   ({time.time()-t0:5.1f}s)")
+            print(f"{name:24s} rows-only: {len(mine):7d} rows hash={value_hash(mine)} "
+                  f"({time.time()-t0:5.1f}s)")
             continue
         try:
             oracle = canonical(con.execute(sqls[name]).fetchdf())
@@ -98,7 +103,7 @@ def main() -> int:
         print(
             f"{name:24s} {status} rows={len(mine)}/{len(oracle)} "
             f"cols={'=' if ok_cols else f'{list(mine.columns)} vs {list(oracle.columns)}'} "
-            f"({time.time()-t0:5.1f}s)"
+            f"hash={value_hash(mine)} ({time.time()-t0:5.1f}s)"
         )
         if not ok_hash:
             failures.append(name)
