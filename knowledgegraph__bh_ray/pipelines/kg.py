@@ -353,10 +353,12 @@ def node_parents_ds(source):
     reference resolves ``parent`` only when the parent row precedes the
     child in file order (csv2owl.py:49-57).  Implemented as a reduce-side
     left join (nodes ⋈ nodes on parent = id, stages/grouped.reduce_side_join)
-    — the both-sides-large join form; dangling parents → ''."""
+    — the both-sides-large join form; dangling parents → ''.  ``nodes_ds``
+    is pinned once and feeds both sides of the join."""
     from ..stages.grouped import reduce_side_join
+    from ..stages.spill import pin
 
-    nodes = nodes_ds(source)
+    nodes = pin(nodes_ds(source), "node-parents")
     # .get: the aggregation can hand over column-less empty blocks
     parents = nodes.map_batches(
         lambda b: pd.DataFrame({"id": b.get("id", []), "parent_name": b.get("name", [])}),

@@ -23,6 +23,16 @@ column — no data read) and pass the estimate on, so an input within
 records carries the ``arm`` it ran on and the ``est_rows`` /
 ``est_bytes`` that picked it.
 
+Phases 2-5 read the checkpoint in as many blocks as the columns they read
+need: one per ``DataContext.target_min_block_size`` (Ray's 1 MiB floor on a
+block worth its per-task overhead) of uncompressed bytes, from the same
+footer walk, at least one and at most one per CPU; an input that
+``plan_arm`` would send to the salted arm is read in ``max(16, ncpu)``
+blocks.  A 2,000-page input is read in one or two blocks, a 50k-page one
+that stays ``local`` in one per CPU.  Each of their records carries
+``read_blocks``; the mentions record also its ``est_bytes``.  Every output
+file is one Parquet row group.
+
 Every unit writes at least one file: when no page survives extraction its
 tables are empty but typed, and every record says ``rows: 0``.
 
@@ -53,20 +63,21 @@ from . import kg
 CANON_SCHEMA = pa.schema([(c, pa.string()) for c in ("norm_key", "canon_name", "canon_id")])
 
 
-def _footer_size(d: str, column: str | None = None, leaf: str | None = None) -> SizeEstimate:
+def _footer_size(d: str, columns=(), leaf: str | None = None) -> SizeEstimate:
     """Size of a parquet dir from its file footers — no data read.
 
-    Without ``column``: the table's rows (bytes 0).  With a list<struct>
-    ``column``: rows = ``num_values`` of its one leaf ``leaf`` (the element
-    count — summing every leaf would count each element once per struct
-    field), bytes = the uncompressed size of all its leaves."""
+    Without ``columns``: the table's rows (bytes 0).  With ``columns``:
+    bytes = the uncompressed size of all their leaves, rows = the
+    ``num_values`` of the one leaf named ``leaf`` of a list<struct> column
+    (the element count — summing every leaf would count each element once
+    per struct field; 0 without ``leaf``)."""
     rows = nbytes = 0
     for root, _, files in os.walk(d):
         for f in files:
             if not f.endswith(".parquet"):
                 continue
             meta = pq.ParquetFile(os.path.join(root, f)).metadata
-            if column is None:
+            if not columns:
                 rows += meta.num_rows
                 continue
             for g in range(meta.num_row_groups):
@@ -74,19 +85,37 @@ def _footer_size(d: str, column: str | None = None, leaf: str | None = None) -> 
                 for c in range(rg.num_columns):
                     cc = rg.column(c)
                     path = cc.path_in_schema
-                    if path.split(".", 1)[0] != column:
+                    if path.split(".", 1)[0] not in columns:
                         continue
                     nbytes += cc.total_uncompressed_size
-                    if path.endswith("." + leaf):
+                    if leaf and path.endswith("." + leaf):
                         rows += cc.num_values
     return SizeEstimate(rows, nbytes)
+
+
+def read_blocks(nbytes: int, ncpu: int) -> int:
+    """How many blocks to read ``nbytes`` of uncompressed input into: one
+    per ``target_min_block_size`` (Ray's floor, below which per-block
+    overhead outweighs the block's work), at least one, at most one per
+    CPU.  An input that ``plan_arm`` sends to the salted arm (large against
+    the node's object store) is read wide, in ``max(16, ncpu)`` blocks:
+    there, blocks of a quarter of the input each throttled the streamed
+    mentions unit to half speed (PERF.md round 12)."""
+    if plan_arm(SizeEstimate(0, nbytes)) == "salted":
+        return max(16, ncpu)
+    floor = rd.DataContext.get_current().target_min_block_size
+    return max(1, min(ncpu, -(-nbytes // floor)))
 
 
 def _write(ds, out: str, empty: pa.Schema, **write_kw) -> int:
     """``ds.write_parquet(out)``; returns the rows written.  Ray writes no
     file for a Dataset without rows, so then a typed empty file is left
-    instead: units downstream and readers find the table's columns."""
-    ds.write_parquet(out, **write_kw)
+    instead: units downstream and readers find the table's columns.
+
+    Each file is one row group: without a row-group size Ray's sink lets
+    ``pyarrow.dataset.write_dataset`` cut a file's rows into several
+    groups; ``1 << 20`` rows is pyarrow's own default cap per group."""
+    ds.write_parquet(out, row_group_size=1 << 20, **write_kw)
     rows = _footer_size(out).rows
     if not rows:
         os.makedirs(out, exist_ok=True)
@@ -97,6 +126,20 @@ def _write(ds, out: str, empty: pa.Schema, **write_kw) -> int:
 def _read_small(d: str, columns=None) -> "pd.DataFrame":
     """Driver-side read of a small output table via pyarrow (no Ray job)."""
     return pq.read_table(d, columns=columns).to_pandas()
+
+
+def gazetteer(nodes_dir: str) -> tuple[list[str], list[str]]:
+    """The mentions unit's vocabulary: (names, types) of the longest node
+    names (the cap keeps the compiled pattern bounded; documented
+    truncation) — same longest-win policy as GazetteerMatcher's own
+    MAX_GAZETTEER cap; ties broken by name."""
+    names_pdf = _read_small(nodes_dir, ["name", "type"])
+    names_pdf = (
+        names_pdf.assign(_len=names_pdf["name"].str.len())
+        .sort_values(["_len", "name"], ascending=[False, True], kind="mergesort")
+        .head(5000)
+    )
+    return names_pdf["name"].tolist(), names_pdf["type"].tolist()
 
 
 def _add_shard(batch: pa.Table, num_shards: int) -> pa.Table:
@@ -182,19 +225,21 @@ def run_kg_pipeline(
         manifest.mark_done(unit, rows, counters=counter.get_all(), wall_sec=time.time() - t0)
         _checkpoint_gate()
 
-    def _parsed(columns=None):
-        # coalesce the checkpoint read into ~ncpu blocks: enough map-side
-        # parallelism for the flatten/link stages, few enough that shuffle
-        # barriers (per-input-block fixed cost) stay cheap
-        import ray as _ray
+    ncpu = int(ray.cluster_resources().get("CPU", 8))
 
-        nblocks = max(16, int(_ray.cluster_resources().get("CPU", 8)))
-        return rd.read_parquet(parsed_dir, columns=columns, override_num_blocks=nblocks)
+    def _parsed(columns: list[str]) -> tuple["rd.Dataset", int, int]:
+        """The checkpoint's ``columns``, streamed (no corpus-sized dataset
+        is pinned in the object store) in as many blocks as their
+        uncompressed bytes need; with that block count and byte count,
+        both read from the footers."""
+        nbytes = _footer_size(parsed_dir, columns).bytes
+        n = read_blocks(nbytes, ncpu)
+        return rd.read_parquet(parsed_dir, columns=columns, override_num_blocks=n), n, nbytes
 
     def _plan(column: str, leaf: str) -> tuple[SizeEstimate, dict]:
         """A list column's size estimate, and the manifest fields that
         record it with the arm it picks."""
-        est = _footer_size(parsed_dir, column, leaf)
+        est = _footer_size(parsed_dir, [column], leaf)
         return est, {"arm": plan_arm(est), "est_rows": est.rows, "est_bytes": est.bytes}
 
     # ---- phase 2: nodes ----------------------------------------------------
@@ -203,10 +248,12 @@ def run_kg_pipeline(
         t0 = time.time()
         manifest.clean_unit_dir(nodes_dir)
         est, plan = _plan("nodes", "id")
-        nodes = kg.nodes_ds(_parsed(columns=["url", "nodes"]), est=est)
+        parsed, nblocks, _ = _parsed(["url", "nodes"])
+        nodes = kg.nodes_ds(parsed, est=est)
         no_nodes = flatten_list_column(PARSED_SCHEMA.empty_table(), "nodes", keep=["url"])
         rows = _write(nodes, nodes_dir, no_nodes.schema)
-        manifest.mark_done("nodes", rows, wall_sec=time.time() - t0, **plan)
+        manifest.mark_done("nodes", rows, wall_sec=time.time() - t0, **plan,
+                           read_blocks=nblocks)
         _checkpoint_gate()
 
     # ---- phases 3-5: edges / canonical / mentions --------------------------
@@ -222,10 +269,12 @@ def run_kg_pipeline(
         manifest.clean_unit_dir(edges_dir)
         est, plan = _plan("triples", "subj")
         node_ids = frozenset(_read_small(nodes_dir, ["id"])["id"])
-        edges = kg.edges_ds(_parsed(columns=["url", "triples"]), node_ids=node_ids,
+        parsed, nblocks, _ = _parsed(["url", "triples"])
+        edges = kg.edges_ds(parsed, node_ids=node_ids,
                             adjacency_buckets=kg.ADJACENCY_BUCKETS, est=est)
         rows = _write(edges, edges_dir, edge_schema, partition_cols=[kg.BUCKET_COL])
-        manifest.mark_done("edges", rows, wall_sec=time.time() - t0, **plan)
+        manifest.mark_done("edges", rows, wall_sec=time.time() - t0, **plan,
+                           read_blocks=nblocks)
 
     canon_dir = os.path.join(out_dir, "canonical")
     ecanon_dir = os.path.join(out_dir, "edges_canonical")
@@ -263,26 +312,23 @@ def run_kg_pipeline(
             k: (i, n)
             for k, i, n in zip(canon_pdf["norm_key"], canon_pdf["canon_id"], canon_pdf["canon_name"])
         }
+        parsed, nblocks, _ = _parsed(["url", "triples"])
         ecanon = kg.edges_canonical_ds(
-            _parsed(columns=["url", "triples"]),
+            parsed,
             canon_map=canon_map,
             adjacency_buckets=kg.ADJACENCY_BUCKETS,
             est=est,
         )
         rows = _write(ecanon, ecanon_dir, edge_schema, partition_cols=[kg.BUCKET_COL])
-        manifest.mark_done("canonical", rows, wall_sec=time.time() - t0, **plan)
+        manifest.mark_done("canonical", rows, wall_sec=time.time() - t0, **plan,
+                           read_blocks=nblocks)
 
     mentions_dir = os.path.join(out_dir, "mentions")
 
     def _run_mentions() -> None:
         t0 = time.time()
         manifest.clean_unit_dir(mentions_dir)
-        # STREAM the checkpoint: no corpus-sized dataset is ever pinned in
-        # the object store (round-1 verdict's #1 scale-killer)
-        ncpu = int(ray.cluster_resources().get("CPU", 8))
-        extracted = rd.read_parquet(
-            parsed_dir, columns=["url", "text_out"], override_num_blocks=ncpu * 2
-        )
+        extracted, nblocks, nbytes = _parsed(["url", "text_out"])
         # the CRF and pattern taggers keep actor pools; two CPU slots stay
         # free for the pool's own upstream read tasks (a pool equal to the
         # CPU count deadlocks — PERF.md round 1)
@@ -298,20 +344,10 @@ def run_kg_pipeline(
         else:
             from ..stages.ner import mentions_ds
 
-            # gazetteer = the longest node names (vocab cap keeps the
-            # compiled pattern bounded; documented truncation) — same
-            # longest-win policy as GazetteerMatcher's own MAX_GAZETTEER
-            # cap; ties broken by name
-            names_pdf = _read_small(nodes_dir, ["name", "type"])
-            names_pdf = (
-                names_pdf.assign(_len=names_pdf["name"].str.len())
-                .sort_values(["_len", "name"], ascending=[False, True], kind="mergesort")
-                .head(5000)
-            )
-            gaz = (names_pdf["name"].tolist(), names_pdf["type"].tolist())
-            mentions = mentions_ds(extracted, gaz)
+            mentions = mentions_ds(extracted, gazetteer(nodes_dir))
         rows = _write(mentions, mentions_dir, MENTIONS_SCHEMA)
-        manifest.mark_done("mentions", rows, wall_sec=time.time() - t0)
+        manifest.mark_done("mentions", rows, wall_sec=time.time() - t0,
+                           read_blocks=nblocks, est_bytes=nbytes)
 
     for unit, fn in [("edges", _run_edges), ("canonical", _run_canonical),
                      ("mentions", _run_mentions)]:

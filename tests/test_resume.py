@@ -103,12 +103,22 @@ def test_degree_from_adjacency_no_shuffle(ray_session, pages_small, tmp_path):
     """Bucketed-layout reuse: the adjacency layout holds on both arms of
     the edge aggregation — the pipeline's (local at this size) and the
     salted one (no estimate) — and degree computed per bucket dir (no
-    shuffle) equals the shuffle-based kg_degree aggregation."""
+    shuffle) equals the shuffle-based kg_degree aggregation.  Each unit
+    read the checkpoint in the block count its footers call for, and the
+    graph tables do not depend on that count."""
     import pandas as pd
+    import ray
 
     from knowledgegraph__bh_ray.pipelines import kg
-    from knowledgegraph__bh_ray.pipelines.run import degree_from_adjacency, run_kg_pipeline
+    from knowledgegraph__bh_ray.pipelines.run import (
+        _footer_size,
+        degree_from_adjacency,
+        gazetteer,
+        read_blocks,
+        run_kg_pipeline,
+    )
     from knowledgegraph__bh_ray.stages.grouped import hash_partitioned_agg
+    from knowledgegraph__bh_ray.stages.ner import mentions_ds
 
     out = str(tmp_path / "run")
     run_kg_pipeline(pages_small, out, num_shards=4)
@@ -118,6 +128,44 @@ def test_degree_from_adjacency_no_shuffle(ray_session, pages_small, tmp_path):
         assert records[unit]["arm"] == "local", unit
         assert records[unit]["est_rows"] >= records[unit]["rows"] > 0, unit
         assert records[unit]["est_bytes"] > 0, unit
+
+    parsed = os.path.join(out, "parsed")
+    ncpu = int(ray.cluster_resources()["CPU"])
+    read = {"nodes": ["url", "nodes"], "edges": ["url", "triples"],
+            "canonical": ["url", "triples"], "mentions": ["url", "text_out"]}
+    for unit, columns in read.items():
+        nbytes = _footer_size(parsed, columns).bytes
+        assert 1 <= records[unit]["read_blocks"] <= ncpu, unit
+        assert records[unit]["read_blocks"] == read_blocks(nbytes, ncpu), unit
+    assert records["mentions"]["est_bytes"] == _footer_size(parsed, read["mentions"]).bytes > 0
+
+    def _table(ds) -> pd.DataFrame:
+        df = ds.to_pandas()
+        if kg.BUCKET_COL in df:  # read back from the partition dir names as strings
+            df = df.astype({kg.BUCKET_COL: "int64"})
+        return _canon(df)
+
+    canon = pd.read_parquet(os.path.join(out, "canonical"))
+    canon_map = {k: (i, n) for k, i, n in
+                 zip(canon["norm_key"], canon["canon_id"], canon["canon_name"])}
+    node_ids = frozenset(pd.read_parquet(os.path.join(out, "nodes"), columns=["id"])["id"])
+    triples_est = _footer_size(parsed, ["triples"], "subj")
+    want = {name: _table(rd.read_parquet(os.path.join(out, name)))
+            for name in ("nodes", "edges", "edges_canonical", "mentions")}
+    for nblocks in (1, 16):
+        src = rd.read_parquet(parsed, override_num_blocks=nblocks)
+        assert src.materialize().num_blocks() == nblocks
+        got = {
+            "nodes": kg.nodes_ds(src, est=_footer_size(parsed, ["nodes"], "id")),
+            "edges": kg.edges_ds(src, node_ids=node_ids, adjacency_buckets=16,
+                                 est=triples_est),
+            "edges_canonical": kg.edges_canonical_ds(src, canon_map=canon_map,
+                                                     adjacency_buckets=16, est=triples_est),
+            "mentions": mentions_ds(src.select_columns(["url", "text_out"]),
+                                    gazetteer(os.path.join(out, "nodes"))),
+        }
+        for name, ds in got.items():
+            pd.testing.assert_frame_equal(_table(ds), want[name], obj=f"{name}@{nblocks}")
 
     # the salted arm's final route builds the same layout and rows
     edges = kg.edges_ds(pages_small, adjacency_buckets=16).materialize()
@@ -154,6 +202,34 @@ def test_degree_from_adjacency_no_shuffle(ray_session, pages_small, tmp_path):
     )
     pd.testing.assert_frame_equal(got[["subj", "n_out", "total_weight"]],
                                   want[["subj", "n_out", "total_weight"]])
+
+
+def test_write_one_row_group_per_file(ray_session, tmp_path):
+    """``run._write`` leaves one row group per file: an edge table of more
+    rows than one Arrow exec batch (32,768), aggregated on the local arm
+    into one block and written in the adjacency layout, gives each bucket
+    file its rows in a single group."""
+    import glob
+
+    import pyarrow.parquet as pq
+
+    from knowledgegraph__bh_ray.pipelines import kg
+    from knowledgegraph__bh_ray.pipelines.run import _write
+    from knowledgegraph__bh_ray.stages.grouped import SizeEstimate
+
+    n = 40_000
+    ids = [f"{i:08x}" for i in range(n)]
+    triples = pd.DataFrame({
+        "url": [f"u{i % 97}" for i in range(n)], "seq": range(n), "subj": ids,
+        "pred": "p", "obj": ids[::-1], "subj_name": ids, "obj_name": ids[::-1],
+        "props_json": "{}",
+    })
+    edges = kg._edge_agg(rd.from_pandas(triples), 16, est=SizeEstimate(0, 0))
+    out = str(tmp_path / "edges")
+    assert _write(edges, out, kg.edge_schema(16), partition_cols=[kg.BUCKET_COL]) == n
+    files = glob.glob(os.path.join(out, "*", "*.parquet"))
+    assert len(files) == 16
+    assert [pq.ParquetFile(f).metadata.num_row_groups for f in files] == [1] * 16
 
 
 def test_pipeline_tagger_slot_pluggable(ray_session, pages_small, tmp_path):
