@@ -9,8 +9,13 @@ tags exactly (bilstm_crf_ner.py:594-628), including its quirks:
   * ``O`` flushes; an entity still open at sequence end is flushed
     (bilstm_crf_ner.py:624-627).
 
-Encode is the inverse used by the gazetteer tagger and by tests
-(round-trip property), mirroring ner_visualizer.py:288-320.
+Decode turns the CRF tagger's per-char labels into mentions
+(stages/crf.py).  Encode, mirroring ner_visualizer.py:288-320, is the
+inverse: the pattern tagger (stages/ner.PatternTagger) round-trips its spans
+through both, and the tests use the pair as a round-trip property and as the
+reference the gazetteer tagger's direct spans are checked against
+(tests/test_mentions.py).  The gazetteer tagger itself emits its matcher's
+spans without per-char tags.
 """
 
 from __future__ import annotations

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import os
 import time
+from collections import Counter
 
 import pandas as pd
 import pyarrow as pa
@@ -158,7 +159,9 @@ def run_kg_pipeline(
     tagger: str = "gazetteer",
     _fail_after_units: int | None = None,
 ) -> dict:
-    """Run (or resume) the full pipeline; returns the manifest records.
+    """Run (or resume) the full pipeline; returns the manifest records and
+    the lineage ``counters``, summed over the parsed units' records (each
+    holds its own unit's counts, whichever run wrote it).
 
     ``resume_granularity`` = how many manifest units phase 1 is split into
     (each unit = one Dataset pass over its subset of url-hash shards).
@@ -195,6 +198,9 @@ def run_kg_pipeline(
         if unit in done:
             continue
         t0 = time.time()
+        # each record holds its own group's counts, so a resumed run's
+        # records sum to a fresh run's
+        counter.reset()
         shard_set = frozenset(shard_list)
         pages = read_pages(pages_path, columns=["url", "html"])
 
@@ -355,11 +361,12 @@ def run_kg_pipeline(
             fn()
             _checkpoint_gate()
 
-    return {
-        "out_dir": out_dir,
-        "records": manifest.records(),
-        "counters": counter.get_all(),
-    }
+    records = manifest.records()
+    counters = Counter()
+    for r in records:
+        if r["unit"].startswith("parsed:"):
+            counters.update(r["counters"])
+    return {"out_dir": out_dir, "records": records, "counters": dict(counters)}
 
 
 def degree_from_adjacency(out_dir: str, table: str = "edges"):

@@ -3,16 +3,18 @@
 The reference hosts a BiLSTM-CRF tagger loaded once per process and predicts
 line-at-a-time (bilstm_crf_ner.py:648-676, 836-846).  This engine keeps the
 exact stage shape — load-once state in ``__init__``, batched inference in
-``__call__``, per-char BIOES tags decoded with the reference's rules
-(functions/bioes.py) — but the model slot is filled by a deterministic
-gazetteer tagger (no torch in this environment; the Ray-side plumbing is the
+``__call__`` — but the model slot is filled by a deterministic gazetteer
+tagger (no torch in this environment; the Ray-side plumbing is the
 deliverable, and the slot is pluggable: any callable class with the same
-batch signature drops in).
+batch signature drops in, e.g. the numpy BiLSTM-CRF of stages/crf.py, which
+decodes per-char BIOES tags with the reference's rules, functions/bioes.py).
 
 Gazetteer matching: longest-match-first, non-overlapping, via one compiled
 trie regex built once per worker process from the broadcast vocabulary
 (``ray.put`` on the driver, built on a worker's first batch and cached by
-ref in state/broadcast.py — never per batch).
+ref in state/broadcast.py — never per batch).  Each match IS a mention:
+its span and text come straight from the regex's ``finditer``, with no
+per-character tagging in between (PERF.md round 13).
 """
 
 from __future__ import annotations
@@ -99,17 +101,18 @@ class GazetteerMatcher:
     optional word-ends) — CPython's sre scan is C-speed, and the trie form
     is ~19× faster than the flat (-length, name)-ordered alternation it
     replaces while matching the identical spans (PERF.md round 3; a pure-
-    python Aho-Corasick lost to both, twice).  Semantics are pinned by the
-    independent forward-matching oracle (oracle.oracle_tag_mentions) via
-    the kg_mentions value-hash gate."""
+    python Aho-Corasick lost to both, twice).  Its ``finditer`` spans are
+    the tagger's mentions as they stand (``tag_mentions``, ``GazetteerNER``).
+    Semantics are pinned by the independent forward-matching oracle
+    (oracle.oracle_tag_mentions) via the kg_mentions value-hash gate."""
 
     def __init__(self, names: list[str]):
         vocab = sorted(set(n for n in names if n), key=lambda n: (-len(n), n))[:MAX_GAZETTEER]
         pat = _trie_regex_pattern(vocab)
-        self._re = re.compile(pat if pat is not None else r"(?!x)x")
+        self.regex = re.compile(pat if pat is not None else r"(?!x)x")
 
     def finditer(self, text: str):
-        for m in self._re.finditer(text):
+        for m in self.regex.finditer(text):
             yield m.start(), m.end(), m.group()
 
 
@@ -118,23 +121,19 @@ def build_gazetteer_pattern(names: list[str]) -> GazetteerMatcher:
 
 
 def tag_mentions(text: str, pattern: GazetteerMatcher, type_of: dict[str, str]) -> list[dict]:
-    """Text → mentions via BIOES round-trip (tag then decode, like the
-    reference's predict path): spans from the gazetteer matcher →
-    encode_bioes → decode_bioes → (entity, type) + positions."""
-    spans = []
-    for start, end, name in pattern.finditer(text):
-        spans.append((start, end, type_of.get(name, "CONCEPT")))
-    if not spans:
-        return []  # skip the per-char BIOES round-trip for unmatched text
-    labels = encode_bioes(text, spans)
-    entities = decode_bioes(text, labels)
-    out = []
-    pos = 0
-    for entity, etype in entities:
-        start = text.find(entity, pos)
-        out.append({"entity": entity, "etype": etype, "start": start, "end": start + len(entity)})
-        pos = start + len(entity)
-    return out
+    """Text → mentions: one dict (entity, etype, start, end) per gazetteer
+    match, in text order; ``etype`` is the name's type, ``"CONCEPT"`` for a
+    name without one.
+
+    The matcher's spans are leftmost-longest and non-overlapping, so they
+    already are what a BIOES encode → decode → ``find`` round-trip of them
+    would return (tests/test_mentions.py keeps that round-trip as the
+    reference); the per-character tags are never built."""
+    return [
+        {"entity": m.group(), "etype": type_of.get(m.group(), "CONCEPT"),
+         "start": m.start(), "end": m.end()}
+        for m in pattern.regex.finditer(text)
+    ]
 
 
 class GazetteerNER:
@@ -142,8 +141,10 @@ class GazetteerNER:
 
     ``__init__`` (once per worker and vocabulary, see ``mentions_ds``):
     fetch the broadcast (names, types) vocab, compile the trie pattern.
-    ``__call__`` (per batch): tag every paragraph of ``text_out``; one output
-    row per mention (url, para_idx, entity, etype, start, end).
+    ``__call__`` (per batch): scan every paragraph of ``text_out`` with the
+    compiled regex; one output row per match (url, para_idx, entity, etype,
+    start, end), appended straight from ``finditer`` — the same rows as
+    ``tag_mentions`` per paragraph, without a dict per mention.
     """
 
     def __init__(self, gazetteer_ref):
@@ -155,15 +156,19 @@ class GazetteerNER:
 
     def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
         out = mention_columns()
+        urls, paras, ents, etypes, starts, ends = (
+            out["url"], out["para_idx"], out["entity"], out["etype"], out["start"], out["end"])
+        finditer, type_of = self.pattern.regex.finditer, self.type_of
         for url, text in zip(batch["url"], batch["text_out"]):
             for pi, para in enumerate(text.split("\n")):
-                for m in tag_mentions(para, self.pattern, self.type_of):
-                    out["url"].append(url)
-                    out["para_idx"].append(pi)
-                    out["entity"].append(m["entity"])
-                    out["etype"].append(m["etype"])
-                    out["start"].append(m["start"])
-                    out["end"].append(m["end"])
+                for m in finditer(para):
+                    name = m.group()
+                    urls.append(url)
+                    paras.append(pi)
+                    ents.append(name)
+                    etypes.append(type_of.get(name, "CONCEPT"))
+                    starts.append(m.start())
+                    ends.append(m.end())
         return mentions_frame(out)
 
 
@@ -172,10 +177,11 @@ def mentions_ds(extracted, gazetteer: tuple[list[str], list[str]], batch_size: i
 
     The vocabulary is broadcast once; each worker compiles the trie on its
     first batch and reuses it for later batches of the same ref (see
-    state/broadcast.py).  No actor pool: the per-page cost is ~0.13 ms, so
-    starting pool actors (vocab fetch + compile per actor, new processes
-    every build) cost more than the tagging itself, and a plain task fuses
-    with the upstream read instead of competing with it for CPU slots."""
+    state/broadcast.py).  No actor pool: the per-page cost is ~50 µs (the
+    regex scan plus row building, PERF.md round 13), so starting pool
+    actors (vocab fetch + compile per actor, new processes every build)
+    cost more than the tagging itself, and a plain task fuses with the
+    upstream read instead of competing with it for CPU slots."""
     import ray
 
     from ..state.broadcast import from_broadcast
@@ -207,7 +213,8 @@ class PatternTagger:
     EXPLICITLY — every rule's finditer spans are collected, sorted by
     (start, -length, rule order) and greedily swept — because a combined
     alternation would pick the first rule matching at a position, not the
-    longest span.  BIOES round-trip like the model path."""
+    longest span.  The swept spans go through a BIOES encode → decode →
+    ``find`` round-trip, as a tagger's per-char labels would."""
 
     def __init__(self, rules: list[tuple[str, str]] | None = None):
         rules = rules or PATTERN_RULES

@@ -77,3 +77,77 @@ def test_trie_regex_prefix_chain_longest_wins():
     assert list(gm.finditer("abcd ab abce")) == [
         (0, 4, "abcd"), (5, 7, "ab"), (8, 11, "abc"),
     ]
+
+
+def _round_trip_tag_mentions(text, pattern, type_of):
+    """The gazetteer tagger as it was: the matcher's spans tagged per char
+    (encode_bioes), decoded back (decode_bioes) and located with ``find``
+    from the previous mention's end — the reference the direct spans must
+    equal."""
+    from knowledgegraph__bh_ray.functions.bioes import decode_bioes, encode_bioes
+
+    spans = [(s, e, type_of.get(name, "CONCEPT")) for s, e, name in pattern.finditer(text)]
+    if not spans:
+        return []
+    out, pos = [], 0
+    for entity, etype in decode_bioes(text, encode_bioes(text, spans)):
+        start = text.find(entity, pos)
+        out.append({"entity": entity, "etype": etype, "start": start, "end": start + len(entity)})
+        pos = start + len(entity)
+    return out
+
+
+def test_direct_spans_equal_bioes_round_trip(ray_session):
+    """tag_mentions and GazetteerNER emit the matcher's spans directly; they
+    must equal the BIOES round-trip row for row, and the spans the oracle's
+    forward-matching tagger finds.  Names are drawn from a small alphabet
+    (single chars → S- tags, prefix chains, regex metacharacters, CJK) and
+    texts are built from whole names, so adjacent and repeated matches are
+    common."""
+    import ray
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    from knowledgegraph__bh_ray.oracle import oracle_tag_mentions
+    from knowledgegraph__bh_ray.stages.ner import mention_columns, mentions_frame
+
+    alphabet = "ab实体1.([*"
+    names_st = st.lists(st.text(alphabet, min_size=1, max_size=4), min_size=1, max_size=8)
+
+    @settings(max_examples=200, deadline=None)
+    @given(names_st, st.data())
+    def check(names, data):
+        piece = st.one_of(st.sampled_from(names), st.text(alphabet + "c \n", max_size=3))
+        texts = ["".join(data.draw(st.lists(piece, max_size=12))) for _ in range(3)]
+        typed = data.draw(st.lists(st.sampled_from(["PER", "ORG", "实体"]),
+                                   min_size=len(names), max_size=len(names)))
+        type_of = dict(zip(names, typed))
+        # a name missing from type_of is tagged CONCEPT
+        partial = {n: t for n, t in type_of.items() if n != names[0]}
+        pattern = build_gazetteer_pattern(names)
+        name_set = set(names)
+        by_len = sorted(name_set, key=len, reverse=True)
+
+        want_cols = mention_columns()
+        for url, text in zip(["u0", "u1", "u2"], texts):
+            for pi, para in enumerate(text.split("\n")):
+                got = tag_mentions(para, pattern, type_of)
+                want = _round_trip_tag_mentions(para, pattern, type_of)
+                assert got == want
+                assert tag_mentions(para, pattern, partial) == _round_trip_tag_mentions(
+                    para, pattern, partial)
+                assert [(m["entity"], m["start"], m["end"]) for m in got] == [
+                    (m["entity"], m["start"], m["end"])
+                    for m in oracle_tag_mentions(para, by_len, name_set)
+                ]
+                for m in want:
+                    want_cols["url"].append(url)
+                    want_cols["para_idx"].append(pi)
+                    for k in ("entity", "etype", "start", "end"):
+                        want_cols[k].append(m[k])
+
+        ner = GazetteerNER(ray.put((names, typed)))
+        batch = pd.DataFrame({"url": ["u0", "u1", "u2"], "text_out": texts})
+        pd.testing.assert_frame_equal(ner(batch), mentions_frame(want_cols))
+
+    check()

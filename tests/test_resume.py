@@ -19,18 +19,22 @@ def _canon(df: pd.DataFrame) -> pd.DataFrame:
     return df.sort_values(list(df.columns), kind="mergesort").reset_index(drop=True)
 
 
-def test_kill_resume_equals_fresh(ray_session, pages_small, tmp_path):
-    fresh_dir = str(tmp_path / "fresh")
-    resumed_dir = str(tmp_path / "resumed")
+@pytest.fixture(scope="module")
+def fresh_and_resumed(ray_session, pages_small, tmp_path_factory):
+    """One fresh run and one killed-after-every-unit run at granularity 2:
+    (fresh dir, fresh result, resumed dir, final resume's result, attempts)."""
+    root = tmp_path_factory.mktemp("kill_resume")
+    fresh_dir = str(root / "fresh")
+    resumed_dir = str(root / "resumed")
 
-    run_kg_pipeline(pages_small, fresh_dir, num_shards=4, resume_granularity=2)
+    fresh = run_kg_pipeline(pages_small, fresh_dir, num_shards=4, resume_granularity=2)
 
     # killed run: fail after every completed unit, resume until done
     attempts = 0
     while attempts < 20:
         attempts += 1
         try:
-            run_kg_pipeline(
+            resumed = run_kg_pipeline(
                 pages_small,
                 resumed_dir,
                 num_shards=4,
@@ -40,6 +44,11 @@ def test_kill_resume_equals_fresh(ray_session, pages_small, tmp_path):
             break
         except RuntimeError as e:
             assert "injected failure" in str(e)
+    return fresh_dir, fresh, resumed_dir, resumed, attempts
+
+
+def test_kill_resume_equals_fresh(fresh_and_resumed):
+    fresh_dir, _, resumed_dir, _, attempts = fresh_and_resumed
     assert attempts > 3  # it really was killed mid-run several times
 
     for name in ("nodes", "edges", "canonical", "edges_canonical"):
@@ -57,6 +66,31 @@ def test_kill_resume_equals_fresh(ray_session, pages_small, tmp_path):
         "canonical",
         "mentions",
     }
+
+
+def test_resume_counters_equal_fresh(fresh_and_resumed, pages_small):
+    """Each parsed record holds its own group's counts, so the counters
+    mean the same after a kill and resume: the records sum to the fresh
+    run's, the group records' pages_in to the corpus, and the returned
+    counters are that sum."""
+    import pyarrow.parquet as pq
+
+    fresh_dir, fresh, resumed_dir, resumed, _ = fresh_and_resumed
+
+    def summed(out_dir: str) -> dict[str, int]:
+        total: dict[str, int] = {}
+        for r in Manifest(out_dir).records():
+            for k, v in r["counters"].items():
+                total[k] = total.get(k, 0) + v
+        return total
+
+    n_pages = pq.ParquetDataset(pages_small).read(columns=["url"]).num_rows
+    groups = [r for r in Manifest(resumed_dir).records() if r["unit"].startswith("parsed:")]
+    assert len(groups) == 2 and all(r["counters"]["pages_in"] for r in groups)
+    assert sum(r["counters"]["pages_in"] for r in groups) == n_pages
+    assert summed(resumed_dir) == summed(fresh_dir)
+    assert summed(fresh_dir)["pages_in"] == n_pages
+    assert resumed["counters"] == fresh["counters"] == summed(fresh_dir)
 
 
 def test_resume_skips_completed_units(ray_session, pages_small, tmp_path):

@@ -1,8 +1,10 @@
 """Per-phase profile of the headline pipeline.
 
-Runs run_kg_pipeline once on a fresh out_dir and prints each phase's wall
-time from the manifest plus rows written — the measurement loop behind the
-PERF.md phase breakdowns.  Usage:
+Runs run_kg_pipeline once on a fresh out_dir and prints each phase's
+manifest record but its timestamp: wall time, rows written, and the plan
+the unit ran (``arm``, ``read_blocks``, ``est_rows``, ``est_bytes``,
+lineage ``counters``) — the measurement loop behind the PERF.md phase
+breakdowns.  Usage:
 
     python tools/phase_profile.py [sf_dir] [replicas] [num_cpus]
 
@@ -48,10 +50,8 @@ def main() -> int:
     res = run_kg_pipeline(pages, out_dir, num_shards=max(8, num_cpus))
     total = time.time() - t0
 
-    rows = []
-    for r in res["records"]:
-        rows.append({"unit": r.get("unit"), "wall_sec": round(r.get("wall_sec", 0), 2),
-                     "rows": r.get("rows")})
+    rows = [{**{k: v for k, v in r.items() if k != "ts"},
+             "wall_sec": round(r.get("wall_sec") or 0, 2)} for r in res["records"]]
     print(json.dumps({"total_sec": round(total, 2), "phases": rows,
                       "num_cpus": num_cpus, "replicas": replicas}, ensure_ascii=False))
     ray.shutdown()
