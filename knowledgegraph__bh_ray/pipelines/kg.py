@@ -13,7 +13,8 @@ small-side lookups (node-id vocabulary, canonical map) are broadcast via
 ``ray.put`` — never re-shipped per batch and never a second shuffle.
 
 Batch-size note: html rows are a few KB; 256 rows/batch keeps per-task
-overhead amortized while a batch × 32 concurrent tasks stays ≪ worker heap.
+overhead amortized while a batch per concurrent task (one per CPU) stays
+≪ worker heap.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from ..stages.grouped import (
     keep_first_block,
     salted_grouped_agg,
 )
-from ..stages.linkage import CanonicalizeTriples, canonical_map_ds, normalize_surface_series
+from ..stages.linkage import CanonicalizeTriples, canon_lookup, canonical_map_ds
 
 EXTRACT_BATCH_SIZE = 256
 ADJACENCY_BUCKETS = 16
@@ -107,12 +108,10 @@ def nodes_ds(source, salt_buckets: int = 16, est: SizeEstimate | None = None):
 def _node_id_set(source) -> frozenset:
     """Distinct node ids — the entity vocabulary (small side, broadcast).
 
-    Vocabulary cardinality ~ |entities|, not |corpus|; at 100 TB this is the
-    canonical broadcast-semi-join case (SURVEY.md §2.5 J1).  The distinct
-    runs DISTRIBUTED (hash-partitioned dedup) so only the vocabulary-sized
-    result ever reaches the driver — never the corpus-sized occurrence
-    column.  If even the vocabulary outgrew memory, use
-    ``edges_ds(join_mode="bucketed")`` (a real distributed join)."""
+    Vocabulary cardinality ~ |entities|, not |corpus|: the broadcast
+    semi-join case (SURVEY.md §2.5 J1).  The distinct runs DISTRIBUTED
+    (hash-partitioned dedup) so only the vocabulary-sized result ever
+    reaches the driver — never the corpus-sized occurrence column."""
     from ..stages.grouped import distinct_block, hash_partitioned_agg
 
     ids = hash_partitioned_agg(
@@ -122,7 +121,6 @@ def _node_id_set(source) -> frozenset:
     return frozenset(ids["id"]) if "id" in ids.columns else frozenset()
 
 
-TRIPLE_COLS = ["url", "seq", "subj", "pred", "obj", "subj_name", "obj_name", "props_json"]
 EDGE_KEYS = ["subj", "pred", "obj"]
 BUCKET_COL = "subj_bucket"
 
@@ -175,47 +173,30 @@ def _edge_agg(kept, adjacency_buckets: int | None, salt_buckets: int = 16,
 
 
 def edges_ds(source, node_ids: frozenset | None = None, salt_buckets: int = 16,
-             join_mode: str = "broadcast", adjacency_buckets: int | None = None,
-             est: SizeEstimate | None = None):
+             adjacency_buckets: int | None = None, est: SizeEstimate | None = None):
     """Triple dedup + graph materialization (G2/G6): drop dangling endpoints
     (reference policy J1: both endpoints must be known concepts), then
     groupby (subj, pred, obj) → weight = occurrence count, representative
     names/props = global keep-first by seq.
 
-    ``join_mode``:
-      * ``"broadcast"`` (default) — the node-id vocabulary is broadcast via
-        ``ray.put`` and probed per batch; right when the vocabulary fits a
-        worker (the common corpus/vocab ratio).
-      * ``"bucketed"`` — NO broadcast: the distinct-id Dataset semi-joins
-        the triples by key hash (stages/grouped.reduce_side_join, semi),
-        once on subj and once on obj.  The scale path when even the
-        vocabulary outgrows worker memory.  Output identical (tested).
+    The node-id vocabulary (``node_ids``, or ``_node_id_set(source)``) is
+    broadcast via ``ray.put`` and probed per batch.
 
     ``adjacency_buckets``: emit the subj-bucketed adjacency layout (see
     ``_edge_agg``).  ``est``: the size of the raw triples, which picks the
     aggregation's arm (stages/grouped.plan_arm)."""
     import ray
 
-    triples = triples_raw_ds(source)
-    if join_mode == "bucketed":
-        from ..stages.grouped import distinct_block, hash_partitioned_agg, reduce_side_join
+    if node_ids is None:
+        node_ids = _node_id_set(source)
+    ids_ref = ray.put(node_ids)
 
-        ids_ds = hash_partitioned_agg(
-            nodes_raw_ds(source).select_columns(["id"]), ["id"], distinct_block(["id"])
-        )
-        kept = reduce_side_join(triples, TRIPLE_COLS, "subj", ids_ds, "id", how="semi")
-        kept = reduce_side_join(kept, TRIPLE_COLS, "obj", ids_ds, "id", how="semi")
-    else:
-        if node_ids is None:
-            node_ids = _node_id_set(source)
-        ids_ref = ray.put(node_ids)
+    def _drop_dangling(batch: pd.DataFrame) -> pd.DataFrame:
+        ids = ray.get(ids_ref)
+        m = batch["subj"].isin(ids) & batch["obj"].isin(ids)
+        return batch[m].reset_index(drop=True)
 
-        def _drop_dangling(batch: pd.DataFrame) -> pd.DataFrame:
-            ids = ray.get(ids_ref)
-            m = batch["subj"].isin(ids) & batch["obj"].isin(ids)
-            return batch[m].reset_index(drop=True)
-
-        kept = triples.map_batches(_drop_dangling, batch_format="pandas")
+    kept = triples_raw_ds(source).map_batches(_drop_dangling, batch_format="pandas")
     return _edge_agg(kept, adjacency_buckets, salt_buckets, est)
 
 
@@ -226,19 +207,15 @@ def canonical_nodes_ds(source, salt_buckets: int = 16):
 
 
 def edges_canonical_ds(source, canon_map: dict | None = None,
-                       join_mode: str = "broadcast", adjacency_buckets: int | None = None,
-                       est: SizeEstimate | None = None):
+                       adjacency_buckets: int | None = None, est: SizeEstimate | None = None):
     """Canonicalized, deduplicated edge table: endpoints rewritten to
     canonical ids, unknown blocking keys dropped, then the same
     dedup-count as edges_ds.
 
-    ``join_mode="broadcast"`` (default): the canonical map is broadcast and
-    applied by plain map tasks, each worker building the lookup dicts once
-    per ref (state/broadcast.py) — right while the entity vocabulary fits
-    a worker.  ``join_mode="bucketed"``: NO broadcast — the canonical-map
-    Dataset is reduce-side-joined against the triples on the blocking key
-    (subj pass then obj pass), the scale path for vocabularies beyond
-    worker memory.  Output identical (tested).
+    The canonical map (``canon_map``, or the lookup of
+    ``canonical_nodes_ds(source)``) is broadcast and applied by plain map
+    tasks, each worker building the lookup dicts once per ref
+    (state/broadcast.py).
 
     ``adjacency_buckets``: emit the subj-bucketed adjacency layout (see
     ``_edge_agg``).  ``est``: as for ``edges_ds``."""
@@ -246,52 +223,14 @@ def edges_canonical_ds(source, canon_map: dict | None = None,
 
     from ..state.broadcast import from_broadcast
 
-    triples = triples_raw_ds(source)
-    if join_mode == "bucketed":
-        from ..stages.grouped import reduce_side_join
+    if canon_map is None:
+        canon_map = canon_lookup(canonical_nodes_ds(source).to_pandas())
+    ref = ray.put(canon_map)
 
-        canon_ds = canonical_nodes_ds(source)
+    def _canonicalize(batch: pd.DataFrame) -> pd.DataFrame:
+        return from_broadcast(ref, CanonicalizeTriples)(batch)
 
-        def _keys(d: pd.DataFrame) -> pd.DataFrame:
-            d = d.copy()
-            d["sk"] = normalize_surface_series(d["subj_name"])
-            d["ok"] = normalize_surface_series(d["obj_name"])
-            return d
-
-        with_keys = triples.map_batches(_keys, batch_format="pandas")
-        l1 = reduce_side_join(
-            with_keys, ["url", "seq", "pred", "props_json", "ok"], "sk",
-            canon_ds, "norm_key", ["canon_id", "canon_name"],
-        ).map_batches(
-            lambda d: d.rename(columns={"canon_id": "subj", "canon_name": "subj_name"}),
-            batch_format="pandas",
-        )
-        linked = reduce_side_join(
-            l1, ["url", "seq", "pred", "props_json", "subj", "subj_name"], "ok",
-            canon_ds, "norm_key", ["canon_id", "canon_name"],
-        ).map_batches(
-            lambda d: d.rename(columns={"canon_id": "obj", "canon_name": "obj_name"}),
-            batch_format="pandas",
-        )
-    else:
-        if canon_map is None:
-            canon_pdf = canonical_nodes_ds(source).to_pandas()
-            canon_map = (
-                {
-                    k: (i, n)
-                    for k, i, n in zip(
-                        canon_pdf["norm_key"], canon_pdf["canon_id"], canon_pdf["canon_name"]
-                    )
-                }
-                if "norm_key" in canon_pdf.columns
-                else {}
-            )
-        ref = ray.put(canon_map)
-
-        def _canonicalize(batch: pd.DataFrame) -> pd.DataFrame:
-            return from_broadcast(ref, CanonicalizeTriples)(batch)
-
-        linked = triples.map_batches(_canonicalize, batch_format="pandas")
+    linked = triples_raw_ds(source).map_batches(_canonicalize, batch_format="pandas")
     return _edge_agg(linked, adjacency_buckets, est=est)
 
 
@@ -354,11 +293,10 @@ def node_parents_ds(source):
     child in file order (csv2owl.py:49-57).  Implemented as a reduce-side
     left join (nodes ⋈ nodes on parent = id, stages/grouped.reduce_side_join)
     — the both-sides-large join form; dangling parents → ''.  ``nodes_ds``
-    is pinned once and feeds both sides of the join."""
+    is materialized once and feeds both sides of the join."""
     from ..stages.grouped import reduce_side_join
-    from ..stages.spill import pin
 
-    nodes = pin(nodes_ds(source), "node-parents")
+    nodes = nodes_ds(source).materialize()
     # .get: the aggregation can hand over column-less empty blocks
     parents = nodes.map_batches(
         lambda b: pd.DataFrame({"id": b.get("id", []), "parent_name": b.get("name", [])}),
@@ -383,9 +321,7 @@ def bfs_reachable(pages_path: str, start_url: str, max_depth: int = 2, max_nodes
     import pandas as pd
     import ray
 
-    from ..stages.spill import pin
-
-    edges = pin(page_graph_edges_ds(pages_path).select_columns(["src_url", "dst_url"]), "bfs-edges")
+    edges = page_graph_edges_ds(pages_path).select_columns(["src_url", "dst_url"]).materialize()
 
     visited: dict[str, int] = {start_url: 0}
     frontier = [start_url]

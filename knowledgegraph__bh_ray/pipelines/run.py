@@ -2,10 +2,11 @@
 
 Phase structure (each phase is a resume unit, SURVEY.md §7.2 step 6):
 
-  phase 1  ``parsed/shard=K/``   extract+parse, sharded by url-hash into
-           ``num_shards`` units (``resume_granularity`` shards run per
-           Dataset pass — granularity 1 means one pass, no read
-           amplification; tests use >1 to exercise mid-run kill/resume)
+  phase 1  ``parsed/group=G/``   extract+parse; pages are sharded by
+           url-hash into ``num_shards`` shards, and the shards into
+           ``resume_granularity`` groups, one unit and one Dataset pass
+           each (granularity 1 means one pass, no read amplification;
+           tests use >1 to exercise mid-run kill/resume)
   phase 2  ``nodes/``            global keep-first dedup over the checkpoint
   phase 3  ``edges/``            dangling-drop + dedup-count
   phase 4  ``canonical/`` + ``edges_canonical/``  linking outputs
@@ -57,11 +58,10 @@ from ..functions.hashing import bucket_of
 from ..sources import read_pages
 from ..stages.extract import PARSED_SCHEMA, flatten_list_column
 from ..stages.grouped import SizeEstimate, plan_arm
+from ..stages.linkage import CANON_SCHEMA, canon_lookup, canonical_map_pdf
 from ..stages.ner import MENTIONS_SCHEMA
 from ..state.lineage import Manifest, ShardedCounter
 from . import kg
-
-CANON_SCHEMA = pa.schema([(c, pa.string()) for c in ("norm_key", "canon_name", "canon_id")])
 
 
 def _footer_size(d: str, columns=(), leaf: str | None = None) -> SizeEstimate:
@@ -290,38 +290,19 @@ def run_kg_pipeline(
         manifest.clean_unit_dir(canon_dir)
         manifest.clean_unit_dir(ecanon_dir)
         est, plan = _plan("triples", "subj")
-        # canonical pick over the deduped nodes table ≡ over raw occurrences:
-        # each id's keep-first row already carries the min-seq surface form,
-        # so min-by-seq per blocking key is unchanged.  The deduped node
-        # table is vocabulary-sized (≪ corpus), so the canonical map is
-        # computed driver-side in one vectorized pandas pass instead of a
-        # Ray job — same keep-first-by-seq semantics as the distributed
-        # canonical_map_ds (which remains the oracle-gated query path).
-        from ..functions.hashing import md5_id
-        from ..stages.linkage import normalize_surface_series
-
-        nodes_pdf = _read_small(nodes_dir, ["url", "seq", "name"])
-        nodes_pdf["norm_key"] = normalize_surface_series(nodes_pdf["name"])
-        canon_pdf = (
-            nodes_pdf.sort_values("seq", kind="mergesort")
-            .drop_duplicates(subset=["norm_key"], keep="first")
-            .rename(columns={"name": "canon_name"})[["norm_key", "canon_name"]]
-            .reset_index(drop=True)
-        )
-        canon_pdf["canon_id"] = [md5_id(n) for n in canon_pdf["canon_name"]]
+        # the deduped nodes table is vocabulary-sized (≪ corpus), so the
+        # canonical pick runs driver-side in one pandas pass, not a Ray job
+        # (stages/linkage.py: the same table as the query path's)
+        canon_pdf = canonical_map_pdf(_read_small(nodes_dir, ["url", "seq", "name"]))
         os.makedirs(canon_dir, exist_ok=True)
         pq.write_table(
             pa.Table.from_pandas(canon_pdf, schema=CANON_SCHEMA, preserve_index=False),
             os.path.join(canon_dir, "part-00000.parquet"),
         )
-        canon_map = {
-            k: (i, n)
-            for k, i, n in zip(canon_pdf["norm_key"], canon_pdf["canon_id"], canon_pdf["canon_name"])
-        }
         parsed, nblocks, _ = _parsed(["url", "triples"])
         ecanon = kg.edges_canonical_ds(
             parsed,
-            canon_map=canon_map,
+            canon_map=canon_lookup(canon_pdf),
             adjacency_buckets=kg.ADJACENCY_BUCKETS,
             est=est,
         )

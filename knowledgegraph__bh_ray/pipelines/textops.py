@@ -1035,11 +1035,9 @@ def lm_perplexity_ds(sf_dir: str, num_parts: int = 8,
     def _big_sum(d: pd.DataFrame) -> pd.DataFrame:
         return d.groupby("bigram", sort=False, as_index=False)["c2"].sum()
 
-    from ..stages.spill import pin
-
-    cnt1 = pin(hash_partitioned_agg(
+    cnt1 = hash_partitioned_agg(
         docs.map_batches(_uni_partial, batch_format="pandas"),
-        ["term"], _uni_sum, num_parts=num_parts), "lm-cnt1")
+        ["term"], _uni_sum, num_parts=num_parts).materialize()
     cnt2 = hash_partitioned_agg(
         docs.map_batches(_big_partial, batch_format="pandas"),
         ["bigram"], _big_sum, num_parts=num_parts)

@@ -91,6 +91,38 @@ def _install_checkpoint(tmp: str, out: str) -> None:
     os.replace(tmp, out)
 
 
+def _checkpoint(root: str, version: str, sf_dir: str, replicas: int, build) -> str:
+    """The checkpoint dir of ``build(pages)`` for this corpus, written ONCE
+    under ``root`` and reused while its ``_VERSION`` file reads
+    ``version``.  Deterministic, idempotent, atomic (write to a tmp dir,
+    then ``_install_checkpoint``)."""
+    import shutil
+
+    pages = ensure_pages(sf_dir, replicas=replicas)
+    key = os.path.basename(os.path.dirname(pages))  # e.g. sf0.1_x10
+    out = os.path.join(root, key)
+    vfile = os.path.join(out, "_VERSION")  # '_' prefix: ignored by parquet readers
+    if os.path.exists(vfile) and open(vfile).read().strip() == version:
+        return out
+    tmp = f"{out}.tmp{os.getpid()}"
+    shutil.rmtree(tmp, ignore_errors=True)
+    build(pages).write_parquet(tmp)
+    with open(os.path.join(tmp, "_VERSION"), "w") as f:
+        f.write(version)
+    _install_checkpoint(tmp, out)
+    return out
+
+
+def _read_checkpoint(d: str, columns: list[str]):
+    """Dataset view over a checkpoint dir, coalesced to ~ncpu blocks
+    (shuffle barriers cost per input block)."""
+    import ray as _ray
+    import ray.data as rd
+
+    nblocks = max(16, int(_ray.cluster_resources().get("CPU", 8)))
+    return rd.read_parquet(d, columns=columns, override_num_blocks=nblocks)
+
+
 _EXTRACT_CACHE_ROOT = "/tmp/kgbh_extracted"
 EXTRACT_CACHE_VERSION = "2"  # bump when extract semantics change
 
@@ -99,37 +131,18 @@ def ensure_extracted(sf_dir: str, replicas: int = 1) -> str:
     """Engine-side parsed-text checkpoint (url, text_out), written ONCE per
     corpus and shared by every dedup/near-dup query — the checkpoint-reuse
     design of pipelines/run.py applied to the query registry, so the
-    second-most-expensive stage (HTML extraction) is not re-paid per query.
-    Deterministic, idempotent, atomic (write to tmp dir, then
-    ``_install_checkpoint``)."""
-    import shutil
-
-    pages = ensure_pages(sf_dir, replicas=replicas)
+    second-most-expensive stage (HTML extraction) is not re-paid per query."""
     if replicas == 1:
         ensure_golden(sf_dir)
-    key = os.path.basename(os.path.dirname(pages))  # e.g. sf0.1_x10
-    out = os.path.join(_EXTRACT_CACHE_ROOT, key)
-    vfile = os.path.join(out, "_VERSION")  # '_' prefix: ignored by parquet readers
-    if os.path.exists(vfile) and open(vfile).read().strip() == EXTRACT_CACHE_VERSION:
-        return out
-    tmp = f"{out}.tmp{os.getpid()}"
-    shutil.rmtree(tmp, ignore_errors=True)
-    kg.extracted_ds(pages).select_columns(["url", "text_out"]).write_parquet(tmp)
-    with open(os.path.join(tmp, "_VERSION"), "w") as f:
-        f.write(EXTRACT_CACHE_VERSION)
-    _install_checkpoint(tmp, out)
-    return out
+    return _checkpoint(
+        _EXTRACT_CACHE_ROOT, EXTRACT_CACHE_VERSION, sf_dir, replicas,
+        lambda pages: kg.extracted_ds(pages).select_columns(["url", "text_out"]),
+    )
 
 
 def extracted_cached_ds(sf_dir: str, replicas: int = 1):
-    """Dataset view over the shared extracted-text checkpoint, coalesced to
-    ~ncpu blocks (shuffle barriers cost per input block)."""
-    import ray as _ray
-    import ray.data as rd
-
-    d = ensure_extracted(sf_dir, replicas=replicas)
-    nblocks = max(16, int(_ray.cluster_resources().get("CPU", 8)))
-    return rd.read_parquet(d, columns=["url", "text_out"], override_num_blocks=nblocks)
+    """Dataset view over the shared extracted-text checkpoint."""
+    return _read_checkpoint(ensure_extracted(sf_dir, replicas=replicas), ["url", "text_out"])
 
 
 _PAGE_EDGES_CACHE_ROOT = "/tmp/kgbh_page_edges"
@@ -142,36 +155,15 @@ def ensure_page_edges(sf_dir: str, replicas: int = 1) -> str:
     page-graph family: the parse prefix that produces the links is priced in
     the headline pipeline, so graph operators (k-core, PageRank rounds, node
     similarity) are measured over the edge table they actually consume
-    instead of re-paying link extraction per query.  Deterministic,
-    idempotent, atomic (write to tmp dir, then ``_install_checkpoint``)."""
-    import shutil
-
-    pages = ensure_pages(sf_dir, replicas=replicas)
-    key = os.path.basename(os.path.dirname(pages))  # e.g. sf0.1_x10
-    out = os.path.join(_PAGE_EDGES_CACHE_ROOT, key)
-    vfile = os.path.join(out, "_VERSION")
-    if os.path.exists(vfile) and open(vfile).read().strip() == PAGE_EDGES_CACHE_VERSION:
-        return out
-    tmp = f"{out}.tmp{os.getpid()}"
-    shutil.rmtree(tmp, ignore_errors=True)
-    kg.page_graph_edges_ds(pages).write_parquet(tmp)
-    with open(os.path.join(tmp, "_VERSION"), "w") as f:
-        f.write(PAGE_EDGES_CACHE_VERSION)
-    _install_checkpoint(tmp, out)
-    return out
+    instead of re-paying link extraction per query."""
+    return _checkpoint(_PAGE_EDGES_CACHE_ROOT, PAGE_EDGES_CACHE_VERSION, sf_dir, replicas,
+                       kg.page_graph_edges_ds)
 
 
 def page_edges_cached_ds(sf_dir: str, replicas: int = 1):
-    """Dataset view over the shared page-edges checkpoint, coalesced to
-    ~ncpu blocks."""
-    import ray as _ray
-    import ray.data as rd
-
-    d = ensure_page_edges(sf_dir, replicas=replicas)
-    nblocks = max(16, int(_ray.cluster_resources().get("CPU", 8)))
-    return rd.read_parquet(
-        d, columns=["src_url", "dst_url", "text"], override_num_blocks=nblocks
-    )
+    """Dataset view over the shared page-edges checkpoint."""
+    return _read_checkpoint(ensure_page_edges(sf_dir, replicas=replicas),
+                            ["src_url", "dst_url", "text"])
 
 
 def _query_vectors(sf_dir: str, ids=(0, 1, 2)) -> dict[int, np.ndarray]:

@@ -127,7 +127,6 @@ def connected_components_ds(pairs_ds, a: str = "id_a", b: str = "id_b",
     import ray.data as rd
 
     from .grouped import reduce_side_join
-    from .spill import pin
 
     def _both(batch: pd.DataFrame) -> pd.DataFrame:
         # directed edges (src → dst): a label flows from src to dst
@@ -141,7 +140,7 @@ def connected_components_ds(pairs_ds, a: str = "id_a", b: str = "id_b",
 
     # materialize the directed edge list ONCE (object store, not driver) so
     # each round's join does not re-run the upstream pair-generation DAG
-    edges = pin(pairs_ds.map_batches(_both, batch_format="pandas"), "cc-edges")
+    edges = pairs_ds.map_batches(_both, batch_format="pandas").materialize()
     small = collect_if_small(edges, driver_threshold)
     if small is not None:
         if not len(small):
@@ -153,8 +152,7 @@ def connected_components_ds(pairs_ds, a: str = "id_a", b: str = "id_b",
     labels = degrees(edges, ["src"], num_parts).map_batches(
         lambda d: pd.DataFrame({"node": d.get("node", []), "label": d.get("node", [])}),
         batch_format="pandas",
-    )
-    labels = pin(labels, "cc-labels")
+    ).materialize()
 
     def _fill(d: pd.DataFrame) -> pd.DataFrame:
         if "jlabel" not in d.columns:
@@ -163,10 +161,9 @@ def connected_components_ds(pairs_ds, a: str = "id_a", b: str = "id_b",
 
     prev_chk = _label_checksum(labels)
     for _ in range(max_rounds):
-        # pinned: both sides of the jump below read it, and an unpinned
+        # materialized: both sides of the jump below read it, and a lazy
         # Dataset re-runs its two shuffles once per reader
-        new_labels = pin(propagate(edges, labels, "label", "min", labels, num_parts),
-                         "cc-cand")
+        new_labels = propagate(edges, labels, "label", "min", labels, num_parts).materialize()
         # pointer jumping: label ← label(label), a left self-join keyed on
         # the label value (min labels are themselves node ids)
         jumped = reduce_side_join(
@@ -178,7 +175,7 @@ def connected_components_ds(pairs_ds, a: str = "id_a", b: str = "id_b",
             ),
             "node", ["jlabel"], how="left", num_parts=num_parts,
         )
-        labels = pin(jumped.map_batches(_fill, batch_format="pandas"), "cc-labels")
+        labels = jumped.map_batches(_fill, batch_format="pandas").materialize()
         chk = _label_checksum(labels)
         if chk == prev_chk:
             break
@@ -216,9 +213,7 @@ def ancestor_closure_ds(nodes_ds, id_col: str = "id", parent_col: str = "parent"
         return pd.DataFrame({"id": m[id_col], "anc": m[parent_col],
                              "depth": np.int64(1)})
 
-    from .spill import pin
-
-    closure = pin(nodes_ds.map_batches(_base, batch_format="pandas"), "anc-closure")
+    closure = nodes_ds.map_batches(_base, batch_format="pandas").materialize()
     frontier = closure  # exact-depth-p rows; p = 1
 
     def _compose(front, clos, p: int):
@@ -248,8 +243,8 @@ def ancestor_closure_ds(nodes_ds, id_col: str = "id", parent_col: str = "parent"
 
     p = 1
     while p < max_depth:
-        new_rows = pin(_compose(frontier, closure, p), "anc-rows")
-        closure = pin(closure.union(new_rows), "anc-closure")
+        new_rows = _compose(frontier, closure, p).materialize()
+        closure = closure.union(new_rows).materialize()
         p *= 2
         if p < max_depth:  # next round still composes: refresh the frontier
             frontier = new_rows.map_batches(

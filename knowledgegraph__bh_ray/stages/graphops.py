@@ -28,13 +28,12 @@ import pandas as pd
 
 from .grouped import (collect_if_small, distinct_block, hash_partitioned_agg,
                       reduce_side_join)
-from .spill import pin
 
 
-def undirected(edges, src: str, dst: str, num_parts: int, tag: str):
-    """Dataset(src, dst) → pinned Dataset(u, v): distinct undirected edges
-    with ``u < v``; self-loops are dropped.  Pinned because every caller
-    reads it more than once."""
+def undirected(edges, src: str, dst: str, num_parts: int):
+    """Dataset(src, dst) → materialized Dataset(u, v): distinct undirected
+    edges with ``u < v``; self-loops are dropped.  Materialized because
+    every caller reads it more than once."""
 
     def _canon(d: pd.DataFrame) -> pd.DataFrame:
         a = d.get(src, pd.Series([], dtype=object))
@@ -44,10 +43,10 @@ def undirected(edges, src: str, dst: str, num_parts: int, tag: str):
         out = pd.DataFrame({"u": lo, "v": hi})
         return out[out["u"] != out["v"]] if len(out) else out
 
-    return pin(hash_partitioned_agg(
+    return hash_partitioned_agg(
         edges.map_batches(_canon, batch_format="pandas"),
         ["u", "v"], distinct_block(["u", "v"]), num_parts=num_parts,
-    ), tag)
+    ).materialize()
 
 
 def degrees(ds, cols: list[str], num_parts: int):
@@ -80,7 +79,7 @@ def attach(ds, cols: list[str], on: list[str], degs, as_cols: list[str],
     ``ray.put`` once and every lookup runs in one shuffle-free map;
     otherwise each lookup is a ``reduce_side_join(how="left")`` — correct
     when even the node set is too big for a worker heap.  ``degs`` should
-    be pinned: the dispatch counts it and the join arm reads it once per
+    be materialized: the dispatch counts it and the join arm reads it once per
     lookup."""
     table = collect_if_small(degs, threshold)
     if table is None:

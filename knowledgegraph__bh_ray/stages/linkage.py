@@ -9,19 +9,23 @@ This engine adds the linking layer the north rule asks for:
     ``《》``, collapse whitespace, trim, ASCII-lowercase.  SQL-mirrorable:
     ``lower(trim(regexp_replace(regexp_replace(name,'[《》]','','g'),
     '\\s+',' ','g')))``.
-  * **phase 1**: per-batch partial + salted groupby over the blocking key
-    (head-entity skew → see stages/grouped.py);
-  * **phase 2**: per-block canonical pick = min-``seq`` surface form
-    (global keep-first), canonical id = ``md5(canonical_name)[:8]``.
+  * **canonical pick** = min-``seq`` surface form per blocking key (global
+    keep-first), canonical id = ``md5(canonical_name)[:8]``.
+
+The pick runs in one of two places, built from the same steps: over raw
+node occurrences on Ray (``canonical_map_ds``: per-batch partial + salted
+groupby over the blocking key, head-entity skew → stages/grouped.py), or
+in one pandas pass over the vocabulary-sized deduped nodes table
+(``canonical_map_pdf``, the resume pipeline's canonical unit).  Both give
+the same table: each id's keep-first row already carries its min-``seq``
+surface form.
 
 The canonical map (blocking key → canonical id/name) is entity *vocabulary*,
 orders of magnitude smaller than the corpus, so edge canonicalization uses a
-broadcast lookup (``ray.put`` once; each worker process builds the lookup
-dicts on its first batch and caches them by ref — state/broadcast.py,
-SURVEY.md §2.5 J1) in plain map tasks, instead of a second shuffle or an
-actor pool.  Scale fallback for a vocabulary that outgrows worker memory:
-``edges_canonical_ds(join_mode="bucketed")``, a reduce-side join on the
-blocking key.
+broadcast lookup (``canon_lookup`` → ``ray.put`` once; each worker process
+builds the lookup dicts on its first batch and caches them by ref —
+state/broadcast.py, SURVEY.md §2.5 J1) in plain map tasks, instead of a
+second shuffle or an actor pool.
 """
 
 from __future__ import annotations
@@ -29,11 +33,15 @@ from __future__ import annotations
 import re
 
 import pandas as pd
+import pyarrow as pa
 
 from ..functions.hashing import md5_id
+from .grouped import keep_first_block, salted_grouped_agg
 
 _RE_BRACKETS = re.compile(r"[《》]")
 _RE_WS = re.compile(r"\s+")
+
+CANON_SCHEMA = pa.schema([(c, pa.string()) for c in ("norm_key", "canon_name", "canon_id")])
 
 
 def normalize_surface(name: str) -> str:
@@ -52,30 +60,49 @@ def normalize_surface_series(s: pd.Series) -> pd.Series:
     )
 
 
+def _keyed(nodes: pd.DataFrame) -> pd.DataFrame:
+    """(url, seq, name) of each node row, with its blocking key."""
+    b = nodes[["url", "seq", "name"]].copy()
+    b["norm_key"] = normalize_surface_series(b["name"])
+    return b
+
+
+_pick = keep_first_block(["norm_key"], "seq")
+
+
+def _canon_rows(picked: pd.DataFrame) -> pd.DataFrame:
+    """Picked rows, one per blocking key → (norm_key, canon_name, canon_id)."""
+    out = picked.rename(columns={"name": "canon_name"})[["norm_key", "canon_name"]].copy()
+    out["canon_id"] = [md5_id(n) for n in out["canon_name"]]
+    return out
+
+
+def canonical_map_pdf(nodes: pd.DataFrame) -> pd.DataFrame:
+    """nodes(url, seq, name, …) → canonical table (norm_key, canon_name,
+    canon_id), in one pandas pass; rows in ``seq`` order."""
+    return _canon_rows(_pick(_keyed(nodes)))
+
+
 def canonical_map_ds(nodes_raw, salt_buckets: int = 16):
     """nodes_raw(url, seq, name, …) → canonical map Dataset
     (norm_key, canon_name, canon_id) via two-phase salted groupby."""
-    from .grouped import keep_first_block, salted_grouped_agg
-
-    def _add_norm(batch: pd.DataFrame) -> pd.DataFrame:
-        b = batch[["url", "seq", "name"]].copy()
-        b["norm_key"] = normalize_surface_series(b["name"])
-        return b
-
     agg = salted_grouped_agg(
-        nodes_raw.map_batches(_add_norm, batch_format="pandas"),
+        nodes_raw.map_batches(_keyed, batch_format="pandas"),
         keys=["norm_key"],
-        block_agg=keep_first_block(["norm_key"], "seq"),
+        block_agg=_pick,
         salt_from="url",
         salt_buckets=salt_buckets,
     )
+    return agg.map_batches(_canon_rows, batch_format="pandas")
 
-    def _finish(batch: pd.DataFrame) -> pd.DataFrame:
-        out = batch.rename(columns={"name": "canon_name"})[["norm_key", "canon_name"]].copy()
-        out["canon_id"] = [md5_id(n) for n in out["canon_name"]]
-        return out
 
-    return agg.map_batches(_finish, batch_format="pandas")
+def canon_lookup(canon: pd.DataFrame) -> dict:
+    """Canonical table → the broadcast map {norm_key: (canon_id,
+    canon_name)} that ``CanonicalizeTriples`` reads.  A table read from an
+    empty Dataset has no columns: it maps nothing."""
+    if "norm_key" not in canon.columns:
+        return {}
+    return dict(zip(canon["norm_key"], zip(canon["canon_id"], canon["canon_name"])))
 
 
 class CanonicalizeTriples:

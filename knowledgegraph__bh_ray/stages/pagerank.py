@@ -61,11 +61,10 @@ def triangles_ds(edges_ds, src: str = "src_url", dst: str = "dst_url",
     Every exchange is hash-partitioned; no broadcast (the edge set is
     corpus-scale)."""
     from .grouped import exchange, reduce_side_join
-    from .spill import pin
 
-    und = undirected(edges_ds, src, dst, num_parts, "tri-und")
-    # pinned: both endpoint lookups read it
-    degs = pin(degrees(und, ["u", "v"], num_parts), "tri-degs")
+    und = undirected(edges_ds, src, dst, num_parts)
+    # materialized: both endpoint lookups read it
+    degs = degrees(und, ["u", "v"], num_parts).materialize()
     # threshold 0: the lookups stay reduce-side joins (no broadcast)
     e_dd = attach(und, ["u", "v"], ["u", "v"], degs, ["du", "dv"], num_parts, 0)
 
@@ -85,7 +84,7 @@ def triangles_ds(edges_ds, src: str = "src_url", dst: str = "dst_url",
             "db": np.where(lo_first, dv, du).astype("int64"),
         })
 
-    oriented = pin(e_dd.map_batches(_orient, batch_format="pandas"), "tri-oriented")
+    oriented = e_dd.map_batches(_orient, batch_format="pandas").materialize()
 
     # wedges at the low endpoint: self-join oriented edges on 'a' within
     # each hash partition; order the out-neighbor pair by (deg, id)
@@ -153,12 +152,11 @@ def pagerank_ds(edges_ds, damping: float = 0.85, iters: int = 10,
     import ray.data as rd
 
     from .grouped import reduce_side_join
-    from .spill import pin
 
-    edges = pin(edges_ds.map_batches(
+    edges = edges_ds.map_batches(
         lambda d: pd.DataFrame({"src": d.get(src, []), "dst": d.get(dst, [])}),
         batch_format="pandas",
-    ), "pr-edges")
+    ).materialize()
     small = collect_if_small(edges, driver_threshold)
     if small is not None:
         if not len(small):
@@ -168,17 +166,17 @@ def pagerank_ds(edges_ds, damping: float = 0.85, iters: int = 10,
         )
 
     # the node set: every endpoint, one row each
-    nodes = pin(degrees(edges, ["src", "dst"], num_parts), "pr-nodes")
+    nodes = degrees(edges, ["src", "dst"], num_parts).materialize()
     n = nodes.count()
     # out-degree per src (tiny vs corpus: one row per linking node)
-    degs = pin(degrees(edges, ["src"], num_parts), "pr-degs")
+    degs = degrees(edges, ["src"], num_parts).materialize()
 
     # attach degree to ranks once per round via reduce-side merge; nodes
     # with no out-edges (deg NaN) are the dangling set
-    ranks = pin(nodes.map_batches(
+    ranks = nodes.map_batches(
         lambda d: pd.DataFrame({"url": d.get("node", []), "rank": 1.0 / n}),
         batch_format="pandas",
-    ), "pr-ranks")
+    ).materialize()
     zeros = nodes.map_batches(
         lambda d: pd.DataFrame({"node": d.get("node", []), "share": 0.0}),
         batch_format="pandas",
@@ -201,8 +199,7 @@ def pagerank_ds(edges_ds, damping: float = 0.85, iters: int = 10,
     for _ in range(iters):
         # ranks ⋈ degs on url/node (left) → share = damping * rank / deg
         rk = reduce_side_join(ranks, ["url", "rank"], "url", degs, "node", ["deg"],
-                              how="left", num_parts=num_parts)
-        rk = pin(rk, "pr-rk")
+                              how="left", num_parts=num_parts).materialize()
         dangling = float(
             rk.map_batches(_dang, batch_format="pandas").to_pandas()["m"].sum()
         )
@@ -210,11 +207,11 @@ def pagerank_ds(edges_ds, damping: float = 0.85, iters: int = 10,
 
         summed = propagate(edges, rk.map_batches(_share, batch_format="pandas"),
                            "share", "sum", zeros, num_parts)
-        ranks = pin(summed.map_batches(
+        ranks = summed.map_batches(
             lambda d: pd.DataFrame({"url": d.get("node", []),
                                     "rank": d.get("share", pd.Series([], dtype=float)) + base}),
             batch_format="pandas",
-        ), "pr-ranks")
+        ).materialize()
 
     return ranks
 
@@ -261,16 +258,15 @@ def k_core_ds(edges_ds, k: int = 4, src: str = "src_url", dst: str = "dst_url",
     vectorized filter pass; a corpus-sized shell (possible in round 1 on a
     sparse graph) falls back to two reduce-side semi-joins on the alive
     set — all exchanges hash-routed, the driver holds only count scalars.
-    The edge set only ever SHRINKS (survivors re-pinned each round, so
+    The edge set only ever SHRINKS (survivors re-materialized each round, so
     round r+1 scans the peeled set, not the original).  Convergence = an
     empty dead set; ``max_rounds`` bounds pathological path graphs."""
     import ray
     import ray.data as rd
 
     from .grouped import reduce_side_join
-    from .spill import pin
 
-    und = undirected(edges_ds, src, dst, num_parts, "kcore-und")
+    und = undirected(edges_ds, src, dst, num_parts)
     empty = pd.DataFrame({"url": pd.Series([], dtype=object),
                           "core_deg": pd.Series([], dtype="int64")})
     small = collect_if_small(und, driver_threshold)
@@ -279,15 +275,15 @@ def k_core_ds(edges_ds, k: int = 4, src: str = "src_url", dst: str = "dst_url",
         return rd.from_pandas(out if len(out) else empty)
 
     for _ in range(max_rounds):
-        # pinned: consumed twice below (dead filter + possibly alive side),
+        # materialized: consumed twice below (dead filter + possibly alive side),
         # and an unpinned Dataset re-executes its degree-agg DAG per consumer
-        degs = pin(degrees(und, ["u", "v"], num_parts), "kcore-degs")
-        dead = pin(degs.map_batches(
+        degs = degrees(und, ["u", "v"], num_parts).materialize()
+        dead = degs.map_batches(
             lambda d: pd.DataFrame(
                 {"node": d.get("node", pd.Series([], dtype=object))}
             )[np.asarray(d.get("deg", pd.Series([], dtype="int64"))) < k],
             batch_format="pandas",
-        ), "kcore-dead")
+        ).materialize()
         shell = collect_if_small(dead, bcast_dead_threshold)
         if shell is not None and not len(shell):
             break
@@ -303,21 +299,18 @@ def k_core_ds(edges_ds, k: int = 4, src: str = "src_url", dst: str = "dst_url",
                 keep = ~(d["u"].isin(ds_) | d["v"].isin(ds_))
                 return d[keep][["u", "v"]]
 
-            und = pin(und.map_batches(_drop, batch_format="pandas"),
-                      "kcore-und")
+            und = und.map_batches(_drop, batch_format="pandas").materialize()
         else:
             alive = degs.map_batches(
                 lambda d: pd.DataFrame(
                     {"node": d.get("node", pd.Series([], dtype=object))}
                 )[np.asarray(d.get("deg", pd.Series([], dtype="int64"))) >= k],
                 batch_format="pandas",
-            )
-            alive = pin(alive, "kcore-alive")
+            ).materialize()
             nxt = reduce_side_join(und, ["u", "v"], "u", alive, "node",
                                    how="semi", num_parts=num_parts)
-            und = pin(reduce_side_join(nxt, ["u", "v"], "v", alive, "node",
-                                       how="semi", num_parts=num_parts),
-                      "kcore-und")
+            und = reduce_side_join(nxt, ["u", "v"], "v", alive, "node",
+                                   how="semi", num_parts=num_parts).materialize()
         if und.count() == 0:
             return rd.from_pandas(empty)
 
@@ -361,13 +354,12 @@ def node_similarity_ds(edges_ds, src: str = "src_url", dst: str = "dst_url",
     middles BEFORE pair generation, bounding per-middle work at cap²."""
     from .dedup import _bucket_layout, _intra_bucket_pairs
     from .grouped import exchange, hash_partitioned_agg
-    from .spill import pin
 
-    und = undirected(edges_ds, src, dst, num_parts, "nsim-und")
-    # pinned: degs feeds BOTH reduce-side lookups below — unpinned it would
-    # re-run its shuffle DAG once per consumer (the tfidf materialize-once
-    # rule); the pin is node-scale, not edge-scale
-    degs = pin(degrees(und, ["u", "v"], num_parts), "nsim-degs")
+    und = undirected(edges_ds, src, dst, num_parts)
+    # materialized: degs feeds BOTH reduce-side lookups below — lazy it
+    # would re-run its shuffle DAG once per consumer (the tfidf
+    # materialize-once rule); it is node-scale, not edge-scale
+    degs = degrees(und, ["u", "v"], num_parts).materialize()
 
     def _adj(d: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(

@@ -3,10 +3,11 @@
 Checkpoint layout for a pipeline run rooted at ``out_dir``:
 
     out_dir/
-      manifest.jsonl          one record per completed unit (shard or phase):
+      manifest.jsonl          one record per completed unit (group or phase):
                               {"unit": ..., "rows": ..., "counters": {...},
                                "wall_sec": ...}
-      parsed/shard=K/ *.parquet     phase-1 output, one dir per url-hash shard
+      parsed/group=G/ *.parquet     phase-1 output, one dir per group of
+                                    url-hash shards
       nodes/  edges/  edges_canonical/  ...   phase-2 outputs
 
 Resume contract: a unit listed in the manifest is complete (its record is

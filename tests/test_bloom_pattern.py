@@ -23,35 +23,3 @@ def test_pattern_tagger_batch_shape():
     assert set(df.columns) == {"url", "para_idx", "entity", "etype", "start", "end"}
     assert len(df) == 2
     assert df["para_idx"].dtype == np.int64
-
-
-def test_edges_bucketed_join_identical(ray_session, pages_small):
-    """Scale-path equivalence: the no-broadcast reduce-side semi-join
-    produces byte-identical edges to the broadcast path."""
-    from knowledgegraph__bh_ray.pipelines import kg
-
-    key = ["subj", "pred", "obj"]
-    a = kg.edges_ds(pages_small).to_pandas().sort_values(key).reset_index(drop=True)
-    b = (
-        kg.edges_ds(pages_small, join_mode="bucketed")
-        .to_pandas()
-        .sort_values(key)
-        .reset_index(drop=True)
-    )
-    cols = key + ["subj_name", "obj_name", "weight"]
-    pd.testing.assert_frame_equal(a[cols], b[cols])
-
-
-def test_edges_canonical_bucketed_join_identical(ray_session, pages_small):
-    from knowledgegraph__bh_ray.pipelines import kg
-
-    key = ["subj", "pred", "obj"]
-    a = kg.edges_canonical_ds(pages_small).to_pandas().sort_values(key).reset_index(drop=True)
-    b = (
-        kg.edges_canonical_ds(pages_small, join_mode="bucketed")
-        .to_pandas()
-        .sort_values(key)
-        .reset_index(drop=True)
-    )
-    cols = key + ["subj_name", "obj_name", "weight"]
-    pd.testing.assert_frame_equal(a[cols], b[cols])

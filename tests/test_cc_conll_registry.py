@@ -122,34 +122,3 @@ def test_ancestor_closure_matches_reference(ray_session):
     assert len([t for t in got_t if t[0] == "loop"]) == 10
     # dangling parent: one hop then stop
     assert [t for t in got_t if t[0] == "dang"] == [("dang", "ghost", 1)]
-
-
-def test_iterative_spill_path_identical(ray_session, tmp_path, monkeypatch):
-    """KGBH_ITER_SPILL_DIR: the out-of-core iterative-state path (parquet
-    spill instead of object-store materialize) must produce identical CC
-    labels and ancestor closures."""
-    import pandas as pd
-    import ray.data as rd
-
-    from knowledgegraph__bh_ray.stages.cc import (ancestor_closure_ds,
-                                                  connected_components_ds)
-
-    pairs = pd.DataFrame({"id_a": ["a", "b", "x", "p"],
-                          "id_b": ["b", "c", "y", "p"]})
-    nodes = pd.DataFrame({"id": ["n1", "n2", "n3"], "parent": ["", "n1", "n2"]})
-
-    def run_cc():
-        got = connected_components_ds(rd.from_pandas(pairs), num_parts=2,
-                                      driver_threshold=0).to_pandas()
-        return sorted(zip(got["node"], got["cluster"]))
-
-    def run_anc():
-        got = ancestor_closure_ds(rd.from_pandas(nodes), num_parts=2).to_pandas()
-        return sorted(zip(got["id"], got["anc"], got["depth"]))
-
-    mem_cc, mem_anc = run_cc(), run_anc()
-    monkeypatch.setenv("KGBH_ITER_SPILL_DIR", str(tmp_path / "spill"))
-    assert run_cc() == mem_cc
-    assert run_anc() == mem_anc
-    import os
-    assert os.listdir(str(tmp_path / "spill"))  # the spill path actually ran

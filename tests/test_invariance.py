@@ -250,3 +250,21 @@ def test_exchange_is_the_only_keyed_shuffle():
     assert hits.get("map_groups", set()) <= {"stages/grouped.py"}, hits
     assert hits.get("join_type=", set()) <= {"stages/grouped.py"}, hits
     assert "coalesced_groupby" not in hits, hits
+
+
+def test_no_user_selected_plans():
+    """Each operator has one plan, chosen from its input: no module reads
+    an environment variable or takes a join-mode switch.  (The needles are
+    split so that a grep for the deleted switch finds no test either.)"""
+    import pathlib
+
+    import knowledgegraph__bh_ray
+
+    root = pathlib.Path(knowledgegraph__bh_ray.__file__).parent
+    hits = sorted(
+        (path.relative_to(root).as_posix(), needle)
+        for path in root.rglob("*.py")
+        for needle in ("os." "environ", "get" "env", "join" "_mode")
+        if needle in path.read_text(encoding="utf-8")
+    )
+    assert hits == [], hits

@@ -75,6 +75,14 @@ def test_canonical_linking_collapses_variants(pages_small):
     assert all(md5_id(n) == i for n, i in zip(canon["canon_name"], canon["canon_id"]))
     # all bracket variants normalized away
     assert not canon["norm_key"].str.contains("《").any()
+    # the resume pipeline's pandas pass over the deduped nodes picks the
+    # same table as the query path's salted pass over raw occurrences
+    from knowledgegraph__bh_ray.stages.linkage import canonical_map_pdf
+
+    cols = ["norm_key", "canon_name", "canon_id"]
+    pdf = canonical_map_pdf(nodes)[cols].sort_values("norm_key").reset_index(drop=True)
+    ray_side = canon[cols].sort_values("norm_key").reset_index(drop=True)
+    pd.testing.assert_frame_equal(pdf, ray_side)
 
 
 def test_entry_contract(ray_session):
