@@ -19,14 +19,12 @@ from typing import Any
 
 
 def entry() -> Any:
-    """Flagship: pages(sf0.001) → extract → parse → link → canonical edges."""
-    from knowledgegraph__bh_ray.pagegen import ensure_pages
-    from knowledgegraph__bh_ray.pipelines import kg
+    """Flagship: pages(sf0.001) → extract → parse → link → canonical edges,
+    read from the resumable pipeline's run over sf0.001 (``queries.kg_run``,
+    made once per process)."""
+    from knowledgegraph__bh_ray.queries import q_kg_edges_canonical
 
-    pages = ensure_pages("/root/testdata/sf0.001")
-    return kg.edges_canonical_ds(pages).select_columns(
-        ["subj", "pred", "obj", "subj_name", "obj_name", "weight"]
-    )
+    return q_kg_edges_canonical("/root/testdata/sf0.001")
 
 
 def queries() -> dict[str, Callable[[str], Any]]:

@@ -2,15 +2,20 @@
 
     pages ─extract+parse─▶ parsed ─┬─▶ links
                                    ├─▶ nodes_raw ─▶ nodes (keep-first by id)
-                                   │        └────▶ canonical map (blocking-key groupby)
+                                   │                  ├─▶ node-id vocabulary
+                                   │                  └─▶ canonical map (linkage.canonical_map_pdf)
                                    └─▶ triples_raw ─▶ edges (dedup + count, dangling dropped)
                                              └─────▶ edges_canonical (broadcast-linked)
 
 Each function returns a *lazy* ``ray.data.Dataset``; nothing materializes
 until the caller consumes (write_parquet / to_pandas on small results).
-Wide steps use the size-planned aggregation in stages/grouped.py;
-small-side lookups (node-id vocabulary, canonical map) are broadcast via
-``ray.put`` — never re-shipped per batch and never a second shuffle.
+The graph builders take a parsed (or nodes) Dataset; the one caller that
+wires them into the DAG above is ``pipelines/run.run_kg_pipeline``, which
+reads the vocabulary and the canonical map from its deduped ``nodes/``
+table and passes them in.  Wide steps use the size-planned aggregation in
+stages/grouped.py; small-side lookups (node-id vocabulary, canonical map)
+are broadcast via ``ray.put`` — never re-shipped per batch and never a
+second shuffle.
 
 Batch-size note: html rows are a few KB; 256 rows/batch keeps per-task
 overhead amortized while a batch per concurrent task (one per CPU) stays
@@ -36,7 +41,7 @@ from ..stages.grouped import (
     keep_first_block,
     salted_grouped_agg,
 )
-from ..stages.linkage import CanonicalizeTriples, canon_lookup, canonical_map_ds
+from ..stages.linkage import CanonicalizeTriples
 
 EXTRACT_BATCH_SIZE = 256
 ADJACENCY_BUCKETS = 16
@@ -66,28 +71,24 @@ def links_ds(pages_path: str):
     )
 
 
-def nodes_raw_ds(source):
-    """parsed → one row per concept occurrence (pre-dedup).
-
-    ``source`` is a parsed Dataset or a pages path (string)."""
-    ds = parsed_ds(source) if isinstance(source, str) else source
-    return ds.map_batches(
+def nodes_raw_ds(parsed):
+    """parsed Dataset → one row per concept occurrence (pre-dedup)."""
+    return parsed.map_batches(
         lambda t: flatten_list_column(t, "nodes", keep=["url"]),
         batch_format="pyarrow",
     )
 
 
-def triples_raw_ds(source):
-    """parsed → one row per emitted relation (duplicates preserved —
+def triples_raw_ds(parsed):
+    """parsed Dataset → one row per emitted relation (duplicates preserved —
     md2csv.py:93 appends without dedup; dedup is the edges stage)."""
-    ds = parsed_ds(source) if isinstance(source, str) else source
-    return ds.map_batches(
+    return parsed.map_batches(
         lambda t: flatten_list_column(t, "triples", keep=["url"]),
         batch_format="pyarrow",
     )
 
 
-def nodes_ds(source, salt_buckets: int = 16, est: SizeEstimate | None = None):
+def nodes_ds(parsed, salt_buckets: int = 16, est: SizeEstimate | None = None):
     """Global node dedup: keep-first by canonical id, ordered by ``seq``
     (G1 resolved keep-first to match the scored Neo4j-side semantics G6 —
     SURVEY.md §7.4 'last-write-wins vs first-wins').
@@ -96,29 +97,13 @@ def nodes_ds(source, salt_buckets: int = 16, est: SizeEstimate | None = None):
     aggregation's arm (stages/grouped.plan_arm); ``None`` keeps the salted
     plan."""
     return salted_grouped_agg(
-        nodes_raw_ds(source),
+        nodes_raw_ds(parsed),
         keys=["id"],
         block_agg=keep_first_block(["id"], "seq"),
         salt_from="url",
         salt_buckets=salt_buckets,
         est=est,
     )
-
-
-def _node_id_set(source) -> frozenset:
-    """Distinct node ids — the entity vocabulary (small side, broadcast).
-
-    Vocabulary cardinality ~ |entities|, not |corpus|: the broadcast
-    semi-join case (SURVEY.md §2.5 J1).  The distinct runs DISTRIBUTED
-    (hash-partitioned dedup) so only the vocabulary-sized result ever
-    reaches the driver — never the corpus-sized occurrence column."""
-    from ..stages.grouped import distinct_block, hash_partitioned_agg
-
-    ids = hash_partitioned_agg(
-        nodes_raw_ds(source).select_columns(["id"]), ["id"], distinct_block(["id"])
-    ).to_pandas()
-    # an empty Dataset materializes with no columns at all
-    return frozenset(ids["id"]) if "id" in ids.columns else frozenset()
 
 
 EDGE_KEYS = ["subj", "pred", "obj"]
@@ -172,23 +157,21 @@ def _edge_agg(kept, adjacency_buckets: int | None, salt_buckets: int = 16,
     )
 
 
-def edges_ds(source, node_ids: frozenset | None = None, salt_buckets: int = 16,
+def edges_ds(parsed, node_ids: frozenset, salt_buckets: int = 16,
              adjacency_buckets: int | None = None, est: SizeEstimate | None = None):
     """Triple dedup + graph materialization (G2/G6): drop dangling endpoints
     (reference policy J1: both endpoints must be known concepts), then
     groupby (subj, pred, obj) → weight = occurrence count, representative
     names/props = global keep-first by seq.
 
-    The node-id vocabulary (``node_ids``, or ``_node_id_set(source)``) is
-    broadcast via ``ray.put`` and probed per batch.
+    The node-id vocabulary ``node_ids`` (the ids of the deduped nodes
+    table) is broadcast via ``ray.put`` and probed per batch.
 
     ``adjacency_buckets``: emit the subj-bucketed adjacency layout (see
     ``_edge_agg``).  ``est``: the size of the raw triples, which picks the
     aggregation's arm (stages/grouped.plan_arm)."""
     import ray
 
-    if node_ids is None:
-        node_ids = _node_id_set(source)
     ids_ref = ray.put(node_ids)
 
     def _drop_dangling(batch: pd.DataFrame) -> pd.DataFrame:
@@ -196,26 +179,20 @@ def edges_ds(source, node_ids: frozenset | None = None, salt_buckets: int = 16,
         m = batch["subj"].isin(ids) & batch["obj"].isin(ids)
         return batch[m].reset_index(drop=True)
 
-    kept = triples_raw_ds(source).map_batches(_drop_dangling, batch_format="pandas")
+    kept = triples_raw_ds(parsed).map_batches(_drop_dangling, batch_format="pandas")
     return _edge_agg(kept, adjacency_buckets, salt_buckets, est)
 
 
-def canonical_nodes_ds(source, salt_buckets: int = 16):
-    """Canonical entity table after linking: one row per blocking key —
-    (norm_key, canon_name, canon_id)."""
-    return canonical_map_ds(nodes_raw_ds(source), salt_buckets=salt_buckets)
-
-
-def edges_canonical_ds(source, canon_map: dict | None = None,
-                       adjacency_buckets: int | None = None, est: SizeEstimate | None = None):
+def edges_canonical_ds(parsed, canon_map: dict, adjacency_buckets: int | None = None,
+                       est: SizeEstimate | None = None):
     """Canonicalized, deduplicated edge table: endpoints rewritten to
     canonical ids, unknown blocking keys dropped, then the same
     dedup-count as edges_ds.
 
-    The canonical map (``canon_map``, or the lookup of
-    ``canonical_nodes_ds(source)``) is broadcast and applied by plain map
-    tasks, each worker building the lookup dicts once per ref
-    (state/broadcast.py).
+    The canonical map ``canon_map`` (``linkage.canon_lookup`` of
+    ``linkage.canonical_map_pdf`` over the deduped nodes) is broadcast and
+    applied by plain map tasks, each worker building the lookup dicts once
+    per ref (state/broadcast.py).
 
     ``adjacency_buckets``: emit the subj-bucketed adjacency layout (see
     ``_edge_agg``).  ``est``: as for ``edges_ds``."""
@@ -223,14 +200,12 @@ def edges_canonical_ds(source, canon_map: dict | None = None,
 
     from ..state.broadcast import from_broadcast
 
-    if canon_map is None:
-        canon_map = canon_lookup(canonical_nodes_ds(source).to_pandas())
     ref = ray.put(canon_map)
 
     def _canonicalize(batch: pd.DataFrame) -> pd.DataFrame:
         return from_broadcast(ref, CanonicalizeTriples)(batch)
 
-    linked = triples_raw_ds(source).map_batches(_canonicalize, batch_format="pandas")
+    linked = triples_raw_ds(parsed).map_batches(_canonicalize, batch_format="pandas")
     return _edge_agg(linked, adjacency_buckets, est=est)
 
 
@@ -287,16 +262,17 @@ def page_graph_nodes_ds(pages_path: str):
     return hash_partitioned_agg(real.union(targets), ["url"], _merge)
 
 
-def node_parents_ds(source):
-    """Parent resolution self-join (ops J2/J3) — order-independent: the
-    reference resolves ``parent`` only when the parent row precedes the
-    child in file order (csv2owl.py:49-57).  Implemented as a reduce-side
-    left join (nodes ⋈ nodes on parent = id, stages/grouped.reduce_side_join)
-    — the both-sides-large join form; dangling parents → ''.  ``nodes_ds``
-    is materialized once and feeds both sides of the join."""
+def node_parents_ds(nodes):
+    """Parent resolution self-join (ops J2/J3) over the deduped ``nodes``
+    Dataset — order-independent: the reference resolves ``parent`` only
+    when the parent row precedes the child in file order
+    (csv2owl.py:49-57).  Implemented as a reduce-side left join (nodes ⋈
+    nodes on parent = id, stages/grouped.reduce_side_join) — the
+    both-sides-large join form; dangling parents → ''.  ``nodes`` is
+    materialized once and feeds both sides of the join."""
     from ..stages.grouped import reduce_side_join
 
-    nodes = nodes_ds(source).materialize()
+    nodes = nodes.materialize()
     # .get: the aggregation can hand over column-less empty blocks
     parents = nodes.map_batches(
         lambda b: pd.DataFrame({"id": b.get("id", []), "parent_name": b.get("name", [])}),

@@ -292,7 +292,6 @@ def run_kg_pipeline(
         est, plan = _plan("triples", "subj")
         # the deduped nodes table is vocabulary-sized (≪ corpus), so the
         # canonical pick runs driver-side in one pandas pass, not a Ray job
-        # (stages/linkage.py: the same table as the query path's)
         canon_pdf = canonical_map_pdf(_read_small(nodes_dir, ["url", "seq", "name"]))
         os.makedirs(canon_dir, exist_ok=True)
         pq.write_table(
@@ -360,7 +359,9 @@ def degree_from_adjacency(out_dir: str, table: str = "edges"):
     partitioning key chosen at WRITE time is reused at read time: one task
     per bucket does a vectorized local groupby and the results concatenate
     with zero all-to-all exchange.  (At larger bucket sizes the
-    within-bucket rows are subj-sorted, so the same aggregation streams.)"""
+    within-bucket rows are subj-sorted, so the same aggregation streams.)
+    The ``kg_degree`` query is this over the registry's run
+    (queries.kg_run)."""
     import glob
 
     def _agg(batch: pd.DataFrame) -> pd.DataFrame:
@@ -380,8 +381,7 @@ def degree_from_adjacency(out_dir: str, table: str = "edges"):
         for d in dirs
     ]
     if not parts:
-        return rd.from_pandas(pd.DataFrame({"subj": [], "n_out": [], "total_weight": []}))
-    ds = parts[0]
-    for p in parts[1:]:
-        ds = ds.union(p)
-    return ds
+        return rd.from_arrow(pa.table({"subj": pa.array([], pa.string()),
+                                       "n_out": pa.array([], pa.int64()),
+                                       "total_weight": pa.array([], pa.int64())}))
+    return parts[0].union(*parts[1:])

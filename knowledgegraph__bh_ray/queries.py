@@ -14,12 +14,19 @@ not SQL-expressible (HTML parsing); everything downstream of the golden raw
 tables (filters, joins, dedup groupbys, linking, degree) is real SQL
 semantics recomputed by DuckDB.
 
+Entity-graph queries (raw triples and nodes, nodes, edges, linking,
+degree, mentions, exports and embeddings of the graph) read the tables of
+ONE ``run_kg_pipeline`` run per process (:func:`kg_run`) — the mirrors
+check the same build that the pipeline and the benchmarks time; there is
+no second build path.
+
 Numeric policy: aggregates are integers (counts, floored cents) so the
 driver's value-hash is exact across engines; see pipelines/relational.py.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 
 import numpy as np
@@ -61,6 +68,34 @@ def _scratch(sf_dir: str, tag: str) -> str:
         f"/tmp/kgbh_export/pid{os.getpid()}",
         os.path.basename(os.path.normpath(sf_dir)) + "_" + tag,
     )
+
+
+@functools.cache
+def kg_run(sf_dir: str) -> str:
+    """The output dir of one ``run_kg_pipeline`` run (default options) over
+    this corpus, made fresh once per process: the entity-graph queries
+    read its tables.  Pid-scoped (``_scratch``) and rebuilt by every new
+    process, so a pipeline change always reaches the mirrors."""
+    import shutil
+
+    from .pipelines.run import run_kg_pipeline
+
+    out = _scratch(sf_dir, "kg_run")
+    shutil.rmtree(out, ignore_errors=True)
+    run_kg_pipeline(_prep(sf_dir), out)
+    return out
+
+
+def _run_table(sf_dir: str, table: str, columns: list[str] | None = None):
+    """Dataset over one table of this process's ``kg_run``."""
+    import ray.data as rd
+
+    return rd.read_parquet(os.path.join(kg_run(sf_dir), table), columns=columns)
+
+
+# the edge tables' columns without the adjacency layout's subj_bucket
+_EDGE_COLS = kg.edge_schema(None).names
+_EDGE_OUT = ["subj", "pred", "obj", "subj_name", "obj_name", "weight"]
 
 
 def _install_checkpoint(tmp: str, out: str) -> None:
@@ -196,63 +231,47 @@ def q_kg_links(sf_dir: str):
 
 
 def q_kg_triples_raw(sf_dir: str):
-    return kg.triples_raw_ds(_prep(sf_dir)).select_columns(
+    return kg.triples_raw_ds(_run_table(sf_dir, "parsed", ["url", "triples"])).select_columns(
         ["url", "seq", "subj", "pred", "obj", "subj_name", "obj_name", "props_json"]
     )
 
 
 def q_kg_nodes_raw(sf_dir: str):
-    return kg.nodes_raw_ds(_prep(sf_dir)).select_columns(
+    return kg.nodes_raw_ds(_run_table(sf_dir, "parsed", ["url", "nodes"])).select_columns(
         ["url", "seq", "id", "name", "type", "parent", "props_json"]
     )
 
 
 def q_kg_nodes(sf_dir: str):
-    return kg.nodes_ds(_prep(sf_dir))
+    return _run_table(sf_dir, "nodes")
 
 
 def q_kg_edges(sf_dir: str):
-    return kg.edges_ds(_prep(sf_dir)).select_columns(
-        ["subj", "pred", "obj", "subj_name", "obj_name", "weight"]
-    )
+    return _run_table(sf_dir, "edges", _EDGE_OUT)
 
 
 def q_kg_entity_link(sf_dir: str):
-    return kg.canonical_nodes_ds(_prep(sf_dir))
+    return _run_table(sf_dir, "canonical")
 
 
 def q_kg_edges_canonical(sf_dir: str):
-    return kg.edges_canonical_ds(_prep(sf_dir)).select_columns(
-        ["subj", "pred", "obj", "subj_name", "obj_name", "weight"]
-    )
+    return _run_table(sf_dir, "edges_canonical", _EDGE_OUT)
 
 
 def q_kg_degree(sf_dir: str):
-    from .stages.grouped import hash_partitioned_agg
+    from .pipelines.run import degree_from_adjacency
 
-    edges = kg.edges_ds(_prep(sf_dir))
-
-    def _to_rows(batch: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "subj": batch["subj"],
-                "n_out": np.int64(1),
-                "total_weight": batch["weight"].astype("int64"),
-            }
-        )
-
-    def _agg(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby("subj", sort=False, as_index=False)[["n_out", "total_weight"]].sum()
-
-    rows = edges.map_batches(_to_rows, batch_format="pandas")
-    return hash_partitioned_agg(rows, ["subj"], _agg, num_parts=8)
+    return degree_from_adjacency(kg_run(sf_dir))
 
 
 def q_kg_mentions(sf_dir: str):
-    pages = _prep(sf_dir)
-    names = kg.nodes_raw_ds(pages).unique("name")
+    """Gazetteer mentions over the run's extracted text, with every
+    distinct raw node name as a ``CONCEPT`` — not the run's own mentions
+    unit, whose vocabulary is the 5,000 longest names with their types
+    (run.gazetteer)."""
+    names = q_kg_nodes_raw(sf_dir).unique("name")
     types = ["CONCEPT"] * len(names)
-    return ner.mentions_ds(kg.extracted_ds(pages), (names, types))
+    return ner.mentions_ds(_run_table(sf_dir, "parsed", ["url", "text_out"]), (names, types))
 
 
 def q_kg_entity_freq(sf_dir: str):
@@ -283,8 +302,7 @@ def q_kg_stats(sf_dir: str):
 
     from .stages.grouped import exchange
 
-    pages = _prep(sf_dir)
-    parsed = kg.parsed_ds(pages)
+    parsed = _run_table(sf_dir, "parsed", ["nodes", "triples", "links"])
 
     def _partial(batch: pa.Table) -> pa.Table:
         def _total(col: str) -> int:
@@ -427,7 +445,7 @@ def q_kg_ancestors(sf_dir: str):
     cap exactly like the SQL recursion."""
     from .stages.cc import ancestor_closure_ds
 
-    return ancestor_closure_ds(kg.nodes_ds(_prep(sf_dir)).select_columns(["id", "parent"]))
+    return ancestor_closure_ds(_run_table(sf_dir, "nodes", ["id", "parent"]))
 
 
 def q_kg_triangles(sf_dir: str):
@@ -499,13 +517,12 @@ def q_export_graph(sf_dir: str):
 
     from .exporters.distributed import write_relations_csv_partitioned, write_ttl_partitioned
 
-    pages = _prep(sf_dir)
-    nodes_pdf = kg.nodes_ds(pages).to_pandas()  # vocabulary-sized
-    edges = kg.edges_ds(pages)
+    nodes_pdf = q_kg_nodes(sf_dir).to_pandas()  # vocabulary-sized
+    edges = _run_table(sf_dir, "edges", _EDGE_COLS)
     out_root = _scratch(sf_dir, "export_graph")
     shutil.rmtree(out_root, ignore_errors=True)
     m_ttl = write_ttl_partitioned(nodes_pdf, edges, os.path.join(out_root, "ttl"))
-    m_csv = write_relations_csv_partitioned(kg.edges_ds(pages), os.path.join(out_root, "csv"))
+    m_csv = write_relations_csv_partitioned(edges, os.path.join(out_root, "csv"))
     return pd.DataFrame(
         {
             "n_nodes": pd.Series([len(nodes_pdf)], dtype="int64"),
@@ -574,10 +591,9 @@ def q_csv_roundtrip(sf_dir: str):
     from .exporters.distributed import write_relations_csv_partitioned
     from .sources import read_csv
 
-    pages = _prep(sf_dir)
     out_dir = _scratch(sf_dir, "csv_roundtrip")
     shutil.rmtree(out_dir, ignore_errors=True)
-    write_relations_csv_partitioned(kg.edges_ds(pages), out_dir)
+    write_relations_csv_partitioned(_run_table(sf_dir, "edges", _EDGE_COLS), out_dir)
     back = read_csv(out_dir).to_pandas()
     return pd.DataFrame({
         "n_rows": pd.Series([len(back)], dtype="int64"),
@@ -654,21 +670,16 @@ def q_token_budget(sf_dir: str):
 
 
 def q_pipeline_counters(sf_dir: str):
-    """A5/G8 driver check: run the RESUMABLE headline pipeline end-to-end
-    (fresh out_dir), then read back its write-then-log manifest and emit
-    the lineage rows + quarantine counters AS RECORDED IN THE MANIFEST
-    FILE — unit row counts for parsed/nodes/edges and the
-    pages_in/pages_dropped_verification counters — hash-checked against
-    independent SQL counts over the golden tables."""
+    """A5/G8 driver check: read back the write-then-log manifest of the
+    RESUMABLE headline pipeline's run (``kg_run``, the run every
+    entity-graph query reads) and emit the lineage rows + quarantine
+    counters AS RECORDED IN THE MANIFEST FILE — unit row counts for
+    parsed/nodes/edges and the pages_in/pages_dropped_verification
+    counters — hash-checked against independent SQL counts over the
+    golden tables."""
     import json as _json
-    import shutil
 
-    from .pipelines.run import run_kg_pipeline
-
-    pages = _prep(sf_dir)
-    out_dir = _scratch(sf_dir, "pipeline_counters")
-    shutil.rmtree(out_dir, ignore_errors=True)
-    run_kg_pipeline(pages, out_dir, num_shards=8)
+    out_dir = kg_run(sf_dir)
     rows: dict[str, int] = {}
     counters: dict[str, int] = {}
     with open(os.path.join(out_dir, "manifest.jsonl"), encoding="utf-8") as f:
@@ -719,13 +730,12 @@ def q_mention_coverage(sf_dir: str):
     from .functions.metrics import triple_prf
     from .stages.grouped import distinct_block, exchange, hash_partitioned_agg
 
-    pages = _prep(sf_dir)
     ments = q_kg_mentions(sf_dir).map_batches(
         lambda d: pd.DataFrame({"name": d.get("entity", [])}),
         batch_format="pandas")
     m_set = hash_partitioned_agg(ments, ["name"], distinct_block(["name"]))
     n_set = hash_partitioned_agg(
-        kg.nodes_raw_ds(pages).map_batches(
+        q_kg_nodes_raw(sf_dir).map_batches(
             lambda d: pd.DataFrame({"name": d.get("name", [])}),
             batch_format="pandas"),
         ["name"], distinct_block(["name"]))
@@ -786,7 +796,7 @@ def q_kg_mentions_crf(sf_dir: str):
 
 
 def q_kg_node_parents(sf_dir: str):
-    return kg.node_parents_ds(_prep(sf_dir))
+    return kg.node_parents_ds(q_kg_nodes(sf_dir))
 
 
 def q_kg_bfs(sf_dir: str):
@@ -1080,7 +1090,7 @@ def _explode_embedding(keys: list[str]):
 
 
 def q_embed_concepts(sf_dir: str):
-    nodes = kg.nodes_ds(_prep(sf_dir)).select_columns(["id", "name"])
+    nodes = _run_table(sf_dir, "nodes", ["id", "name"])
     return embed.embed_ds(nodes, "name").map_batches(
         _explode_embedding(["id", "name"]), batch_format="pandas"
     )
@@ -1089,7 +1099,7 @@ def q_embed_concepts(sf_dir: str):
 def q_embed_relations(sf_dir: str):
     """Relation-phrase embeddings (embedding_generator.py:50-67): phrase =
     "{subj_name} {pred} {obj_name}", encoded by the actor pool."""
-    edges = kg.edges_ds(_prep(sf_dir)).map_batches(
+    edges = _run_table(sf_dir, "edges", _EDGE_COLS).map_batches(
         embed.relation_phrase_batch, batch_format="pandas"
     )
     return embed.embed_ds(edges, "phrase").map_batches(
@@ -1102,7 +1112,7 @@ def q_rag_topk(sf_dir: str):
     Similarity is emitted as int64 micros: the integer-component vectors
     make dot/norms exact in float64, so micro-rounding erases only the
     final division/sqrt ulp — hash-stable vs the SQL mirror."""
-    nodes = kg.nodes_ds(_prep(sf_dir)).select_columns(["id", "name"])
+    nodes = _run_table(sf_dir, "nodes", ["id", "name"])
     embedded = embed.embed_ds(nodes, "name")
     top = embed.rag_topk(embedded, "实体1", "name", k=5)
     return pd.DataFrame(

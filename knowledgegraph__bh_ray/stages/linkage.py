@@ -12,13 +12,11 @@ This engine adds the linking layer the north rule asks for:
   * **canonical pick** = min-``seq`` surface form per blocking key (global
     keep-first), canonical id = ``md5(canonical_name)[:8]``.
 
-The pick runs in one of two places, built from the same steps: over raw
-node occurrences on Ray (``canonical_map_ds``: per-batch partial + salted
-groupby over the blocking key, head-entity skew → stages/grouped.py), or
-in one pandas pass over the vocabulary-sized deduped nodes table
-(``canonical_map_pdf``, the resume pipeline's canonical unit).  Both give
-the same table: each id's keep-first row already carries its min-``seq``
-surface form.
+The pick runs in one place: ``canonical_map_pdf``, one pandas pass over
+the vocabulary-sized deduped nodes table (the resume pipeline's canonical
+unit, pipelines/run.py).  Each id's keep-first row already carries its
+min-``seq`` surface form, so the pick over the deduped nodes equals the
+pick over every raw occurrence.
 
 The canonical map (blocking key → canonical id/name) is entity *vocabulary*,
 orders of magnitude smaller than the corpus, so edge canonicalization uses a
@@ -36,7 +34,7 @@ import pandas as pd
 import pyarrow as pa
 
 from ..functions.hashing import md5_id
-from .grouped import keep_first_block, salted_grouped_agg
+from .grouped import keep_first_block
 
 _RE_BRACKETS = re.compile(r"[《》]")
 _RE_WS = re.compile(r"\s+")
@@ -60,48 +58,20 @@ def normalize_surface_series(s: pd.Series) -> pd.Series:
     )
 
 
-def _keyed(nodes: pd.DataFrame) -> pd.DataFrame:
-    """(url, seq, name) of each node row, with its blocking key."""
+def canonical_map_pdf(nodes: pd.DataFrame) -> pd.DataFrame:
+    """nodes(url, seq, name, …) → canonical table (norm_key, canon_name,
+    canon_id), in one pandas pass; rows in ``seq`` order."""
     b = nodes[["url", "seq", "name"]].copy()
     b["norm_key"] = normalize_surface_series(b["name"])
-    return b
-
-
-_pick = keep_first_block(["norm_key"], "seq")
-
-
-def _canon_rows(picked: pd.DataFrame) -> pd.DataFrame:
-    """Picked rows, one per blocking key → (norm_key, canon_name, canon_id)."""
+    picked = keep_first_block(["norm_key"], "seq")(b)
     out = picked.rename(columns={"name": "canon_name"})[["norm_key", "canon_name"]].copy()
     out["canon_id"] = [md5_id(n) for n in out["canon_name"]]
     return out
 
 
-def canonical_map_pdf(nodes: pd.DataFrame) -> pd.DataFrame:
-    """nodes(url, seq, name, …) → canonical table (norm_key, canon_name,
-    canon_id), in one pandas pass; rows in ``seq`` order."""
-    return _canon_rows(_pick(_keyed(nodes)))
-
-
-def canonical_map_ds(nodes_raw, salt_buckets: int = 16):
-    """nodes_raw(url, seq, name, …) → canonical map Dataset
-    (norm_key, canon_name, canon_id) via two-phase salted groupby."""
-    agg = salted_grouped_agg(
-        nodes_raw.map_batches(_keyed, batch_format="pandas"),
-        keys=["norm_key"],
-        block_agg=_pick,
-        salt_from="url",
-        salt_buckets=salt_buckets,
-    )
-    return agg.map_batches(_canon_rows, batch_format="pandas")
-
-
 def canon_lookup(canon: pd.DataFrame) -> dict:
     """Canonical table → the broadcast map {norm_key: (canon_id,
-    canon_name)} that ``CanonicalizeTriples`` reads.  A table read from an
-    empty Dataset has no columns: it maps nothing."""
-    if "norm_key" not in canon.columns:
-        return {}
+    canon_name)} that ``CanonicalizeTriples`` reads."""
     return dict(zip(canon["norm_key"], zip(canon["canon_id"], canon["canon_name"])))
 
 

@@ -42,8 +42,9 @@ def test_all_verification_pages(tmp_path, ray_session):
 
 def test_all_verification_pages_pipeline(tmp_path, ray_session):
     """No page survives extraction: every unit still completes, records
-    rows 0 and leaves an empty table with its normal columns."""
-    from knowledgegraph__bh_ray.pipelines.run import run_kg_pipeline
+    rows 0 and leaves an empty table with its normal columns, and the
+    degree over the empty adjacency layout is typed too."""
+    from knowledgegraph__bh_ray.pipelines.run import degree_from_adjacency, run_kg_pipeline
 
     out = tmp_path / "run"
     res = run_kg_pipeline(_verification_pages(tmp_path), str(out), num_shards=4)
@@ -62,6 +63,10 @@ def test_all_verification_pages_pipeline(tmp_path, ray_session):
         got = pq.read_table(str(out / table))
         assert got.num_rows == 0, table
         assert cols <= set(got.column_names), table
+    degree = degree_from_adjacency(str(out))
+    assert degree.count() == 0
+    types = dict(zip(degree.schema().names, degree.schema().types))
+    assert types["n_out"] == types["total_weight"] == pa.int64()
 
 
 def test_page_without_grammar(tmp_path, ray_session):
@@ -83,10 +88,12 @@ def test_page_without_grammar(tmp_path, ray_session):
     d = tmp_path / "pages"
     d.mkdir()
     pq.write_table(t, str(d / "part-0.parquet"))
-    assert kg.triples_raw_ds(str(d)).count() == 0
-    nodes = kg.nodes_ds(str(d)).to_pandas()
+    parsed = kg.parsed_ds(str(d))
+    assert kg.triples_raw_ds(parsed).count() == 0
+    nodes = kg.nodes_ds(parsed).to_pandas()
     assert len(nodes) == 0
-    edges = kg.edges_ds(str(d)).to_pandas()
+    # no node, so the vocabulary is empty
+    edges = kg.edges_ds(parsed, node_ids=frozenset()).to_pandas()
     assert len(edges) == 0
 
 

@@ -16,9 +16,10 @@ def _edges_with(pages_path, batch_size, salt_buckets, num_blocks):
         pages = pages.repartition(num_blocks)
     parsed = pages.map_batches(
         extract_parse_batch, batch_format="pyarrow", batch_size=batch_size
-    )
+    ).materialize()
+    node_ids = frozenset(kg.nodes_ds(parsed, salt_buckets=salt_buckets).to_pandas()["id"])
     return (
-        kg.edges_ds(parsed, node_ids=None, salt_buckets=salt_buckets)
+        kg.edges_ds(parsed, node_ids=node_ids, salt_buckets=salt_buckets)
         .to_pandas()[["subj", "pred", "obj", "weight"]]
         .sort_values(["subj", "pred", "obj"])
         .reset_index(drop=True)

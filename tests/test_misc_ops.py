@@ -172,11 +172,12 @@ def test_node_parents_equals_pandas_left_merge(ray_session, pages_small):
     sources = [
         lambda: _parsed([("n1", "One", "")]),
         lambda: _parsed([("n1", "One", ""), ("n2", "Two", "n1")]),
-        lambda: pages_small,
+        lambda: kg.parsed_ds(pages_small),
     ]
     for source in sources:
-        got = kg.node_parents_ds(source()).to_pandas()
-        nodes = kg.nodes_ds(source()).to_pandas()
+        nodes_ds = kg.nodes_ds(source()).materialize()
+        got = kg.node_parents_ds(nodes_ds).to_pandas()
+        nodes = nodes_ds.to_pandas()
         want = nodes[["id", "name", "parent"]].merge(
             nodes[["id", "name"]].rename(columns={"id": "parent", "name": "parent_name"}),
             on="parent", how="left",

@@ -137,9 +137,9 @@ def test_degree_from_adjacency_no_shuffle(ray_session, pages_small, tmp_path):
     """Bucketed-layout reuse: the adjacency layout holds on both arms of
     the edge aggregation — the pipeline's (local at this size) and the
     salted one (no estimate) — and degree computed per bucket dir (no
-    shuffle) equals the shuffle-based kg_degree aggregation.  Each unit
-    read the checkpoint in the block count its footers call for, and the
-    graph tables do not depend on that count."""
+    shuffle) equals a shuffle-based aggregation of the same edges.  Each
+    unit read the checkpoint in the block count its footers call for, and
+    the graph tables do not depend on that count."""
     import pandas as pd
     import ray
 
@@ -202,7 +202,8 @@ def test_degree_from_adjacency_no_shuffle(ray_session, pages_small, tmp_path):
             pd.testing.assert_frame_equal(_table(ds), want[name], obj=f"{name}@{nblocks}")
 
     # the salted arm's final route builds the same layout and rows
-    edges = kg.edges_ds(pages_small, adjacency_buckets=16).materialize()
+    edges = kg.edges_ds(kg.parsed_ds(pages_small), node_ids=node_ids,
+                        adjacency_buckets=16).materialize()
     salted = str(tmp_path / "salted")
     edges.write_parquet(os.path.join(salted, "edges"), partition_cols=["subj_bucket"])
     _assert_adjacency_layout(salted, tables=("edges",))
