@@ -1,6 +1,7 @@
 """The knowledge-graph construction DAG (SURVEY.md §7.1 target dataflow).
 
-    pages ─extract+parse─▶ parsed ─┬─▶ links
+    pages ─extract+parse─▶ parsed ─┬─▶ links ─▶ page-graph edges (distinct) ─▶ BFS
+                                   ├─▶ titles + links ─▶ page-graph nodes (placeholders)
                                    ├─▶ nodes_raw ─▶ nodes (keep-first by id)
                                    │                  ├─▶ node-id vocabulary
                                    │                  └─▶ canonical map (linkage.canonical_map_pdf)
@@ -9,10 +10,12 @@
 
 Each function returns a *lazy* ``ray.data.Dataset``; nothing materializes
 until the caller consumes (write_parquet / to_pandas on small results).
-The graph builders take a parsed (or nodes) Dataset; the one caller that
-wires them into the DAG above is ``pipelines/run.run_kg_pipeline``, which
-reads the vocabulary and the canonical map from its deduped ``nodes/``
-table and passes them in.  Wide steps use the size-planned aggregation in
+Only ``parsed_ds`` reads pages; every builder after it takes a parsed
+(or nodes) Dataset.  The one caller that wires the entity graph into the
+DAG above is ``pipelines/run.run_kg_pipeline``, which reads the vocabulary
+and the canonical map from its deduped ``nodes/`` table and passes them
+in; the query registry passes that run's ``parsed/`` table to the link
+and page-graph builders.  Wide steps use the size-planned aggregation in
 stages/grouped.py; small-side lookups (node-id vocabulary, canonical map)
 are broadcast via ``ray.put`` — never re-shipped per batch and never a
 second shuffle.
@@ -32,7 +35,6 @@ from ..sources import read_pages
 from ..stages.extract import (
     PARSED_SCHEMA,
     extract_parse_batch,
-    extract_text_batch,
     flatten_list_column,
 )
 from ..stages.grouped import (
@@ -55,17 +57,10 @@ def parsed_ds(pages_path: str):
     )
 
 
-def extracted_ds(pages_path: str):
-    """pages → (url, title, summary, text_out, n_paras) — byte-identical-text
-    surface (north-rule invariant)."""
-    return read_pages(pages_path, columns=["url", "html"]).map_batches(
-        extract_text_batch, batch_format="pyarrow", batch_size=EXTRACT_BATCH_SIZE
-    )
-
-
-def links_ds(pages_path: str):
-    """Exploded scoped links (url, text, link_url) — ops M2/M3."""
-    return parsed_ds(pages_path).map_batches(
+def links_ds(parsed):
+    """parsed Dataset → exploded scoped links (url, text, link_url) — ops
+    M2/M3."""
+    return parsed.map_batches(
         lambda t: flatten_list_column(t, "links", keep=["url"]),
         batch_format="pyarrow",
     )
@@ -214,13 +209,14 @@ def edges_canonical_ds(parsed, canon_map: dict, adjacency_buckets: int | None = 
 # ---------------------------------------------------------------------------
 
 
-def page_graph_edges_ds(pages_path: str):
-    """Distinct page-link edges (src_url, dst_url, text) — the reference's
-    BFS children/parents relation (constructor.py:189-244) re-expressed
-    order-free: global distinct instead of visited-set mutation."""
+def page_graph_edges_ds(parsed):
+    """parsed Dataset (url, links) → distinct page-link edges (src_url,
+    dst_url, text) — the reference's BFS children/parents relation
+    (constructor.py:189-244) re-expressed order-free: global distinct
+    instead of visited-set mutation."""
     from ..stages.grouped import distinct_block, hash_partitioned_agg
 
-    links = links_ds(pages_path).map_batches(
+    links = links_ds(parsed).map_batches(
         lambda df: df.rename(columns={"url": "src_url", "link_url": "dst_url"}),
         batch_format="pandas",
     )
@@ -229,27 +225,26 @@ def page_graph_edges_ds(pages_path: str):
     )
 
 
-def page_graph_nodes_ds(pages_path: str):
-    """Page nodes with placeholder semantics: crawled pages keep their
-    extracted title; link targets never crawled become placeholders named by
-    the (min) link text — the reference's placeholder-upsert
-    (constructor.py:207-229) as a groupby merge instead of a shared dict.
+def page_graph_nodes_ds(parsed):
+    """parsed Dataset (url, title, links) → page nodes with placeholder
+    semantics: crawled pages keep their extracted title; link targets never
+    crawled become placeholders named by the (min) link text — the
+    reference's placeholder-upsert (constructor.py:207-229) as a groupby
+    merge instead of a shared dict.  Each batch emits both its pages and
+    its link targets, so the input is read once.
     Deterministic delta vs the reference: placeholder name = lexicographic
     min link text (the reference keeps BFS-encounter order)."""
     from ..stages.grouped import hash_partitioned_agg
 
-    real = extracted_ds(pages_path).map_batches(
-        lambda df: pd.DataFrame(
-            {"url": df["url"], "name": df["title"], "is_placeholder": np.int64(0)}
-        ),
-        batch_format="pandas",
-    )
-    targets = links_ds(pages_path).map_batches(
-        lambda df: pd.DataFrame(
-            {"url": df["link_url"], "name": df["text"], "is_placeholder": np.int64(1)}
-        ),
-        batch_format="pandas",
-    )
+    def _candidates(t: pa.Table) -> pd.DataFrame:
+        links = flatten_list_column(t, "links", keep=["url"])
+        real = pd.DataFrame({"url": t.column("url").to_pandas(),
+                             "name": t.column("title").to_pandas(),
+                             "is_placeholder": np.int64(0)})
+        targets = pd.DataFrame({"url": links.column("link_url").to_pandas(),
+                                "name": links.column("text").to_pandas(),
+                                "is_placeholder": np.int64(1)})
+        return pd.concat([real, targets], ignore_index=True)
 
     def _merge(df: pd.DataFrame) -> pd.DataFrame:
         # real row (flag 0) wins; among placeholders, min name
@@ -259,7 +254,8 @@ def page_graph_nodes_ds(pages_path: str):
             .reset_index(drop=True)
         )
 
-    return hash_partitioned_agg(real.union(targets), ["url"], _merge)
+    return hash_partitioned_agg(parsed.map_batches(_candidates, batch_format="pyarrow"),
+                                ["url"], _merge)
 
 
 def node_parents_ds(nodes):
@@ -284,12 +280,13 @@ def node_parents_ds(nodes):
                               batch_format="pandas")
 
 
-def bfs_reachable(pages_path: str, start_url: str, max_depth: int = 2, max_nodes: int = 100):
+def bfs_reachable(parsed, start_url: str, max_depth: int = 2, max_nodes: int = 100):
     """BFS frontier with depth/node caps (reference op T2,
-    constructor.py:135-159) over the page-link graph.
+    constructor.py:135-159) over the page-link graph of a parsed Dataset
+    (url, links).
 
     Scale shape: the edge table lives in the OBJECT STORE (materialized
-    once so levels don't re-run extraction); the driver holds only the
+    once so levels don't re-read the links); the driver holds only the
     visited/frontier sets — bounded by ``max_nodes`` — and each level
     fetches just the frontier's out-edges via a broadcast-frontier
     semi-filter (frontier is cap-bounded, the canonical small side).
@@ -297,7 +294,7 @@ def bfs_reachable(pages_path: str, start_url: str, max_depth: int = 2, max_nodes
     import pandas as pd
     import ray
 
-    edges = page_graph_edges_ds(pages_path).select_columns(["src_url", "dst_url"]).materialize()
+    edges = page_graph_edges_ds(parsed).select_columns(["src_url", "dst_url"]).materialize()
 
     visited: dict[str, int] = {start_url: 0}
     frontier = [start_url]

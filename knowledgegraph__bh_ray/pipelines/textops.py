@@ -702,32 +702,24 @@ def curate_corpus_ds(sf_dir: str, min_chars: int = 20, min_tokens: int = 5):
                                 ["content_hash"], _agg)
 
 
-def boilerplate_strip_ds(sf_dir: str, num_parts: int = 16):
-    """Boilerplate line removal over the extracted pages — the classic
-    Common-Crawl cleanup step: a line occurring on at least HALF of all
-    pages (site chrome, section headers, footers) is boilerplate and is
-    stripped from every page.  Output one row per page:
-    ``(url, text_clean, n_kept, n_removed)``.
-
-    100-TB design: two passes over the extracted checkpoint, ZERO
-    page-level shuffle.  Pass 1 explodes lines with a per-batch distinct,
-    hash-routes (line → partition) and counts DISTINCT pages per line — the
-    only all-to-all, and it moves one row per distinct (batch, line, page).
-    The flagged set is then broadcast via ``ray.put``: by construction a
-    line with df ≥ N/2 can exist at most (total line instances)/(N/2) ≈
-    2 × avg-lines-per-page times, so the broadcast is bounded by page SIZE,
-    not corpus size.  Pass 2 re-reads the checkpoint and filters each
-    page's lines vectorized (explode → ``isin`` → per-row rejoin) — no
-    shuffle, order preserved.  Empty lines are never flagged (and survive
-    reconstruction), matching the SQL mirror exactly."""
-    from ..queries import extracted_cached_ds
-
-    return boilerplate_strip_core(extracted_cached_ds(sf_dir), num_parts=num_parts)
-
-
 def boilerplate_strip_core(ex, num_parts: int = 16):
-    """Core of :func:`boilerplate_strip_ds` over any ``(url, text_out)``
-    Dataset (split out so tests drive it on synthetic frames)."""
+    """Boilerplate line removal over a ``(url, text_out)`` Dataset of
+    extracted pages — the classic Common-Crawl cleanup step: a line
+    occurring on at least HALF of all pages (site chrome, section headers,
+    footers) is boilerplate and is stripped from every page.  Output one
+    row per page: ``(url, text_clean, n_kept, n_removed)``.
+
+    100-TB design: two passes over ``ex``, ZERO page-level shuffle.  Pass
+    1 explodes lines with a per-batch distinct, hash-routes (line →
+    partition) and counts DISTINCT pages per line — the only all-to-all,
+    and it moves one row per distinct (batch, line, page).  The flagged set
+    is then broadcast via ``ray.put``: by construction a line with df ≥ N/2
+    can exist at most (total line instances)/(N/2) ≈ 2 × avg-lines-per-page
+    times, so the broadcast is bounded by page SIZE, not corpus size.  Pass
+    2 re-reads ``ex`` and filters each page's lines vectorized (explode →
+    ``isin`` → per-row rejoin) — no shuffle, order preserved.  Empty lines
+    are never flagged (and survive reconstruction), matching the SQL mirror
+    exactly."""
     from ..stages.grouped import hash_partitioned_agg
 
     n_pages = ex.count()

@@ -14,11 +14,16 @@ not SQL-expressible (HTML parsing); everything downstream of the golden raw
 tables (filters, joins, dedup groupbys, linking, degree) is real SQL
 semantics recomputed by DuckDB.
 
-Entity-graph queries (raw triples and nodes, nodes, edges, linking,
-degree, mentions, exports and embeddings of the graph) read the tables of
-ONE ``run_kg_pipeline`` run per process (:func:`kg_run`) — the mirrors
-check the same build that the pipeline and the benchmarks time; there is
-no second build path.
+Every query over parsed pages or the entity graph (extracted text,
+links, the page graph and its operators, raw triples and nodes, nodes,
+edges, linking, degree, mentions, near-dup, prompt and export queries)
+reads the tables of ONE ``run_kg_pipeline`` run per process
+(:func:`kg_run`): the mirrors check the same build that the pipeline and
+the benchmarks time, and HTML extraction runs once per corpus per
+process.  There is no second build path and no cache shared between
+processes.  Only queries that need fields ``parsed/`` does not hold (the
+``lang`` pushdown, the full ontology records, every anchor, media, the
+url rank) read the pages themselves.
 
 Numeric policy: aggregates are integers (counts, floored cents) so the
 driver's value-hash is exact across engines; see pipelines/relational.py.
@@ -60,12 +65,24 @@ def _prep(sf_dir: str) -> str:
     return p
 
 
+@functools.cache
+def _scratch_root(pid: int) -> str:
+    """Process ``pid``'s scratch root, removed when that process exits."""
+    import atexit
+    import shutil
+
+    root = f"/tmp/kgbh_export/pid{pid}"
+    atexit.register(shutil.rmtree, root, ignore_errors=True)
+    return root
+
+
 def _scratch(sf_dir: str, tag: str) -> str:
-    """Per-process scratch path for sink-writing queries.  The pid suffix
-    keeps concurrent runs (bench + driver over the same sf_dir) from racing
-    on rmtree/write/read-back of a shared fixed path."""
+    """Per-process scratch path for ``kg_run`` and the sink-writing
+    queries.  The pid suffix keeps concurrent runs (bench + driver over the
+    same sf_dir) from racing on rmtree/write/read-back of a shared fixed
+    path."""
     return os.path.join(
-        f"/tmp/kgbh_export/pid{os.getpid()}",
+        _scratch_root(os.getpid()),
         os.path.basename(os.path.normpath(sf_dir)) + "_" + tag,
     )
 
@@ -73,8 +90,8 @@ def _scratch(sf_dir: str, tag: str) -> str:
 @functools.cache
 def kg_run(sf_dir: str) -> str:
     """The output dir of one ``run_kg_pipeline`` run (default options) over
-    this corpus, made fresh once per process: the entity-graph queries
-    read its tables.  Pid-scoped (``_scratch``) and rebuilt by every new
+    this corpus, made fresh once per process: the entity-graph and
+    parsed-page queries read its tables.  Pid-scoped (``_scratch``) and rebuilt by every new
     process, so a pipeline change always reaches the mirrors."""
     import shutil
 
@@ -93,112 +110,14 @@ def _run_table(sf_dir: str, table: str, columns: list[str] | None = None):
     return rd.read_parquet(os.path.join(kg_run(sf_dir), table), columns=columns)
 
 
+def _texts(sf_dir: str):
+    """(url, text_out) of the run's parsed pages."""
+    return _run_table(sf_dir, "parsed", ["url", "text_out"])
+
+
 # the edge tables' columns without the adjacency layout's subj_bucket
 _EDGE_COLS = kg.edge_schema(None).names
 _EDGE_OUT = ["subj", "pred", "obj", "subj_name", "obj_name", "weight"]
-
-
-def _install_checkpoint(tmp: str, out: str) -> None:
-    """Install the finished checkpoint dir ``tmp`` at ``out`` so that a
-    concurrent reader never sees ``out`` missing: an existing ``out`` is
-    swapped with ``tmp`` in one atomic ``renameat2(RENAME_EXCHANGE)``, and
-    only then is the old copy (now at ``tmp``) deleted.  Where the kernel
-    or filesystem lacks the exchange, the old dir is renamed aside, the new
-    one renamed in, and the old one deleted."""
-    import ctypes
-    import shutil
-
-    if os.path.isdir(out):
-        swap = getattr(ctypes.CDLL(None, use_errno=True), "renameat2", None)
-        if swap is not None:
-            swap.argtypes = [ctypes.c_int, ctypes.c_char_p, ctypes.c_int,
-                             ctypes.c_char_p, ctypes.c_uint]
-            swap.restype = ctypes.c_int
-            at_fdcwd, rename_exchange = -100, 2
-            if swap(at_fdcwd, os.fsencode(tmp), at_fdcwd, os.fsencode(out), rename_exchange) == 0:
-                shutil.rmtree(tmp, ignore_errors=True)
-                return
-        old = f"{out}.old{os.getpid()}"
-        os.replace(out, old)
-        os.replace(tmp, out)
-        shutil.rmtree(old, ignore_errors=True)
-        return
-    os.replace(tmp, out)
-
-
-def _checkpoint(root: str, version: str, sf_dir: str, replicas: int, build) -> str:
-    """The checkpoint dir of ``build(pages)`` for this corpus, written ONCE
-    under ``root`` and reused while its ``_VERSION`` file reads
-    ``version``.  Deterministic, idempotent, atomic (write to a tmp dir,
-    then ``_install_checkpoint``)."""
-    import shutil
-
-    pages = ensure_pages(sf_dir, replicas=replicas)
-    key = os.path.basename(os.path.dirname(pages))  # e.g. sf0.1_x10
-    out = os.path.join(root, key)
-    vfile = os.path.join(out, "_VERSION")  # '_' prefix: ignored by parquet readers
-    if os.path.exists(vfile) and open(vfile).read().strip() == version:
-        return out
-    tmp = f"{out}.tmp{os.getpid()}"
-    shutil.rmtree(tmp, ignore_errors=True)
-    build(pages).write_parquet(tmp)
-    with open(os.path.join(tmp, "_VERSION"), "w") as f:
-        f.write(version)
-    _install_checkpoint(tmp, out)
-    return out
-
-
-def _read_checkpoint(d: str, columns: list[str]):
-    """Dataset view over a checkpoint dir, coalesced to ~ncpu blocks
-    (shuffle barriers cost per input block)."""
-    import ray as _ray
-    import ray.data as rd
-
-    nblocks = max(16, int(_ray.cluster_resources().get("CPU", 8)))
-    return rd.read_parquet(d, columns=columns, override_num_blocks=nblocks)
-
-
-_EXTRACT_CACHE_ROOT = "/tmp/kgbh_extracted"
-EXTRACT_CACHE_VERSION = "2"  # bump when extract semantics change
-
-
-def ensure_extracted(sf_dir: str, replicas: int = 1) -> str:
-    """Engine-side parsed-text checkpoint (url, text_out), written ONCE per
-    corpus and shared by every dedup/near-dup query — the checkpoint-reuse
-    design of pipelines/run.py applied to the query registry, so the
-    second-most-expensive stage (HTML extraction) is not re-paid per query."""
-    if replicas == 1:
-        ensure_golden(sf_dir)
-    return _checkpoint(
-        _EXTRACT_CACHE_ROOT, EXTRACT_CACHE_VERSION, sf_dir, replicas,
-        lambda pages: kg.extracted_ds(pages).select_columns(["url", "text_out"]),
-    )
-
-
-def extracted_cached_ds(sf_dir: str, replicas: int = 1):
-    """Dataset view over the shared extracted-text checkpoint."""
-    return _read_checkpoint(ensure_extracted(sf_dir, replicas=replicas), ["url", "text_out"])
-
-
-_PAGE_EDGES_CACHE_ROOT = "/tmp/kgbh_page_edges"
-PAGE_EDGES_CACHE_VERSION = "1"  # bump when link-extraction semantics change
-
-
-def ensure_page_edges(sf_dir: str, replicas: int = 1) -> str:
-    """Distinct page-link edge checkpoint (src_url, dst_url, text), written
-    ONCE per corpus — the ``ensure_extracted`` policy applied to the
-    page-graph family: the parse prefix that produces the links is priced in
-    the headline pipeline, so graph operators (k-core, PageRank rounds, node
-    similarity) are measured over the edge table they actually consume
-    instead of re-paying link extraction per query."""
-    return _checkpoint(_PAGE_EDGES_CACHE_ROOT, PAGE_EDGES_CACHE_VERSION, sf_dir, replicas,
-                       kg.page_graph_edges_ds)
-
-
-def page_edges_cached_ds(sf_dir: str, replicas: int = 1):
-    """Dataset view over the shared page-edges checkpoint."""
-    return _read_checkpoint(ensure_page_edges(sf_dir, replicas=replicas),
-                            ["src_url", "dst_url", "text"])
 
 
 def _query_vectors(sf_dir: str, ids=(0, 1, 2)) -> dict[int, np.ndarray]:
@@ -223,11 +142,11 @@ def _query_vectors(sf_dir: str, ids=(0, 1, 2)) -> dict[int, np.ndarray]:
 
 
 def q_kg_extract(sf_dir: str):
-    return kg.extracted_ds(_prep(sf_dir))
+    return _run_table(sf_dir, "parsed", ["url", "title", "summary", "text_out", "n_paras"])
 
 
 def q_kg_links(sf_dir: str):
-    return kg.links_ds(_prep(sf_dir))
+    return kg.links_ds(_run_table(sf_dir, "parsed", ["url", "links"]))
 
 
 def q_kg_triples_raw(sf_dir: str):
@@ -372,7 +291,7 @@ def q_kg_mentions_pattern(sf_dir: str):
     """Rule-pattern mention detector (the second tagger of the DAG)."""
     from .stages.ner import pattern_mentions_ds
 
-    return pattern_mentions_ds(kg.extracted_ds(_prep(sf_dir)))
+    return pattern_mentions_ds(_texts(sf_dir))
 
 
 def q_kg_pagerank(sf_dir: str):
@@ -381,7 +300,7 @@ def q_kg_pagerank(sf_dir: str):
     integer micros so output is stable against float summation order."""
     from .stages.pagerank import pagerank_ds
 
-    ranks = pagerank_ds(kg.page_graph_edges_ds(_prep(sf_dir)))
+    ranks = pagerank_ds(q_kg_page_graph_edges(sf_dir))
 
     def _round(d: pd.DataFrame) -> pd.DataFrame:
         if "rank" not in d.columns:
@@ -399,8 +318,7 @@ def q_kg_page_components(sf_dir: str):
     counted-dispatch CC as dedup_clusters, on graph edges."""
     from .stages.cc import connected_components_ds
 
-    edges = kg.page_graph_edges_ds(_prep(sf_dir))
-    return connected_components_ds(edges, a="src_url", b="dst_url")
+    return connected_components_ds(q_kg_page_graph_edges(sf_dir), a="src_url", b="dst_url")
 
 
 def q_kg_cooccurrence(sf_dir: str):
@@ -452,7 +370,7 @@ def q_kg_triangles(sf_dir: str):
     """Distinct triangles of the undirected page-link graph (u < v < w)."""
     from .stages.pagerank import triangles_ds
 
-    return triangles_ds(kg.page_graph_edges_ds(_prep(sf_dir)))
+    return triangles_ds(q_kg_page_graph_edges(sf_dir))
 
 
 NSIM_MAX_MIDDLE_DEGREE = 64  # shared with the SQL mirror's capped adj CTE
@@ -471,7 +389,7 @@ def q_kg_node_similarity(sf_dir: str):
     The mirror applies the identical cut in its capped-adjacency CTE."""
     from .stages.pagerank import node_similarity_ds
 
-    return node_similarity_ds(kg.page_graph_edges_ds(_prep(sf_dir)),
+    return node_similarity_ds(q_kg_page_graph_edges(sf_dir),
                               max_middle_degree=NSIM_MAX_MIDDLE_DEGREE)
 
 
@@ -553,11 +471,8 @@ def q_export_json(sf_dir: str):
         write_json_array_stream,
     )
 
-    pages = _prep(sf_dir)
     frags = page_graph_fragments_ds(
-        q_kg_records(sf_dir),
-        kg.page_graph_nodes_ds(pages),
-        kg.page_graph_edges_ds(pages),
+        q_kg_records(sf_dir), q_kg_page_graph_nodes(sf_dir), q_kg_page_graph_edges(sf_dir)
     )
     out = _scratch(sf_dir, "graph.json")
     os.makedirs(os.path.dirname(out), exist_ok=True)
@@ -615,7 +530,7 @@ def q_prompt_assembly(sf_dir: str):
     from .functions.prompt import assemble_prompt
 
     sep = "\n\n请开始判断以下数据:\n\n"
-    ex = extracted_cached_ds(sf_dir)
+    ex = _texts(sf_dir)
 
     def _assemble(batch: pd.DataFrame) -> pd.DataFrame:
         prompts = PROMPT_TEMPLATE + sep + batch["text_out"]
@@ -647,7 +562,7 @@ def q_token_budget(sf_dir: str):
     BEFORE it still exceeds the budget."""
     from .functions.budget import estimate_tokens, truncate_to_budget
 
-    ex = extracted_cached_ds(sf_dir)
+    ex = _texts(sf_dir)
 
     def _budget(batch: pd.DataFrame) -> pd.DataFrame:
         out = {"url": [], "n_items": [], "n_kept": [], "n_dropped": [],
@@ -792,7 +707,7 @@ def q_kg_mentions_crf(sf_dir: str):
     deterministic; gated by tests/test_crf.py against a scalar oracle."""
     from .stages.crf import crf_mentions_ds
 
-    return crf_mentions_ds(kg.extracted_ds(_prep(sf_dir)))
+    return crf_mentions_ds(_texts(sf_dir))
 
 
 def q_kg_node_parents(sf_dir: str):
@@ -805,7 +720,8 @@ def q_kg_bfs(sf_dir: str):
     result is SQL-mirrorable (recursive CTE); the cap semantics themselves
     are pytest-covered (tests/test_misc_ops.py)."""
     start = "https://baike.baidu.com/item/doc0/0"
-    return kg.bfs_reachable(_prep(sf_dir), start, max_depth=2, max_nodes=1_000_000)
+    return kg.bfs_reachable(_run_table(sf_dir, "parsed", ["url", "links"]), start,
+                            max_depth=2, max_nodes=1_000_000)
 
 
 def q_kg_records(sf_dir: str):
@@ -817,11 +733,11 @@ def q_kg_records(sf_dir: str):
 
 
 def q_kg_page_graph_nodes(sf_dir: str):
-    return kg.page_graph_nodes_ds(_prep(sf_dir))
+    return kg.page_graph_nodes_ds(_run_table(sf_dir, "parsed", ["url", "title", "links"]))
 
 
 def q_kg_page_graph_edges(sf_dir: str):
-    return kg.page_graph_edges_ds(_prep(sf_dir))
+    return kg.page_graph_edges_ds(_run_table(sf_dir, "parsed", ["url", "links"]))
 
 
 def q_kg_chunks(sf_dir: str):
@@ -851,9 +767,7 @@ def q_dedup_clusters(sf_dir: str):
     connected components (union-find-style aggregate)."""
     from .stages.cc import connected_components_ds
 
-    pairs = dedup.minhash_pairs_ds(
-        extracted_cached_ds(sf_dir), "url", "text_out", threshold=0.9
-    )
+    pairs = dedup.minhash_pairs_ds(_texts(sf_dir), "url", "text_out", threshold=0.9)
     return connected_components_ds(pairs)
 
 
@@ -921,7 +835,7 @@ def q_token_count_by_lang(sf_dir: str):
 
 
 def q_lang_id(sf_dir: str):
-    return kg.extracted_ds(_prep(sf_dir)).map_batches(
+    return _texts(sf_dir).map_batches(
         lambda b: textops.lang_id_batch(b, "text_out", "url"), batch_format="pandas"
     )
 
@@ -1002,10 +916,9 @@ def q_kg_pages_without_links(sf_dir: str):
     matching side is corpus-sized)."""
     from .stages.grouped import distinct_block, hash_partitioned_agg, reduce_side_join
 
-    pages = _prep(sf_dir)
-    ext = kg.extracted_ds(pages).select_columns(["url", "title", "n_paras"])
+    ext = _run_table(sf_dir, "parsed", ["url", "title", "n_paras"])
     targets = hash_partitioned_agg(
-        kg.links_ds(pages).select_columns(["link_url"]), ["link_url"],
+        q_kg_links(sf_dir).select_columns(["link_url"]), ["link_url"],
         distinct_block(["link_url"]),
     )
     out = reduce_side_join(ext, ["url", "title", "n_paras"], "url", targets, "link_url",
@@ -1055,15 +968,11 @@ def q_dedup_jaccard(sf_dir: str):
 
 
 def q_dedup_minhash(sf_dir: str):
-    return dedup.minhash_pairs_ds(
-        extracted_cached_ds(sf_dir), "url", "text_out", threshold=0.8
-    )
+    return dedup.minhash_pairs_ds(_texts(sf_dir), "url", "text_out", threshold=0.8)
 
 
 def q_dedup_simhash(sf_dir: str):
-    return dedup.simhash_pairs_ds(
-        extracted_cached_ds(sf_dir), "url", "text_out", max_hamming=3
-    )
+    return dedup.simhash_pairs_ds(_texts(sf_dir), "url", "text_out", max_hamming=3)
 
 
 def _explode_embedding(keys: list[str]):
@@ -1131,14 +1040,14 @@ def q_kg_kcore(sf_dir: str):
     asserts the peel converges within that budget on the test corpus."""
     from .stages.pagerank import k_core_ds
 
-    return k_core_ds(kg.page_graph_edges_ds(_prep(sf_dir)), k=4)
+    return k_core_ds(q_kg_page_graph_edges(sf_dir), k=4)
 
 
 def q_boilerplate_strip(sf_dir: str):
     """Boilerplate line removal: lines on ≥ half of all pages stripped
     everywhere (one line-hash shuffle + bounded broadcast, two streaming
     passes — pipelines/textops.py)."""
-    return textops.boilerplate_strip_ds(sf_dir)
+    return textops.boilerplate_strip_core(_texts(sf_dir))
 
 
 def q_shuffle_shard(sf_dir: str):

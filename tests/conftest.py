@@ -49,4 +49,4 @@ def page_graph_small(pages_small):
     placeholder targets that were never crawled."""
     from knowledgegraph__bh_ray.pipelines import kg
 
-    return kg.page_graph_edges_ds(pages_small).materialize()
+    return kg.page_graph_edges_ds(kg.parsed_ds(pages_small)).materialize()

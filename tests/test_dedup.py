@@ -12,7 +12,7 @@ from knowledgegraph__bh_ray.stages import dedup
 
 def _dup_truth(pages_small):
     """Brute-force exact duplicate text pairs (same text_out)."""
-    ext = kg.extracted_ds(pages_small).to_pandas()
+    ext = kg.parsed_ds(pages_small).select_columns(["url", "text_out"]).to_pandas()
     pairs = set()
     by_text = ext.groupby("text_out")["url"].apply(list)
     for urls in by_text:

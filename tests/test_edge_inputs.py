@@ -36,7 +36,7 @@ def _verification_pages(tmp_path) -> str:
 
 
 def test_all_verification_pages(tmp_path, ray_session):
-    ext = kg.extracted_ds(_verification_pages(tmp_path)).to_pandas()
+    ext = kg.parsed_ds(_verification_pages(tmp_path)).to_pandas()
     assert len(ext) == 0
 
 

@@ -277,30 +277,6 @@ def test_distributed_relations_csv_sink(ray_session, tmp_path):
     assert got_rows == want_rows
 
 
-def test_page_edges_checkpoint_equals_from_scratch(ray_session):
-    """The bench's shared page-edges checkpoint (queries.ensure_page_edges)
-    must be row-identical to the from-scratch kg.page_graph_edges_ds pass —
-    the same equality contract the extracted-text checkpoint relies on."""
-    import shutil
-
-    import ray.data as rd
-
-    from knowledgegraph__bh_ray import queries
-    from knowledgegraph__bh_ray.pipelines import kg
-
-    sf = "/root/testdata/sf0.001"
-    shutil.rmtree(queries._PAGE_EDGES_CACHE_ROOT, ignore_errors=True)
-    d = queries.ensure_page_edges(sf)
-    cached = queries.page_edges_cached_ds(sf).to_pandas()
-    # idempotent: a second call must hit the _VERSION marker, not rebuild
-    assert queries.ensure_page_edges(sf) == d
-    scratch = kg.page_graph_edges_ds(queries._prep(sf)).to_pandas()
-    key = ["src_url", "dst_url", "text"]
-    a = cached[key].sort_values(key).reset_index(drop=True)
-    b = scratch[key].sort_values(key).reset_index(drop=True)
-    pd.testing.assert_frame_equal(a, b)
-
-
 def test_iter_json_array_adversarial_content(tmp_path):
     """The incremental array parser must survive element content that looks
     like JSON structure — '], [', quotes, escaped quotes, braces, unicode —

@@ -108,7 +108,7 @@ class TestKCoreDistributed:
         from knowledgegraph__bh_ray.stages.pagerank import k_core_pairs
 
         edges = (
-            kg.page_graph_edges_ds(queries._prep("/root/testdata/sf0.01"))
+            kg.page_graph_edges_ds(kg.parsed_ds(queries._prep(queries.SF_CORRECTNESS)))
             .to_pandas()
         )
         a = np.minimum(edges["src_url"], edges["dst_url"])

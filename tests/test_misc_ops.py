@@ -97,7 +97,7 @@ def test_extract_quarantines_bad_rows():
 def test_bfs_caps(ray_session, pages_small):
     from knowledgegraph__bh_ray.pipelines import kg
 
-    out = kg.bfs_reachable(pages_small, "https://baike.baidu.com/item/doc0/0",
+    out = kg.bfs_reachable(kg.parsed_ds(pages_small), "https://baike.baidu.com/item/doc0/0",
                            max_depth=1, max_nodes=3)
     assert len(out) <= 3
     assert out["depth"].max() <= 1
@@ -428,3 +428,26 @@ def test_count_regex_matches_python_findall():
         got = _count_regex(texts, pat.pattern)
         want = texts.map(lambda t, p=pat: len(p.findall(t))).to_numpy()
         assert (got == want).all(), pat.pattern
+
+
+def test_scratch_root_removed_at_exit():
+    """A process's scratch root (``kg_run`` and the sink queries write
+    under it) is deleted when the process exits, files and all."""
+    import os
+    import subprocess
+    import sys
+
+    code = (
+        "import os\n"
+        "from knowledgegraph__bh_ray import queries\n"
+        "d = queries._scratch('sf0.001', 'probe')\n"
+        "os.makedirs(d)\n"
+        "open(os.path.join(d, 'part-0.parquet'), 'w').close()\n"
+        "print(os.path.dirname(d))\n"
+    )
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    out = subprocess.run([sys.executable, "-c", code], cwd=repo, capture_output=True,
+                         text=True, check=True).stdout
+    root = out.strip().splitlines()[-1]
+    assert os.path.basename(root).startswith("pid")
+    assert not os.path.exists(root)

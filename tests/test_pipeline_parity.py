@@ -16,7 +16,7 @@ def _golden(golden_small, name):
 
 
 def test_extracted_text_byte_identical(pages_small, golden_small):
-    mine = kg.extracted_ds(pages_small).to_pandas().set_index("url").sort_index()
+    mine = kg.parsed_ds(pages_small).to_pandas().set_index("url").sort_index()
     gold = _golden(golden_small, "extracted").set_index("url").sort_index()
     assert list(mine.index) == list(gold.index)
     # the north-rule invariant: per url, extracted text byte-identical
@@ -91,22 +91,25 @@ def test_canonical_linking_collapses_variants(pages_small, golden_small):
 
 
 def test_entity_graph_queries_read_one_run(pages_small, golden_small, monkeypatch):
-    """Once ``kg_run`` has run, the entity-graph queries read its tables:
-    none of them extracts pages again, and ``kg_degree`` is the per-subject
-    count and weight sum of ``kg_edges``."""
+    """Once ``kg_run`` has run, the entity-graph and parsed-page queries
+    read its tables: none of them reads or extracts pages again, and
+    ``kg_degree`` is the per-subject count and weight sum of ``kg_edges``."""
     from knowledgegraph__bh_ray import queries
 
     sf = "/root/testdata/sf0.001"
     queries.kg_run(sf)
 
     def _no_extraction(*args, **kwargs):
-        raise AssertionError("an entity-graph query extracted pages")
+        raise AssertionError("a query over parsed pages read the pages again")
 
     monkeypatch.setattr(kg, "parsed_ds", _no_extraction)
-    monkeypatch.setattr(kg, "extracted_ds", _no_extraction)
+    monkeypatch.setattr(kg, "read_pages", _no_extraction)
     got = {name: getattr(queries, f"q_{name}")(sf).to_pandas()
            for name in ("kg_nodes", "kg_edges", "kg_entity_link", "kg_edges_canonical",
-                        "kg_degree", "kg_node_parents")}
+                        "kg_degree", "kg_node_parents", "kg_extract", "kg_links",
+                        "kg_page_graph_edges", "kg_page_graph_nodes", "kg_pages_without_links",
+                        "lang_id", "prompt_assembly", "token_budget", "boilerplate_strip",
+                        "dedup_minhash", "kg_mentions_pattern")}
     assert all(len(df) > 0 for df in got.values())
     edges = got["kg_edges"]
     want = (edges.groupby("subj", as_index=False)

@@ -300,46 +300,3 @@ def test_sharded_counter_exact_across_shards(ray_session):
     assert got == {"a": total, "b": 40}
     c.reset()
     assert c.get_all() == {}
-
-
-def test_checkpoint_rebuild_never_hides_dir(ray_session, pages_small, monkeypatch, tmp_path):
-    """A reader polling the extracted-text checkpoint while it is rebuilt
-    (stale version marker) always finds the dir and its version marker:
-    the new dir is swapped in before the old one is deleted."""
-    import threading
-
-    from conftest import SF_SMOKE
-    from knowledgegraph__bh_ray import queries
-
-    monkeypatch.setattr(queries, "_EXTRACT_CACHE_ROOT", str(tmp_path))
-    out = queries.ensure_extracted(SF_SMOKE)
-    vfile = os.path.join(out, "_VERSION")
-    n_files = len(os.listdir(out))
-    assert n_files > 2  # a multi-file dir: deleting it is not instantaneous
-    with open(vfile, "w") as f:
-        f.write("stale")
-
-    stop = threading.Event()
-    polls, misses = [0], []
-
-    def _reader():
-        while not stop.is_set():
-            polls[0] += 1
-            try:
-                with open(vfile) as f:
-                    f.read()
-            except OSError as e:
-                misses.append(repr(e))
-
-    t = threading.Thread(target=_reader)
-    t.start()
-    try:
-        assert queries.ensure_extracted(SF_SMOKE) == out
-    finally:
-        stop.set()
-        t.join(timeout=10)
-    assert not t.is_alive()
-    assert polls[0] > 100
-    assert misses == []
-    assert open(vfile).read() == queries.EXTRACT_CACHE_VERSION
-    assert not [p for p in os.listdir(tmp_path) if p != os.path.basename(out)]
