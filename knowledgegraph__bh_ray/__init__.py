@@ -14,7 +14,9 @@ DAG over a Parquet table of Common-Crawl-style web pages
 Design rules (enforced throughout):
   * everything is a ``ray.data.Dataset`` pipeline — ``map_batches`` over Arrow
     batches for narrow transforms, ``groupby`` for the wide ones;
-  * stateful stages (gazetteer NER, embedder) are actor pools;
+  * the taggers and the entity linker are plain map tasks over a broadcast
+    (state built once per worker and ref); only the import-gated model
+    slots (embedder, media decoder, PDF reader) use actor pools;
   * no driver-side row loops on the big path; no mid-pipeline materialize;
   * deterministic: no RNG in the pipeline path, so resume ≡ fresh run.
 

@@ -11,10 +11,9 @@ tags exactly (bilstm_crf_ner.py:594-628), including its quirks:
 
 Decode turns the CRF tagger's per-char labels into mentions
 (stages/crf.py).  Encode, mirroring ner_visualizer.py:288-320, is the
-inverse: the pattern tagger (stages/ner.PatternTagger) round-trips its spans
-through both, and the tests use the pair as a round-trip property and as the
+inverse; the tests use the pair as a round-trip property and as the
 reference the gazetteer tagger's direct spans are checked against
-(tests/test_mentions.py).  The gazetteer tagger itself emits its matcher's
+(tests/test_mentions.py).  The gazetteer and pattern taggers emit their
 spans without per-char tags.
 """
 

@@ -44,6 +44,7 @@ from ..stages.grouped import (
     salted_grouped_agg,
 )
 from ..stages.linkage import CanonicalizeTriples
+from ..state.broadcast import broadcast_map
 
 EXTRACT_BATCH_SIZE = 256
 ADJACENCY_BUCKETS = 16
@@ -191,16 +192,7 @@ def edges_canonical_ds(parsed, canon_map: dict, adjacency_buckets: int | None = 
 
     ``adjacency_buckets``: emit the subj-bucketed adjacency layout (see
     ``_edge_agg``).  ``est``: as for ``edges_ds``."""
-    import ray
-
-    from ..state.broadcast import from_broadcast
-
-    ref = ray.put(canon_map)
-
-    def _canonicalize(batch: pd.DataFrame) -> pd.DataFrame:
-        return from_broadcast(ref, CanonicalizeTriples)(batch)
-
-    linked = triples_raw_ds(parsed).map_batches(_canonicalize, batch_format="pandas")
+    linked = broadcast_map(triples_raw_ds(parsed), canon_map, CanonicalizeTriples)
     return _edge_agg(linked, adjacency_buckets, est=est)
 
 

@@ -315,18 +315,14 @@ def run_kg_pipeline(
         t0 = time.time()
         manifest.clean_unit_dir(mentions_dir)
         extracted, nblocks, nbytes = _parsed(["url", "text_out"])
-        # the CRF and pattern taggers keep actor pools; two CPU slots stay
-        # free for the pool's own upstream read tasks (a pool equal to the
-        # CPU count deadlocks — PERF.md round 1)
-        pool = max(1, ncpu - 2)
         if tagger == "crf":
             from ..stages.crf import crf_mentions_ds
 
-            mentions = crf_mentions_ds(extracted, concurrency=pool)
+            mentions = crf_mentions_ds(extracted)
         elif tagger == "pattern":
             from ..stages.ner import pattern_mentions_ds
 
-            mentions = pattern_mentions_ds(extracted, concurrency=pool)
+            mentions = pattern_mentions_ds(extracted)
         else:
             from ..stages.ner import mentions_ds
 

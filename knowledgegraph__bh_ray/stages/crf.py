@@ -33,9 +33,11 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+import ray
 
 from ..functions.bioes import decode_bioes
 from ..functions.hashing import stable_u64
+from ..state.broadcast import broadcast_map
 from .ner import mention_columns, mentions_frame
 
 LABELS = ["O", "B-CONCEPT", "I-CONCEPT", "E-CONCEPT", "S-CONCEPT"]
@@ -50,8 +52,8 @@ def char_id(ch: str, vocab_size: int = VOCAB_SIZE) -> int:
 
 
 class CRFParams:
-    """Deterministic seeded model weights (one seed → identical weights in
-    every actor/process — no broadcast needed)."""
+    """Deterministic seeded model weights.  ``crf_mentions_ds`` broadcasts
+    them, so a trained checkpoint would reach every worker the same way."""
 
     def __init__(self, seed: int = 42, labels: list[str] = LABELS,
                  vocab_size: int = VOCAB_SIZE, embed_dim: int = EMBED_DIM,
@@ -182,9 +184,9 @@ def viterbi_batch(emissions: np.ndarray, mask: np.ndarray, params: CRFParams) ->
 
 
 class CRFNER:
-    """Actor-pool CRF mention detector — same stage signature as
-    GazetteerNER: setup once in ``__init__`` (weights + char-id cache),
-    padded batched inference in ``__call__``.
+    """CRF mention detector — same stage signature as GazetteerNER: setup
+    once per worker in ``__init__`` (weights + char-id cache), padded
+    batched inference in ``__call__``.
 
     Paragraphs are length-sorted and chunked so each padded matrix wastes
     little on padding; outputs are batch-composition-invariant (see module
@@ -254,16 +256,19 @@ class CRFNER:
         return mentions_frame(out)
 
 
-def crf_mentions_ds(extracted, concurrency=(1, 4)):
-    """extracted(url, text_out) → CRF-decoded mentions (actor pool).
+def _crf_tagger(params_ref) -> CRFNER:
+    return CRFNER(ray.get(params_ref))
+
+
+def crf_mentions_ds(extracted):
+    """extracted(url, text_out) → CRF-decoded mentions (``broadcast_map``
+    of ``CRFParams()``).
 
     batch_size 256 pages (~7k paragraphs) so each ``__call__`` length-sorts
     a large pool and the padded GROUP matrices stay homogeneous — output is
     batch-composition-invariant, so only speed changes (round-2 verdict #7:
     r2 config 1.65 s → 0.9 s per 13k bench paragraphs, ~1.9×)."""
-    return extracted.map_batches(
-        CRFNER, batch_format="pandas", batch_size=256, concurrency=concurrency
-    )
+    return broadcast_map(extracted, CRFParams(), _crf_tagger, batch_size=256)
 
 
 # ---------------------------------------------------------------------------

@@ -5,14 +5,13 @@ line-at-a-time (bilstm_crf_ner.py:648-676, 836-846).  This engine keeps the
 exact stage shape — load-once state in ``__init__``, batched inference in
 ``__call__`` — but the model slot is filled by a deterministic gazetteer
 tagger (no torch in this environment; the Ray-side plumbing is the
-deliverable, and the slot is pluggable: any callable class with the same
-batch signature drops in, e.g. the numpy BiLSTM-CRF of stages/crf.py, which
-decodes per-char BIOES tags with the reference's rules, functions/bioes.py).
+deliverable, and the slot is pluggable: the rule-based ``PatternTagger``
+below and the numpy BiLSTM-CRF of stages/crf.py drop in).  Every tagger
+runs as plain map tasks over its broadcast state (``broadcast_map``), never
+as an actor pool.
 
 Gazetteer matching: longest-match-first, non-overlapping, via one compiled
-trie regex built once per worker process from the broadcast vocabulary
-(``ray.put`` on the driver, built on a worker's first batch and cached by
-ref in state/broadcast.py — never per batch).  Each match IS a mention:
+trie regex built from the broadcast vocabulary.  Each match IS a mention:
 its span and text come straight from the regex's ``finditer``, with no
 per-character tagging in between (PERF.md round 13).
 """
@@ -23,8 +22,9 @@ import re
 
 import pandas as pd
 import pyarrow as pa
+import ray
 
-from ..functions.bioes import decode_bioes, encode_bioes
+from ..state.broadcast import broadcast_map
 
 MAX_GAZETTEER = 50_000  # vocab cap; longest names win (documented truncation)
 
@@ -148,8 +148,6 @@ class GazetteerNER:
     """
 
     def __init__(self, gazetteer_ref):
-        import ray
-
         names, types = ray.get(gazetteer_ref)
         self.type_of = dict(zip(names, types))
         self.pattern = build_gazetteer_pattern(list(names))
@@ -173,25 +171,10 @@ class GazetteerNER:
 
 
 def mentions_ds(extracted, gazetteer: tuple[list[str], list[str]], batch_size: int = 256):
-    """extracted(url, text_out) → mentions via plain map tasks.
-
-    The vocabulary is broadcast once; each worker compiles the trie on its
-    first batch and reuses it for later batches of the same ref (see
-    state/broadcast.py).  No actor pool: the per-page cost is ~50 µs (the
-    regex scan plus row building, PERF.md round 13), so starting pool
-    actors (vocab fetch + compile per actor, new processes every build)
-    cost more than the tagging itself, and a plain task fuses with the
-    upstream read instead of competing with it for CPU slots."""
-    import ray
-
-    from ..state.broadcast import from_broadcast
-
-    ref = ray.put(gazetteer)
-
-    def _tag(batch: pd.DataFrame) -> pd.DataFrame:
-        return from_broadcast(ref, GazetteerNER)(batch)
-
-    return extracted.map_batches(_tag, batch_format="pandas", batch_size=batch_size)
+    """extracted(url, text_out) → gazetteer mentions; each worker compiles
+    the trie once per vocabulary (the per-page cost is ~50 µs, the regex
+    scan plus row building, PERF.md round 13)."""
+    return broadcast_map(extracted, gazetteer, GazetteerNER, batch_size=batch_size)
 
 
 # ---------------------------------------------------------------------------
@@ -207,41 +190,30 @@ PATTERN_RULES: list[tuple[str, str]] = [
 
 
 class PatternTagger:
-    """Actor-pool rule-based mention detector (the 'dependency/pattern
-    tagger' stage alongside the model slot): typed regex rules compiled
-    once per actor; leftmost-longest non-overlapping resolution is done
-    EXPLICITLY — every rule's finditer spans are collected, sorted by
-    (start, -length, rule order) and greedily swept — because a combined
-    alternation would pick the first rule matching at a position, not the
-    longest span.  The swept spans go through a BIOES encode → decode →
-    ``find`` round-trip, as a tagger's per-char labels would."""
+    """Rule-based mention detector (the 'dependency/pattern tagger' stage
+    alongside the model slot): typed regex rules compiled once per worker;
+    leftmost-longest non-overlapping resolution is done EXPLICITLY — every
+    rule's finditer spans are collected, sorted by (start, -length, rule
+    order) and greedily swept — because a combined alternation would pick
+    the first rule matching at a position, not the longest span.  The swept
+    spans are the mentions as they stand."""
 
     def __init__(self, rules: list[tuple[str, str]] | None = None):
         rules = rules or PATTERN_RULES
         self.rules = [(t, re.compile(p)) for t, p in rules]
 
     def tag(self, text: str) -> list[dict]:
-        raw = []
-        for order, (etype, pat) in enumerate(self.rules):
-            for m in pat.finditer(text):
-                raw.append((m.start(), m.start() - m.end(), order, m.end(), etype))
-        raw.sort()
-        spans = []
+        raw = sorted(
+            (m.start(), m.start() - m.end(), order, m.end(), etype)
+            for order, (etype, pat) in enumerate(self.rules)
+            for m in pat.finditer(text)
+        )
+        out = []
         last_end = 0
         for start, _neg_len, _order, end, etype in raw:
             if start >= last_end:
-                spans.append((start, end, etype))
+                out.append({"entity": text[start:end], "etype": etype, "start": start, "end": end})
                 last_end = end
-        if not spans:
-            return []
-        labels = encode_bioes(text, spans)
-        entities = decode_bioes(text, labels)
-        out = []
-        pos = 0
-        for entity, etype in entities:
-            start = text.find(entity, pos)
-            out.append({"entity": entity, "etype": etype, "start": start, "end": start + len(entity)})
-            pos = start + len(entity)
         return out
 
     def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
@@ -251,14 +223,16 @@ class PatternTagger:
                 for m in self.tag(para):
                     out["url"].append(url)
                     out["para_idx"].append(pi)
-                    out["entity"].append(m["entity"])
-                    out["etype"].append(m["etype"])
-                    out["start"].append(m["start"])
-                    out["end"].append(m["end"])
+                    for k, v in m.items():
+                        out[k].append(v)
         return mentions_frame(out)
 
 
-def pattern_mentions_ds(extracted, concurrency=(1, 4)):
-    return extracted.map_batches(
-        PatternTagger, batch_format="pandas", batch_size=64, concurrency=concurrency
-    )
+def _pattern_tagger(rules_ref) -> PatternTagger:
+    return PatternTagger(ray.get(rules_ref))
+
+
+def pattern_mentions_ds(extracted):
+    """extracted(url, text_out) → rule-pattern mentions (``broadcast_map``
+    of ``PATTERN_RULES``)."""
+    return broadcast_map(extracted, PATTERN_RULES, _pattern_tagger, batch_size=64)

@@ -10,7 +10,14 @@ from knowledgegraph__bh_ray.functions.hashing import md5_id
 from knowledgegraph__bh_ray.pipelines import kg
 from knowledgegraph__bh_ray.state.broadcast import from_broadcast
 from knowledgegraph__bh_ray.stages.linkage import normalize_surface
-from knowledgegraph__bh_ray.stages.ner import build_gazetteer_pattern, mentions_ds, tag_mentions
+from knowledgegraph__bh_ray.stages.crf import CRFNER, crf_mentions_ds
+from knowledgegraph__bh_ray.stages.ner import (
+    PatternTagger,
+    build_gazetteer_pattern,
+    mentions_ds,
+    pattern_mentions_ds,
+    tag_mentions,
+)
 
 EDGE_COLS = ["subj", "pred", "obj", "weight", "url", "seq", "subj_name", "obj_name", "props_json"]
 MENTION_COLS = ["url", "para_idx", "entity", "etype", "start", "end"]
@@ -70,7 +77,10 @@ def _serial_edges_canonical(triples: pd.DataFrame, canon_map: dict) -> pd.DataFr
 def test_second_vocabulary_never_served_from_first_cache(ray_session, pages_small):
     """mentions_ds, then edges_canonical_ds, each twice in one session with
     a different vocabulary: every result equals a fresh single-process
-    computation over that run's own vocabulary."""
+    computation over that run's own vocabulary.  After the two gazetteer
+    runs, the pattern and CRF taggers run over the same blocks: three
+    builders share the per-worker cache without serving each other's
+    tagger, and the task path changes no row of either."""
     parsed = kg.parsed_ds(pages_small).repartition(8).materialize()
     texts = parsed.select_columns(["url", "text_out"]).to_pandas()
     nodes = kg.nodes_ds(parsed).to_pandas().sort_values("id").reset_index(drop=True)
@@ -91,6 +101,14 @@ def test_second_vocabulary_never_served_from_first_cache(ray_session, pages_smal
         )
         results.append(got)
     assert not _sorted(results[0], MENTION_COLS).equals(_sorted(results[1], MENTION_COLS))
+
+    for run, tagger in [(pattern_mentions_ds, PatternTagger()), (crf_mentions_ds, CRFNER())]:
+        got = run(extracted).to_pandas()
+        want = tagger(texts)
+        assert len(want)
+        pd.testing.assert_frame_equal(
+            _sorted(got, MENTION_COLS), _sorted(want, MENTION_COLS), check_dtype=False
+        )
 
     triples = kg.triples_raw_ds(parsed).to_pandas()
     keys = sorted({normalize_surface(n) for n in names})

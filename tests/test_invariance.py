@@ -269,3 +269,20 @@ def test_no_user_selected_plans():
         if needle in path.read_text(encoding="utf-8")
     )
     assert hits == [], hits
+
+
+def test_no_actor_pools_in_the_kg_dag():
+    """Only the import-gated model slots (media decoder, embedder, PDF
+    reader) size an actor pool; every tagger and the linker run as plain
+    map tasks over a broadcast."""
+    import pathlib
+
+    import knowledgegraph__bh_ray
+
+    root = pathlib.Path(knowledgegraph__bh_ray.__file__).parent
+    hits = sorted(
+        path.relative_to(root).as_posix()
+        for path in root.rglob("*.py")
+        if "concurrency" "=" in path.read_text(encoding="utf-8")
+    )
+    assert hits == ["stages/embed.py", "stages/media.py", "stages/pdf.py"], hits

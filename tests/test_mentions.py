@@ -1,8 +1,13 @@
+import re
+
+import numpy as np
 import pandas as pd
 import ray.data as rd
 
 from knowledgegraph__bh_ray.stages.ner import (
+    PATTERN_RULES,
     GazetteerNER,
+    PatternTagger,
     build_gazetteer_pattern,
     mentions_ds,
     tag_mentions,
@@ -151,3 +156,77 @@ def test_direct_spans_equal_bioes_round_trip(ray_session):
         pd.testing.assert_frame_equal(ner(batch), mentions_frame(want_cols))
 
     check()
+
+
+def test_pattern_tagger_rules():
+    t = PatternTagger()
+    out = t.tag("见《机器学习》与 Entity7 于 2024-05-01 强度 0.9")
+    got = {(m["entity"], m["etype"]) for m in out}
+    assert ("《机器学习》", "TITLE") in got
+    assert ("Entity7", "IDENT") in got
+    assert ("2024-05-01", "DATE") in got
+    assert ("0.9", "NUMBER") in got
+    # spans are exact
+    first = [m for m in out if m["etype"] == "TITLE"][0]
+    assert first["start"] == 1 and first["end"] == 7
+
+
+def test_pattern_tagger_batch_shape():
+    t = PatternTagger()
+    df = t(pd.DataFrame({"url": ["u"], "text_out": ["实体3 见 2024-01-02\n无"]}))
+    assert set(df.columns) == {"url", "para_idx", "entity", "etype", "start", "end"}
+    assert len(df) == 2
+    assert df["para_idx"].dtype == np.int64
+
+
+def _greedy_sweep(text):
+    """Every rule's ``finditer`` spans, sorted by (start, -length, rule
+    order) and swept left to right, keeping each span that starts at or
+    after the last kept span's end."""
+    found = sorted(
+        (m.start(), -(m.end() - m.start()), order, m.end(), etype)
+        for order, (etype, rule) in enumerate(PATTERN_RULES)
+        for m in re.finditer(rule, text)
+    )
+    kept, last_end = [], 0
+    for start, _neg_len, _order, end, etype in found:
+        if start >= last_end:
+            kept.append((etype, start, end))
+            last_end = end
+    return kept
+
+
+def test_pattern_tagger_equals_greedy_sweep():
+    """The tagger's mentions are the swept rule spans as they stand: each
+    one's text is its span of the input and fully matches its own rule.
+    Texts are built from the rules' own characters and a few rule-shaped
+    pieces, so overlapping, adjacent and repeated matches are common."""
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    rule_of = dict(PATTERN_RULES)
+    tagger = PatternTagger()
+    piece = st.sampled_from(["0", "1", "2", "5", "12", "2024", "2024-01-02", "1.5", ".", "-",
+                             "Entity", "实体", "《", "》", " "])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(piece, max_size=24))
+    def check(pieces):
+        text = "".join(pieces)
+        got = tagger.tag(text)
+        assert [(m["etype"], m["start"], m["end"]) for m in got] == _greedy_sweep(text)
+        for m in got:
+            assert text[m["start"]:m["end"]] == m["entity"]
+            assert re.fullmatch(rule_of[m["etype"]], m["entity"])
+
+    check()
+
+
+def test_pattern_tagger_locates_repeated_text_at_its_match():
+    """A NUMBER whose text also occurs inside a skipped, overlapping match
+    earlier in the paragraph is reported where its rule matched."""
+    got = PatternTagger().tag("2024-01-021.5 1.5")
+    assert [(m["entity"], m["etype"], m["start"], m["end"]) for m in got] == [
+        ("2024-01-02", "DATE", 0, 10),
+        ("1.5", "NUMBER", 14, 17),
+    ]

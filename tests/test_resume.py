@@ -268,17 +268,18 @@ def test_write_one_row_group_per_file(ray_session, tmp_path):
 
 
 def test_pipeline_tagger_slot_pluggable(ray_session, pages_small, tmp_path):
-    """Phase-5 model slot: the CRF tagger drops into the pipeline in place
-    of the gazetteer; earlier phases resume untouched."""
+    """Phase-5 model slot: the CRF and pattern taggers drop into the
+    pipeline in place of the gazetteer; earlier phases resume untouched."""
     import ray.data as rd
 
     from knowledgegraph__bh_ray.pipelines.run import run_kg_pipeline
 
-    out = str(tmp_path / "crf_run")
-    res = run_kg_pipeline(pages_small, out, num_shards=4, tagger="crf")
-    assert "mentions" in {r["unit"] for r in res["records"]}
-    m = rd.read_parquet(out + "/mentions").to_pandas()
-    assert set(m.columns) >= {"url", "para_idx", "entity", "etype", "start", "end"}
+    for tagger in ("crf", "pattern"):
+        out = str(tmp_path / f"{tagger}_run")
+        res = run_kg_pipeline(pages_small, out, num_shards=4, tagger=tagger)
+        assert "mentions" in {r["unit"] for r in res["records"]}
+        m = rd.read_parquet(out + "/mentions").to_pandas()
+        assert set(m.columns) >= {"url", "para_idx", "entity", "etype", "start", "end"}
 
 
 def test_sharded_counter_exact_across_shards(ray_session):
