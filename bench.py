@@ -92,7 +92,7 @@ def run_bench() -> dict:
         for _ in range(n_runs):
             shutil.rmtree(out_dir, ignore_errors=True)
             t0 = time.time()
-            result = run_kg_pipeline(pages, out_dir, num_shards=max(8, NUM_CPUS))
+            result = run_kg_pipeline(pages, out_dir)
             runs.append(time.time() - t0)
         headline = min(runs)
         queries["kg_pipeline"] = round(headline, 3)

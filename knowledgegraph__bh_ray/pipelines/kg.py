@@ -17,8 +17,10 @@ and the canonical map from its deduped ``nodes/`` table and passes them
 in; the query registry passes that run's ``parsed/`` table to the link
 and page-graph builders.  Wide steps use the size-planned aggregation in
 stages/grouped.py; small-side lookups (node-id vocabulary, canonical map)
-are broadcast via ``ray.put`` — never re-shipped per batch and never a
-second shuffle.
+are put once and applied by plain map tasks, each worker building its
+lookup once per broadcast (state/broadcast.broadcast_map) — never
+re-shipped per batch and never a second shuffle.  Both edge tables come
+out in the subj-bucketed adjacency layout (``_edge_agg``).
 
 Batch-size note: html rows are a few KB; 256 rows/batch keeps per-task
 overhead amortized while a batch per concurrent task (one per CPU) stays
@@ -31,6 +33,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from ..functions.hashing import bucket_of
 from ..sources import read_pages
 from ..stages.extract import (
     PARSED_SCHEMA,
@@ -106,42 +109,35 @@ EDGE_KEYS = ["subj", "pred", "obj"]
 BUCKET_COL = "subj_bucket"
 
 
-def edge_schema(adjacency_buckets: int | None) -> pa.Schema:
+def edge_schema() -> pa.Schema:
     """``_edge_agg``'s output columns, for a writer whose edge table came
-    out empty: a raw triple row's, the summed ``weight`` and, with an
-    adjacency layout, ``subj_bucket``."""
+    out empty: a raw triple row's, the summed ``weight`` and
+    ``subj_bucket``."""
     raw = flatten_list_column(PARSED_SCHEMA.empty_table(), "triples", keep=["url"]).schema
-    out = raw.append(pa.field("weight", pa.int64()))
-    return out if adjacency_buckets is None else out.append(pa.field(BUCKET_COL, pa.int64()))
+    return raw.append(pa.field("weight", pa.int64())).append(pa.field(BUCKET_COL, pa.int64()))
 
 
-def _edge_agg(kept, adjacency_buckets: int | None, salt_buckets: int = 16,
-              est: SizeEstimate | None = None):
-    """Dedup-count of linked triples per (subj, pred, obj).
+def _subj_bucket(df: pd.DataFrame) -> np.ndarray:
+    return np.array([bucket_of(s, ADJACENCY_BUCKETS) for s in df["subj"]], dtype="int64")
 
-    ``adjacency_buckets=n`` lays the result out as the sorted, subj-bucketed
-    adjacency table: the aggregation's final exchange routes by
-    ``bucket_of(subj, n)`` (a function of the key, so dedup stays exact),
-    and each final group — one bucket — is sorted by key and carries a
-    ``subj_bucket`` column, ready for
+
+def _sorted_bucket(df: pd.DataFrame) -> pd.DataFrame:
+    out = df.sort_values(EDGE_KEYS, kind="mergesort").reset_index(drop=True)
+    out[BUCKET_COL] = _subj_bucket(out)
+    return out
+
+
+def _edge_agg(kept, salt_buckets: int = 16, est: SizeEstimate | None = None):
+    """Dedup-count of linked triples per (subj, pred, obj), laid out as the
+    sorted, subj-bucketed adjacency table: the aggregation's final exchange
+    routes by ``bucket_of(subj, ADJACENCY_BUCKETS)`` (a function of the
+    key, so dedup stays exact), and each final group — one bucket — is
+    sorted by key and carries a ``subj_bucket`` column, ready for
     ``write_parquet(partition_cols=["subj_bucket"])``.  A reader doing
     per-entity lookups prunes to one bucket dir and one sorted range, and
     building the layout costs no shuffle beyond the aggregation's own.  On
     the ``local`` arm (``est`` small) ``finish`` sorts the whole result
     once, which gives every bucket the same rows in the same order."""
-    layout = {}
-    if adjacency_buckets is not None:
-        from ..functions.hashing import bucket_of
-
-        def _route(df: pd.DataFrame) -> np.ndarray:
-            return np.array([bucket_of(s, adjacency_buckets) for s in df["subj"]], dtype="int64")
-
-        def _finish(df: pd.DataFrame) -> pd.DataFrame:
-            out = df.sort_values(EDGE_KEYS, kind="mergesort").reset_index(drop=True)
-            out[BUCKET_COL] = _route(out)
-            return out
-
-        layout = {"final_route": _route, "finish": _finish}
     return salted_grouped_agg(
         kept,
         keys=EDGE_KEYS,
@@ -149,51 +145,57 @@ def _edge_agg(kept, adjacency_buckets: int | None, salt_buckets: int = 16,
         salt_from="url",
         salt_buckets=salt_buckets,
         est=est,
-        **layout,
+        final_route=_subj_bucket,
+        finish=_sorted_bucket,
     )
 
 
-def edges_ds(parsed, node_ids: frozenset, salt_buckets: int = 16,
-             adjacency_buckets: int | None = None, est: SizeEstimate | None = None):
-    """Triple dedup + graph materialization (G2/G6): drop dangling endpoints
-    (reference policy J1: both endpoints must be known concepts), then
-    groupby (subj, pred, obj) → weight = occurrence count, representative
-    names/props = global keep-first by seq.
-
-    The node-id vocabulary ``node_ids`` (the ids of the deduped nodes
-    table) is broadcast via ``ray.put`` and probed per batch.
-
-    ``adjacency_buckets``: emit the subj-bucketed adjacency layout (see
-    ``_edge_agg``).  ``est``: the size of the raw triples, which picks the
-    aggregation's arm (stages/grouped.plan_arm)."""
+def _drop_dangling(ids_ref):
+    """Batch callable over the broadcast node-id set: keep the triples
+    whose two endpoints are both known ids.  ``edges_ds`` builds it once
+    per worker process and broadcast ref (state/broadcast.py)."""
     import ray
 
-    ids_ref = ray.put(node_ids)
+    ids = ray.get(ids_ref)
 
-    def _drop_dangling(batch: pd.DataFrame) -> pd.DataFrame:
-        ids = ray.get(ids_ref)
+    def _keep(batch: pd.DataFrame) -> pd.DataFrame:
         m = batch["subj"].isin(ids) & batch["obj"].isin(ids)
         return batch[m].reset_index(drop=True)
 
-    kept = triples_raw_ds(parsed).map_batches(_drop_dangling, batch_format="pandas")
-    return _edge_agg(kept, adjacency_buckets, salt_buckets, est)
+    return _keep
 
 
-def edges_canonical_ds(parsed, canon_map: dict, adjacency_buckets: int | None = None,
-                       est: SizeEstimate | None = None):
+def edges_ds(parsed, node_ids: frozenset, salt_buckets: int = 16,
+             est: SizeEstimate | None = None):
+    """Triple dedup + graph materialization (G2/G6): drop dangling endpoints
+    (reference policy J1: both endpoints must be known concepts), then
+    groupby (subj, pred, obj) → weight = occurrence count, representative
+    names/props = global keep-first by seq, in the adjacency layout (see
+    ``_edge_agg``).
+
+    The node-id vocabulary ``node_ids`` (the ids of the deduped nodes
+    table) is broadcast and probed by plain map tasks, each worker
+    fetching the set once per ref (state/broadcast.py).
+
+    ``est``: the size of the raw triples, which picks the aggregation's
+    arm (stages/grouped.plan_arm)."""
+    kept = broadcast_map(triples_raw_ds(parsed), node_ids, _drop_dangling)
+    return _edge_agg(kept, salt_buckets, est)
+
+
+def edges_canonical_ds(parsed, canon_map: dict, est: SizeEstimate | None = None):
     """Canonicalized, deduplicated edge table: endpoints rewritten to
     canonical ids, unknown blocking keys dropped, then the same
-    dedup-count as edges_ds.
+    dedup-count and adjacency layout as edges_ds.
 
     The canonical map ``canon_map`` (``linkage.canon_lookup`` of
     ``linkage.canonical_map_pdf`` over the deduped nodes) is broadcast and
     applied by plain map tasks, each worker building the lookup dicts once
     per ref (state/broadcast.py).
 
-    ``adjacency_buckets``: emit the subj-bucketed adjacency layout (see
-    ``_edge_agg``).  ``est``: as for ``edges_ds``."""
+    ``est``: as for ``edges_ds``."""
     linked = broadcast_map(triples_raw_ds(parsed), canon_map, CanonicalizeTriples)
-    return _edge_agg(linked, adjacency_buckets, est=est)
+    return _edge_agg(linked, est=est)
 
 
 # ---------------------------------------------------------------------------

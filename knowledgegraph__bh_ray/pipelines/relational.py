@@ -590,7 +590,8 @@ def events_quantiles_sampled_ds(sf_dir: str, k: int = 4096,
     δ=10⁻³, i.e. each estimate is the true value at rank q±ε.  Rank error
     is pytest-pinned against the exact quantiles.  Deterministic and
     mergeable (rerun-stable, resumable) like every other seeded draw.
-    Output: one row per q — (q_micros, value_est, sample_n)."""
+    Output: one row per q — (q_micros, value_est, sample_n).  No SQL
+    mirror (sampled)."""
     import math
 
     from ..functions.hashing import seeded_md5_sortkey
@@ -641,7 +642,8 @@ def events_quantiles_sampled_by_type_ds(sf_dir: str, k: int = 1024,
     survive globally), ONE small type-hash exchange of ≤ k×|types|×batches
     sample rows, then the percentile_disc rule per type.  DKW bound per
     key: ε = sqrt(ln(2/δ)/(2k)) over that key's sample.  Output one row
-    per (event_type, q): (event_type, q_micros, value_est, sample_n)."""
+    per (event_type, q): (event_type, q_micros, value_est, sample_n).  No
+    SQL mirror (sampled); the rank error is pytest-pinned per type."""
     import math
 
     from ..functions.hashing import seeded_md5_sortkey

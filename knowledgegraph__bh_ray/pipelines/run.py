@@ -2,11 +2,12 @@
 
 Phase structure (each phase is a resume unit, SURVEY.md §7.2 step 6):
 
-  phase 1  ``parsed/group=G/``   extract+parse; pages are sharded by
-           url-hash into ``num_shards`` shards, and the shards into
-           ``resume_granularity`` groups, one unit and one Dataset pass
-           each (granularity 1 means one pass, no read amplification;
-           tests use >1 to exercise mid-run kill/resume)
+  phase 1  ``parsed/group=G/``   extract+parse; with ``resume_granularity``
+           G > 1 the pages are split by url hash into G groups (group g
+           holds the urls with ``bucket_of(url, G) == g``), one unit and
+           one Dataset pass each; G = 1 means one pass that hashes no
+           url and has no read amplification (tests use G > 1 to
+           exercise mid-run kill/resume)
   phase 2  ``nodes/``            global keep-first dedup over the checkpoint
   phase 3  ``edges/``            dangling-drop + dedup-count
   phase 4  ``canonical/`` + ``edges_canonical/``  linking outputs
@@ -143,17 +144,9 @@ def gazetteer(nodes_dir: str) -> tuple[list[str], list[str]]:
     return names_pdf["name"].tolist(), names_pdf["type"].tolist()
 
 
-def _add_shard(batch: pa.Table, num_shards: int) -> pa.Table:
-    shards = pa.array(
-        [bucket_of(u, num_shards) for u in batch.column("url").to_pylist()], pa.int32()
-    )
-    return batch.append_column("shard", shards)
-
-
 def run_kg_pipeline(
     pages_path: str,
     out_dir: str,
-    num_shards: int = 8,
     resume_granularity: int = 1,
     counter: "ShardedCounter | None" = None,
     tagger: str = "gazetteer",
@@ -164,7 +157,8 @@ def run_kg_pipeline(
     holds its own unit's counts, whichever run wrote it).
 
     ``resume_granularity`` = how many manifest units phase 1 is split into
-    (each unit = one Dataset pass over its subset of url-hash shards).
+    (unit g = one Dataset pass over the pages with
+    ``bucket_of(url, resume_granularity) == g``).
     ``tagger`` selects the phase-5 mention detector — the pluggable A2
     model slot: ``"gazetteer"`` (vocabulary alternation, oracle-gated),
     ``"crf"`` (numpy BiLSTM-CRF, stages/crf.py), or ``"pattern"``
@@ -184,50 +178,42 @@ def run_kg_pipeline(
             raise RuntimeError(f"injected failure after {completed_now} units")
 
     # ---- phase 1: extract+parse → parsed/group=G --------------------------
-    # resume unit = one group of url-hash shards; each group writes its own
-    # subdirectory (plain files — one per block, no per-shard partition-dir
-    # file explosion; the shard column stays in the data for lineage)
-    groups = [
-        list(range(g, num_shards, resume_granularity))
-        for g in range(resume_granularity)
-    ]
+    # resume unit = one url-hash group; each group writes its own
+    # subdirectory (plain files, one per block)
     parsed_dir = os.path.join(out_dir, "parsed")
-    parsed_schema = _add_shard(PARSED_SCHEMA.empty_table(), num_shards).schema
-    for gi, shard_list in enumerate(groups):
-        unit = f"parsed:group={gi}"
+    for g in range(resume_granularity):
+        unit = f"parsed:group={g}"
         if unit in done:
             continue
         t0 = time.time()
         # each record holds its own group's counts, so a resumed run's
         # records sum to a fresh run's
         counter.reset()
-        shard_set = frozenset(shard_list)
         pages = read_pages(pages_path, columns=["url", "html"])
 
-        def _extract_group(batch: pa.Table, shard_set=shard_set) -> pa.Table:
-            batch = _add_shard(batch, num_shards)
-            import pyarrow.compute as pc
-
-            mask = pc.is_in(batch.column("shard"), value_set=pa.array(list(shard_set), pa.int32()))
-            sub = batch.filter(mask)
+        def _extract_group(batch: pa.Table, g=g) -> pa.Table:
+            if resume_granularity > 1:
+                urls = batch.column("url").to_pylist()
+                batch = batch.filter(
+                    pa.array([bucket_of(u, resume_granularity) == g for u in urls]))
             stats: dict = {}
-            parsed = kg.extract_parse_batch(sub.select(["url", "html"]), stats=stats)
-            stats["pages_in"] = sub.num_rows
+            parsed = kg.extract_parse_batch(batch, stats=stats)
+            stats["pages_in"] = batch.num_rows
             # BLOCKING on purpose: fire-and-forget increments race the
             # driver's get_all after write_parquet (messages from worker
             # callers have no cross-caller ordering vs the driver's read —
             # observed as undercounted manifests in a busy session).  One
             # awaited round trip per 256-page batch (see ShardedCounter).
             counter.incr_many_blocking(stats)
-            return _add_shard(parsed, num_shards)
+            return parsed
 
         ds = pages.map_batches(
             _extract_group, batch_format="pyarrow", batch_size=kg.EXTRACT_BATCH_SIZE
         )
-        group_dir = os.path.join(parsed_dir, f"group={gi}")
+        group_dir = os.path.join(parsed_dir, f"group={g}")
         # clean any partial output of a previous killed attempt for this unit
         manifest.clean_unit_dir(group_dir)
-        rows = _write(ds, group_dir, parsed_schema)
+        rows = _write(ds, group_dir, PARSED_SCHEMA)
         manifest.mark_done(unit, rows, counters=counter.get_all(), wall_sec=time.time() - t0)
         _checkpoint_gate()
 
@@ -267,7 +253,7 @@ def run_kg_pipeline(
     # run one after another (three streaming executors on one driver GIL
     # thrash — PERF.md round 3).  Each unit writes its own dir and appends
     # its own manifest line.
-    edge_schema = kg.edge_schema(kg.ADJACENCY_BUCKETS)
+    edge_schema = kg.edge_schema()
     edges_dir = os.path.join(out_dir, "edges")
 
     def _run_edges() -> None:
@@ -276,8 +262,7 @@ def run_kg_pipeline(
         est, plan = _plan("triples", "subj")
         node_ids = frozenset(_read_small(nodes_dir, ["id"])["id"])
         parsed, nblocks, _ = _parsed(["url", "triples"])
-        edges = kg.edges_ds(parsed, node_ids=node_ids,
-                            adjacency_buckets=kg.ADJACENCY_BUCKETS, est=est)
+        edges = kg.edges_ds(parsed, node_ids=node_ids, est=est)
         rows = _write(edges, edges_dir, edge_schema, partition_cols=[kg.BUCKET_COL])
         manifest.mark_done("edges", rows, wall_sec=time.time() - t0, **plan,
                            read_blocks=nblocks)
@@ -299,12 +284,7 @@ def run_kg_pipeline(
             os.path.join(canon_dir, "part-00000.parquet"),
         )
         parsed, nblocks, _ = _parsed(["url", "triples"])
-        ecanon = kg.edges_canonical_ds(
-            parsed,
-            canon_map=canon_lookup(canon_pdf),
-            adjacency_buckets=kg.ADJACENCY_BUCKETS,
-            est=est,
-        )
+        ecanon = kg.edges_canonical_ds(parsed, canon_map=canon_lookup(canon_pdf), est=est)
         rows = _write(ecanon, ecanon_dir, edge_schema, partition_cols=[kg.BUCKET_COL])
         manifest.mark_done("canonical", rows, wall_sec=time.time() - t0, **plan,
                            read_blocks=nblocks)

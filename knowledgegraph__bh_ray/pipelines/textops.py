@@ -290,6 +290,7 @@ def pii_scrub_ds(sf_dir: str):
     ``[IP]``, phone-shaped digit runs → ``[PHONE]``, applied in that fixed
     order (each count is taken on the previous stage's output, so the
     composition is deterministic and the SQL mirror replays it exactly).
+    Output per doc: the scrubbed text and the three redaction counts.
 
     Shuffle-free: one vectorized pandas C-regex pass per batch.  On a clean
     corpus this is an identity map — the DuckDB gate then proves byte-exact
@@ -616,7 +617,9 @@ def distinct_users_hll_ds(sf_dir: str):
     (functions/hll.py): the shuffle moves ≤ |groups|·m register rows no
     matter how many distinct values exist — the 100-TB path beside the
     exact two-level dedup (distinct_users_by_type_ds).  Deterministic and
-    merge-invariant (pytest: partitioning cannot change the estimate)."""
+    merge-invariant (pytest: partitioning cannot change the estimate, and
+    each group's estimate is within 5% of the exact count).  No SQL mirror
+    (approximate)."""
     from ..functions.hll import hll_estimate, hll_rows
     from ..stages.grouped import exchange, hash_partitioned_agg
 

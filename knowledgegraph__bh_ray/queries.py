@@ -1,16 +1,22 @@
 """Driver-contract query registry: Ray pipelines + DuckDB oracle SQL mirrors.
 
-Each entry in :func:`build_queries` is one operator/pipeline from
-SURVEY.md §2 (or a training-data op from the task brief); the matching entry
+Each entry of ``QUERIES`` (:func:`build_queries`) is one operator/pipeline
+from SURVEY.md §2 (or a training-data op from the task brief), called with
+``sf_dir`` alone.  An entry is either the pipeline function itself (e.g.
+``textops.dedup_exact_ds``) or a ``q_*`` function that composes one: it
+reads a table with named columns, post-processes a result, or builds on the
+``kg_run`` tables.  A ``q_*`` function that would only forward ``sf_dir``
+does not exist (tests/test_rotation.py scans for one).  The matching entry
 in :func:`build_oracle_sql` is ANSI SQL that DuckDB runs on the same inputs.
 
 Oracle-input model: the testdata views (documents, embeddings, lineitem, …)
 are pre-registered by the driver; the synthesized pages table and the
 single-process-oracle golden tables live under /tmp (pagegen.ensure_pages /
 oracle.ensure_golden — both deterministic and idempotent, created when this
-module builds the registry and again inside every callable).  SQL reads them
-via read_parquet(path).  Golden-file SQL appears ONLY where the transform is
-not SQL-expressible (HTML parsing); everything downstream of the golden raw
+module builds the registry and again inside every callable that reads
+them).  SQL reads them via read_parquet(path).  Golden-file SQL appears
+ONLY where the transform is not SQL-expressible (HTML parsing);
+everything downstream of the golden raw
 tables (filters, joins, dedup groupbys, linking, degree) is real SQL
 semantics recomputed by DuckDB.
 
@@ -116,7 +122,7 @@ def _texts(sf_dir: str):
 
 
 # the edge tables' columns without the adjacency layout's subj_bucket
-_EDGE_COLS = kg.edge_schema(None).names
+_EDGE_COLS = [c for c in kg.edge_schema().names if c != kg.BUCKET_COL]
 _EDGE_OUT = ["subj", "pred", "obj", "subj_name", "obj_name", "weight"]
 
 
@@ -616,22 +622,6 @@ def q_pipeline_counters(sf_dir: str):
                          "v": pd.Series([v for _, v in out], dtype="int64")})
 
 
-def q_heavy_hitters(sf_dir: str):
-    """Exact corpus heavy hitters (terms > total_tokens // 1000) with a
-    mergeable Misra-Gries sketch as the candidate pruner — shuffle volume
-    capped at sketch-size × batches instead of corpus vocabulary; a
-    candidate-filtered exact re-count restores mirror-exact counts
-    (pipelines/textops.py:heavy_hitters_ds)."""
-    return textops.heavy_hitters_ds(sf_dir)
-
-
-def q_sample_uniform(sf_dir: str):
-    """Mergeable uniform k-sample (bottom-k sketch over seeded md5 draws):
-    ZERO shuffles — associative per-batch bottom-k partials, one tiny
-    combine (pipelines/textops.py:sample_uniform_ds)."""
-    return textops.sample_uniform_ds(sf_dir, k=100)
-
-
 def q_mention_coverage(sf_dir: str):
     """G9 driver check — entity-level set precision/recall/F1 of the
     mention detector's surface vocabulary vs the raw node-name vocabulary
@@ -782,132 +772,16 @@ def q_media_meta(sf_dir: str):
     )
 
 
-def q_dedup_exact(sf_dir: str):
-    return textops.dedup_exact_ds(sf_dir)
-
-
-def q_curate_corpus(sf_dir: str):
-    """The composite curation pipeline (lang-id → quality gate → exact
-    dedup → token budget) in one streaming pass — the shape a 100-TB
-    training-data job runs, with one shuffle total."""
-    return textops.curate_corpus_ds(sf_dir)
-
-
-def q_decontaminate(sf_dir: str):
-    """Train/eval decontamination: n-gram overlap flagging of train docs
-    against the deterministic eval split (doc_id % 10 == 0), the standard
-    LLM-corpus decontamination rule.  Eval gram set broadcast once; train
-    side streams."""
-    return textops.decontaminate_ds(sf_dir, n=5, eval_mod=10)
-
-
-def q_inverted_index(sf_dir: str):
-    """Inverted index: term → df + ordered posting list, sharded by term
-    hash in one shuffle."""
-    return textops.inverted_index_ds(sf_dir)
-
-
-def q_pii_scrub(sf_dir: str):
-    """PII redaction (emails/IPv4/phone runs → placeholders, fixed
-    composition order) with per-doc redaction counts."""
-    return textops.pii_scrub_ds(sf_dir)
-
-
-def q_repetition_filter(sf_dir: str):
-    """Gopher-style repetition quality signals (distinct-token ratio,
-    top-bigram fraction, 20% flag) — shuffle-free vectorized pass."""
-    return textops.repetition_filter_ds(sf_dir)
-
-
-def q_pack_sequences(sf_dir: str):
-    """Concat-and-chunk packing layout: global token offsets (distributed
-    prefix sum, no total sort) and fixed-length sequence bin assignment
-    per document."""
-    return textops.pack_sequences_ds(sf_dir, seq_len=512, range_size=64)
-
-
-def q_text_quality(sf_dir: str):
-    return textops.text_quality_ds(sf_dir)
-
-
-def q_token_count_by_lang(sf_dir: str):
-    return textops.token_count_by_lang_ds(sf_dir)
-
-
 def q_lang_id(sf_dir: str):
     return _texts(sf_dir).map_batches(
         lambda b: textops.lang_id_batch(b, "text_out", "url"), batch_format="pandas"
     )
 
 
-def q_doc_fingerprint(sf_dir: str):
-    return textops.fingerprint_ds(sf_dir)
-
-
-def q_agg_lineitem(sf_dir: str):
-    return relational.agg_lineitem_ds(sf_dir)
-
-
-def q_join_volume(sf_dir: str):
-    return relational.join_volume_ds(sf_dir)
-
-
-def q_top_parts(sf_dir: str):
-    return relational.top_parts_ds(sf_dir)
-
-
-def q_events_window(sf_dir: str):
-    return relational.events_window_ds(sf_dir)
-
-
-def q_events_asof_join(sf_dir: str):
-    """As-of join: each purchase picks the same user's most recent click
-    at-or-before it (one user-hash shuffle + per-partition merge_asof)."""
-    return relational.events_asof_join_ds(sf_dir)
-
-
-def q_events_sessionize(sf_dir: str):
-    return relational.events_sessionize_ds(sf_dir)
-
-
-def q_events_with_sessions(sf_dir: str):
-    return relational.events_with_sessions_ds(sf_dir)
-
-
-def q_tfidf_terms(sf_dir: str):
-    return textops.tfidf_terms_ds(sf_dir, k=10)
-
-
-def q_bigram_top(sf_dir: str):
-    return textops.bigram_top_ds(sf_dir, k=100)
-
-
-def q_distinct_users_by_type(sf_dir: str):
-    return textops.distinct_users_by_type_ds(sf_dir)
-
-
-def q_distinct_users_hll(sf_dir: str):
-    """Approximate grouped distinct (HyperLogLog, ≤5%-gated in pytest) —
-    the sketch path whose shuffle volume is independent of cardinality."""
-    return textops.distinct_users_hll_ds(sf_dir)
-
-
-def q_events_quantiles(sf_dir: str):
-    return relational.events_quantiles_ds(sf_dir)
-
-
-def q_events_hopping_window(sf_dir: str):
-    return relational.events_hopping_window_ds(sf_dir)
-
-
 def q_top_anchor_texts(sf_dir: str):
     """Per-key top-k (heavy hitters): most frequent anchor texts per link
     target, salted count + partitioned rank."""
     return relational.top_anchor_texts_ds(sf_dir, q_kg_links_all(sf_dir), k=3)
-
-
-def q_sample_stratified(sf_dir: str):
-    return relational.stratified_sample_ds(sf_dir, per_stratum=20)
 
 
 def q_kg_pages_without_links(sf_dir: str):
@@ -1050,33 +924,6 @@ def q_boilerplate_strip(sf_dir: str):
     return textops.boilerplate_strip_core(_texts(sf_dir))
 
 
-def q_shuffle_shard(sf_dir: str):
-    """Deterministic training-data shuffle: md5-seeded shard assignment +
-    within-shard order, no global sort."""
-    return textops.shuffle_shard_ds(sf_dir)
-
-
-def q_sample_weighted(sf_dir: str):
-    """Quality-weighted deterministic sampling (keep-probability ∝ token
-    count, seeded per-doc hash draw — integer-exact keep rule shared with
-    the mirror)."""
-    return textops.sample_weighted_ds(sf_dir)
-
-
-def q_lm_perplexity(sf_dir: str):
-    """CCNet-style LM quality score: self-trained add-one bigram LM,
-    per-doc average log-probability in int64 micros (no broadcast — count
-    tables attach via salted reduce-side lookups)."""
-    return textops.lm_perplexity_ds(sf_dir)
-
-
-def q_dup_passage(sf_dir: str):
-    """Per-doc duplicate-passage fraction: share of a doc's token 4-grams
-    occurring in ≥2 documents (corpus × corpus — gram-df aggregate +
-    salted reduce-side attach, no broadcast)."""
-    return textops.dup_passage_ds(sf_dir)
-
-
 def q_dedup_semantic(sf_dir: str):
     """SemDeDup (arXiv:2303.09540): k-means-clustered embedding corpus,
     greedy within-cluster cosine dedup — per-row keep/dup_of verdicts.
@@ -1084,44 +931,6 @@ def q_dedup_semantic(sf_dir: str):
     tests/test_dedup.py."""
     emb = read_table(sf_dir, "embeddings", columns=["vec_id", "embedding"])
     return dedup.semantic_dedup_ds(emb, "vec_id", "embedding", threshold=0.3)
-
-
-def q_events_running_total(sf_dir: str):
-    """Per-key ordered window aggregate (SUM OVER PARTITION BY user ORDER
-    BY ts): running spend + event sequence number per user — one user-hash
-    shuffle, per-partition grouped cumsum (pipelines/relational.py)."""
-    return relational.events_running_total_ds(sf_dir)
-
-
-def q_mix_corpora(sf_dir: str):
-    """Weighted corpus mixing: deterministic stride-interleave key per doc
-    (source weight = srcN → N%3+1), no global sort."""
-    return textops.mix_corpora_ds(sf_dir)
-
-
-def q_profile_documents(sf_dir: str):
-    """Column-profile audit (rows/nulls/distinct + typed min/max per
-    column) — one (column, value)-count shuffle, |columns| output rows."""
-    return textops.profile_documents_ds(sf_dir)
-
-
-def q_events_lag(sf_dir: str):
-    """Offset window function (LAG OVER PARTITION BY user ORDER BY ts):
-    previous-event id/value/time-gap per event, -1 sentinels on firsts."""
-    return relational.events_lag_ds(sf_dir)
-
-
-def q_source_cap(sf_dir: str):
-    """C4/Gopher-style per-source quota: keep ≤15 docs per source by
-    seeded md5 rank (one source-hash shuffle, no text shipped)."""
-    return textops.source_cap_ds(sf_dir)
-
-
-def q_quality_filter(sf_dir: str):
-    """Distribution-cut quality filter: keep docs inside the corpus's own
-    [p05, p95] token-count band — exact distributed histogram → two scalar
-    thresholds → shuffle-free filter pass."""
-    return textops.quality_filter_ds(sf_dir)
 
 
 SUBSTRING_K = 8  # shared with the SQL mirror
@@ -1149,14 +958,6 @@ def q_dedup_substring_clean(sf_dir: str):
     return substring_clean_ds(sf_dir, k=SUBSTRING_K)
 
 
-def q_events_quantiles_sampled_by_type(sf_dir: str):
-    """Per-key sampled quantiles (grouped bottom-k, DKW bound per key) —
-    the grouped form of events_quantiles_sampled; one small type-hash
-    exchange of sample rows only.  Non-SQL (sampled); rank error
-    pytest-pinned per type."""
-    return relational.events_quantiles_sampled_by_type_ds(sf_dir)
-
-
 def q_embedding_clusters(sf_dir: str):
     """First-class k-means assignment over the embeddings table (the IVF /
     SemDeDup coarse quantizer as its own operator): driver-trained
@@ -1167,15 +968,6 @@ def q_embedding_clusters(sf_dir: str):
 
     emb = read_table(sf_dir, "embeddings", columns=["vec_id", "embedding"])
     return embedding_clusters_ds(emb, "vec_id", "embedding", n_centroids=16)
-
-
-def q_events_quantiles_sampled(sf_dir: str):
-    """Approximate quantiles of a CONTINUOUS column via a deterministic
-    bottom-k uniform sample (DKW rank-error bound ε≈0.03 at k=4096) — the
-    scale path where the exact histogram shuffle (∝ distinct values) is
-    unusable.  Non-SQL (sampled); rank error pytest-pinned vs the exact
-    quantiles (pipelines/relational.py:events_quantiles_sampled_ds)."""
-    return relational.events_quantiles_sampled_ds(sf_dir)
 
 
 def q_sorted_rank(sf_dir: str):
@@ -1233,71 +1025,71 @@ def q_bpe_merges(sf_dir: str):
 # serial-reference/property pytest.
 QUERIES = {
     # --- in-cap: stalest mirrors first (rotation_plan.py order) ---
-    "sample_weighted": q_sample_weighted,
+    "sample_weighted": textops.sample_weighted_ds,
     "dedup_jaccard": q_dedup_jaccard,
-    "token_count_by_lang": q_token_count_by_lang,
-    "curate_corpus": q_curate_corpus,
-    "inverted_index": q_inverted_index,
-    "pack_sequences": q_pack_sequences,
+    "token_count_by_lang": textops.token_count_by_lang_ds,
+    "curate_corpus": textops.curate_corpus_ds,
+    "inverted_index": textops.inverted_index_ds,
+    "pack_sequences": textops.pack_sequences_ds,
     "csv_roundtrip": q_csv_roundtrip,
     "prompt_assembly": q_prompt_assembly,
     "token_budget": q_token_budget,
-    "sample_uniform": q_sample_uniform,
+    "sample_uniform": textops.sample_uniform_ds,
     "embed_relations": q_embed_relations,
-    "mix_corpora": q_mix_corpora,
+    "mix_corpora": textops.mix_corpora_ds,
     "kg_node_similarity": q_kg_node_similarity,
-    "shuffle_shard": q_shuffle_shard,
-    "source_cap": q_source_cap,
+    "shuffle_shard": textops.shuffle_shard_ds,
+    "source_cap": textops.source_cap_ds,
     "kg_nodes_raw": q_kg_nodes_raw,
     "kg_entity_link": q_kg_entity_link,
     "kg_cooccurrence": q_kg_cooccurrence,
-    "agg_lineitem": q_agg_lineitem,
-    "events_quantiles": q_events_quantiles,
+    "agg_lineitem": relational.agg_lineitem_ds,
+    "events_quantiles": relational.events_quantiles_ds,
     "kg_page_graph_edges": q_kg_page_graph_edges,
-    "events_with_sessions": q_events_with_sessions,
-    "dedup_exact": q_dedup_exact,
+    "events_with_sessions": relational.events_with_sessions_ds,
+    "dedup_exact": textops.dedup_exact_ds,
     "kg_extract_zh": q_kg_extract_zh,
     "kg_degree": q_kg_degree,
     "media_meta": q_media_meta,
     "kg_records": q_kg_records,
     "kg_links_all": q_kg_links_all,
-    "events_window": q_events_window,
+    "events_window": relational.events_window_ds,
     "lang_id": q_lang_id,
-    "top_parts": q_top_parts,
+    "top_parts": relational.top_parts_ds,
     "kg_stats": q_kg_stats,
     "kg_pagerank": q_kg_pagerank,
     "kg_kcore": q_kg_kcore,
-    "events_asof_join": q_events_asof_join,
-    "events_running_total": q_events_running_total,
-    "profile_documents": q_profile_documents,
+    "events_asof_join": relational.events_asof_join_ds,
+    "events_running_total": relational.events_running_total_ds,
+    "profile_documents": textops.profile_documents_ds,
     "simsearch_topk": q_simsearch_topk,
     "media_features": q_media_features,
-    "pii_scrub": q_pii_scrub,
+    "pii_scrub": textops.pii_scrub_ds,
     "boilerplate_strip": q_boilerplate_strip,
-    "events_quantiles_sampled": q_events_quantiles_sampled,
-    "events_quantiles_sampled_by_type": q_events_quantiles_sampled_by_type,
+    "events_quantiles_sampled": relational.events_quantiles_sampled_ds,
+    "events_quantiles_sampled_by_type": relational.events_quantiles_sampled_by_type_ds,
     "sorted_rank": q_sorted_rank,
     "export_json": q_export_json,
     "pipeline_counters": q_pipeline_counters,
     "mention_coverage": q_mention_coverage,
-    "heavy_hitters": q_heavy_hitters,
-    "dup_passage": q_dup_passage,
+    "heavy_hitters": textops.heavy_hitters_ds,
+    "dup_passage": textops.dup_passage_ds,
     "dedup_substring": q_dedup_substring,
     # --- SQL-mirrored but BEYOND the ~50-row cap this round; every one is
     # hash-green in CORRECTNESS_r05.json ---
     "dedup_substring_clean": q_dedup_substring_clean,
-    "lm_perplexity": q_lm_perplexity,
-    "quality_filter": q_quality_filter,
+    "lm_perplexity": textops.lm_perplexity_ds,
+    "quality_filter": textops.quality_filter_ds,
     "kg_pages_without_links": q_kg_pages_without_links,
     "rag_topk": q_rag_topk,
-    "decontaminate": q_decontaminate,
-    "sample_stratified": q_sample_stratified,
-    "repetition_filter": q_repetition_filter,
-    "events_lag": q_events_lag,
+    "decontaminate": textops.decontaminate_ds,
+    "sample_stratified": relational.stratified_sample_ds,
+    "repetition_filter": textops.repetition_filter_ds,
+    "events_lag": relational.events_lag_ds,
     "embed_concepts": q_embed_concepts,
     "top_anchor_texts": q_top_anchor_texts,
     "export_graph": q_export_graph,
-    "distinct_users_by_type": q_distinct_users_by_type,
+    "distinct_users_by_type": textops.distinct_users_by_type_ds,
     "kg_extract": q_kg_extract,
     "kg_links": q_kg_links,
     "kg_triples_raw": q_kg_triples_raw,
@@ -1313,12 +1105,12 @@ QUERIES = {
     "kg_triangles": q_kg_triangles,
     "kg_ancestors": q_kg_ancestors,
     "dedup_embedding": q_dedup_embedding,
-    "text_quality": q_text_quality,
-    "join_volume": q_join_volume,
-    "events_sessionize": q_events_sessionize,
-    "events_hopping_window": q_events_hopping_window,
-    "tfidf_terms": q_tfidf_terms,
-    "bigram_top": q_bigram_top,
+    "text_quality": textops.text_quality_ds,
+    "join_volume": relational.join_volume_ds,
+    "events_sessionize": relational.events_sessionize_ds,
+    "events_hopping_window": relational.events_hopping_window_ds,
+    "tfidf_terms": textops.tfidf_terms_ds,
+    "bigram_top": textops.bigram_top_ds,
     # --- no_oracle (rows-run; every one still runs in tools/check_driver.py
     # and has a serial-reference/property pytest) ---
     "bpe_merges": q_bpe_merges,
@@ -1326,7 +1118,7 @@ QUERIES = {
     "dedup_semantic": q_dedup_semantic,
     "embedding_clusters": q_embedding_clusters,
     "simsearch_ivf": q_simsearch_ivf,
-    "distinct_users_hll": q_distinct_users_hll,
+    "distinct_users_hll": textops.distinct_users_hll_ds,
     "simsearch_lsh": q_simsearch_lsh,
     "kg_mentions_pattern": q_kg_mentions_pattern,
     "kg_mentions_crf": q_kg_mentions_crf,
@@ -1335,7 +1127,7 @@ QUERIES = {
     "dedup_embedding_lsh": q_dedup_embedding_lsh,
     "dedup_minhash": q_dedup_minhash,
     "dedup_simhash": q_dedup_simhash,
-    "doc_fingerprint": q_doc_fingerprint,
+    "doc_fingerprint": textops.fingerprint_ds,
 }
 
 

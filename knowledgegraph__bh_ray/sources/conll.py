@@ -3,8 +3,9 @@
 The reference reads char-per-line CoNLL (``char<space>label``, blank line =
 sentence boundary) and JSON ``{"text": ..., "labels": [...]}`` lines
 (bilstm_crf_ner.py:214-254, format doc NER-model/data/README.md).  These
-loaders produce a Dataset of ``{text: string, labels: list<string>}`` rows
-for the training path; parsing happens per shard in ``flat_map`` batches.
+parsers turn a file's content into ``{text: string, labels: list<string>}``
+records, the ``texts`` / ``gold`` input of the CRF trainer
+(stages/crf.train_nll).
 """
 
 from __future__ import annotations
@@ -46,18 +47,3 @@ def parse_ner_json_lines(content: str) -> list[dict]:
     else:
         rows = [json.loads(line) for line in content.split("\n") if line.strip()]
     return [{"text": r["text"], "labels": list(r["labels"])} for r in rows]
-
-
-def read_conll(path: str):
-    """CoNLL file(s) → Dataset[{text, labels}]."""
-    import ray.data as rd
-
-    with open(path, encoding="utf-8") as f:
-        return rd.from_items(parse_conll_text(f.read()))
-
-
-def read_ner_json(path: str):
-    import ray.data as rd
-
-    with open(path, encoding="utf-8") as f:
-        return rd.from_items(parse_ner_json_lines(f.read()))

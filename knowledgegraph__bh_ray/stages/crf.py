@@ -276,10 +276,9 @@ def crf_mentions_ds(extracted):
 # ---------------------------------------------------------------------------
 
 
-def _hidden_single(text: str, params: CRFParams,
-                   char_cache: dict | None = None) -> np.ndarray:
+def _hidden_single(text: str, params: CRFParams) -> np.ndarray:
     """text → (T, HIDDEN_DIM) BiLSTM features (the fixed feature extractor
-    the perceptron head trains on)."""
+    under the CRF head that ``train_nll`` trains)."""
     ids = np.array([char_id(c, params.vocab_size) for c in text], dtype=np.int64)[None, :]
     mask = np.ones((1, len(text)))
     x = params.embed[ids]
@@ -302,78 +301,6 @@ def tag_accuracy(params: CRFParams, texts: list[str], gold: list[list[str]]) -> 
         tot += len(g)
         hit += sum(1 for a, b in zip(p, g) if a == b)
     return hit / max(1, tot)
-
-
-def train_perceptron(params: CRFParams, texts: list[str], gold: list[list[str]],
-                     epochs: int = 5, lr: float = 0.5,
-                     dev_texts: list[str] | None = None,
-                     dev_gold: list[list[str]] | None = None) -> dict:
-    """Structured-perceptron training of the CRF head — the reference's
-    train-eval-save-best epoch loop (bilstm_crf_ner.py:509-576, 799-803)
-    re-expressed on this engine's forward math (no torch in this
-    environment, so the BiLSTM is a fixed feature extractor and the
-    trainable surface is the linear emission head + the transition
-    matrices; the Viterbi decode used for updates is the SAME batched
-    inference path the pipeline serves).
-
-    Per sentence: decode with current weights; where the predicted path
-    differs from gold, bump every gold feature and penalize every predicted
-    one (emission rows via ``np.add.at`` on the label index, transition
-    bigrams likewise).  Keeps the best-by-dev-F1 parameter snapshot exactly
-    like the reference's save-best checkpointing.  Mutates ``params`` to
-    the final epoch's weights and returns {'history': [f1/epoch],
-    'best_f1': float, 'best': CRFParams-like snapshot dict}."""
-    import copy
-
-    lab_idx = {l: i for i, l in enumerate(params.labels)}
-    gold_idx = [np.array([lab_idx[l] for l in g], dtype=np.int64) for g in gold]
-    if dev_texts is None:
-        dev_texts, dev_gold = texts, gold
-
-    def _snapshot():
-        return {
-            "w_tag": params.w_tag.copy(), "b_tag": params.b_tag.copy(),
-            "transitions": params.transitions.copy(),
-            "start_trans": params.start_trans.copy(),
-            "end_trans": params.end_trans.copy(),
-        }
-
-    def _restore(s):
-        params.w_tag[:] = s["w_tag"]
-        params.b_tag[:] = s["b_tag"]
-        params.transitions[:] = s["transitions"]
-        params.start_trans[:] = s["start_trans"]
-        params.end_trans[:] = s["end_trans"]
-
-    hid = [_hidden_single(t, params) for t in texts]  # BiLSTM frozen → cache
-    history: list[float] = []
-    best_f1, best = -1.0, _snapshot()
-    for _ in range(epochs):
-        for h, g in zip(hid, gold_idx):
-            em = (h @ params.w_tag.T + params.b_tag)[None, :, :]
-            mask = np.ones((1, em.shape[1]))
-            pred = viterbi_batch(em, mask, params)[0]
-            if np.array_equal(pred, g):
-                continue
-            # emission head: +gold features, -predicted features
-            np.add.at(params.w_tag, g, lr * h)
-            np.add.at(params.w_tag, pred, -lr * h)
-            np.add.at(params.b_tag, g, lr)
-            np.add.at(params.b_tag, pred, -lr)
-            # transitions on bigrams + start/end
-            if len(g) > 1:
-                np.add.at(params.transitions, (g[:-1], g[1:]), lr)
-                np.add.at(params.transitions, (pred[:-1], pred[1:]), -lr)
-            params.start_trans[g[0]] += lr
-            params.start_trans[pred[0]] -= lr
-            params.end_trans[g[-1]] += lr
-            params.end_trans[pred[-1]] -= lr
-        f1 = tag_accuracy(params, dev_texts, dev_gold)
-        history.append(f1)
-        if f1 > best_f1:
-            best_f1, best = f1, _snapshot()
-    _restore(best)  # serve the best checkpoint, like the reference
-    return {"history": history, "best_f1": best_f1, "best": best}
 
 
 # ---------------------------------------------------------------------------
@@ -465,10 +392,11 @@ def train_nll(params: CRFParams, texts: list[str], gold: list[list[str]],
     """CRF NLL training with Adam — objective-parity with the reference
     (``neg_log_likelihood`` minimized by ``torch.optim.Adam``,
     bilstm_crf_ner.py:509-535), save-best-by-F1 checkpointing
-    (:799-803), in numpy.  The BiLSTM stays a fixed feature extractor (no
-    torch in this environment) and the trainable surface is the CRF head:
-    emission linear layer + transition matrices — the same surface
-    ``train_perceptron`` trains, now under the reference's actual loss.
+    (:799-803), in numpy.  The BiLSTM stays a fixed feature extractor
+    (torch is import-gated in this package) and the trainable surface is
+    the CRF head: emission linear layer + transition matrices.  Each
+    epoch's dev F1 (``tag_accuracy``) decodes with the same batched
+    Viterbi inference path the pipeline serves.
 
     Full-batch Adam steps (the sample corpora are tiny; the reference's
     minibatch mean over a DataLoader batch degenerates to the same thing),

@@ -1,8 +1,8 @@
 """Per-worker state built once from a broadcast ``ObjectRef``.
 
-A stage's state (canonical map, gazetteer vocabulary, pattern rules, CRF
-weights) is ``ray.put`` once on the driver and captured by reference in a
-plain ``map_batches`` task function (``broadcast_map``).
+A stage's state (node-id set, canonical map, gazetteer vocabulary, pattern
+rules, CRF weights) is ``ray.put`` once on the driver and captured by
+reference in a plain ``map_batches`` task function (``broadcast_map``).
 ``from_broadcast(ref, build)`` runs ``build(ref)`` the first time a worker
 process sees ``ref`` and returns the cached result for every later batch
 that carries the same ref — the load-once behaviour of an actor pool,

@@ -6,8 +6,9 @@ Checkpoint layout for a pipeline run rooted at ``out_dir``:
       manifest.jsonl          one record per completed unit (group or phase):
                               {"unit": ..., "rows": ..., "counters": {...},
                                "wall_sec": ...}
-      parsed/group=G/ *.parquet     phase-1 output, one dir per group of
-                                    url-hash shards
+      parsed/group=G/ *.parquet     phase-1 output, one dir per url-hash
+                                    group (the urls with bucket_of(url,
+                                    resume_granularity) == G)
       nodes/  edges/  edges_canonical/  ...   phase-2 outputs
 
 Resume contract: a unit listed in the manifest is complete (its record is

@@ -9,9 +9,11 @@ In this sandbox it runs against the local session
 (``python scripts/run_kg_job.py --sf /root/testdata/sf0.001``).  The script
 owns its Ray session (guarded init) — library code never does.
 
-Resume: re-submitting the same job with the same ``--out`` skips completed
-units via the manifest; per-partition lineage records and counters are
-printed at the end.
+Resume: ``--resume-granularity G`` splits phase 1 (extract+parse) into G
+units, unit g holding the pages with ``bucket_of(url, G) == g``; the graph
+phases are one unit each.  Re-submitting the same job with the same
+``--out`` skips completed units via the manifest; per-unit lineage records
+and counters are printed at the end.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ def main() -> int:
     ap.add_argument("--pages", help="pages parquet dir (url, warc_ts, html, text, lang)")
     ap.add_argument("--sf", help="testdata sf dir to synthesize pages from")
     ap.add_argument("--out", default="/tmp/kgbh_job_out")
-    ap.add_argument("--num-shards", type=int, default=32)
     ap.add_argument("--resume-granularity", type=int, default=4)
     args = ap.parse_args()
 
@@ -59,12 +60,7 @@ def main() -> int:
 
     from knowledgegraph__bh_ray.pipelines.run import run_kg_pipeline
 
-    result = run_kg_pipeline(
-        pages,
-        args.out,
-        num_shards=args.num_shards,
-        resume_granularity=args.resume_granularity,
-    )
+    result = run_kg_pipeline(pages, args.out, resume_granularity=args.resume_granularity)
     print(json.dumps(result["records"], ensure_ascii=False, indent=2))
     print(json.dumps({"counters": result["counters"], "out_dir": result["out_dir"]}))
     ray.shutdown()

@@ -120,7 +120,7 @@ def main() -> None:
     out_dir = "/tmp/kgbh_soak_run"
     shutil.rmtree(out_dir, ignore_errors=True)
     t0 = time.time()
-    run_kg_pipeline(pages, out_dir, num_shards=max(8, NUM_CPUS))
+    run_kg_pipeline(pages, out_dir)
     dt = time.time() - t0
 
     stop.set()

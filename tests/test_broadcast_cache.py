@@ -58,6 +58,18 @@ def _serial_mentions(texts: pd.DataFrame, names: list[str], types: list[str]) ->
     return pd.DataFrame(rows, columns=MENTION_COLS)
 
 
+def _serial_dedup_count(linked: pd.DataFrame) -> pd.DataFrame:
+    keys = ["subj", "pred", "obj"]
+    first = linked.sort_values("seq", kind="mergesort").drop_duplicates(keys, keep="first")
+    weight = linked.groupby(keys).size().rename("weight").reset_index()
+    return first.merge(weight, on=keys)[EDGE_COLS]
+
+
+def _serial_edges(triples: pd.DataFrame, node_ids: frozenset) -> pd.DataFrame:
+    return _serial_dedup_count(
+        triples[triples["subj"].isin(node_ids) & triples["obj"].isin(node_ids)])
+
+
 def _serial_edges_canonical(triples: pd.DataFrame, canon_map: dict) -> pd.DataFrame:
     sk = triples["subj_name"].map(normalize_surface)
     ok = triples["obj_name"].map(normalize_surface)
@@ -67,17 +79,15 @@ def _serial_edges_canonical(triples: pd.DataFrame, canon_map: dict) -> pd.DataFr
         subj_name=sk.map(lambda k: canon_map.get(k, (None, None))[1]),
         obj_name=ok.map(lambda k: canon_map.get(k, (None, None))[1]),
     )
-    linked = linked[linked["subj"].notna() & linked["obj"].notna()]
-    keys = ["subj", "pred", "obj"]
-    first = linked.sort_values("seq", kind="mergesort").drop_duplicates(keys, keep="first")
-    weight = linked.groupby(keys).size().rename("weight").reset_index()
-    return first.merge(weight, on=keys)[EDGE_COLS]
+    return _serial_dedup_count(linked[linked["subj"].notna() & linked["obj"].notna()])
 
 
 def test_second_vocabulary_never_served_from_first_cache(ray_session, pages_small):
-    """mentions_ds, then edges_canonical_ds, each twice in one session with
-    a different vocabulary: every result equals a fresh single-process
-    computation over that run's own vocabulary.  After the two gazetteer
+    """mentions_ds, then edges_canonical_ds, then edges_ds, each twice in
+    one session with a different vocabulary (gazetteer, canonical map,
+    node-id set): every result equals a fresh single-process computation
+    over that run's own vocabulary, so each edges_ds run drops exactly the
+    triples with an endpoint outside its own id set.  After the two gazetteer
     runs, the pattern and CRF taggers run over the same blocks: three
     builders share the per-worker cache without serving each other's
     tagger, and the task path changes no row of either."""
@@ -123,3 +133,16 @@ def test_second_vocabulary_never_served_from_first_cache(ray_session, pages_smal
         pd.testing.assert_frame_equal(
             _sorted(got, EDGE_COLS), _sorted(want, EDGE_COLS), check_dtype=False
         )
+
+    ids = nodes["id"].tolist()
+    results = []
+    for node_ids in (frozenset(ids), frozenset(ids[0::2])):
+        got = kg.edges_ds(parsed, node_ids=node_ids).to_pandas()
+        want = _serial_edges(triples, node_ids)
+        assert len(want) < len(triples)
+        assert len(want)
+        pd.testing.assert_frame_equal(
+            _sorted(got, EDGE_COLS), _sorted(want, EDGE_COLS), check_dtype=False
+        )
+        results.append(got)
+    assert len(results[1]) < len(results[0])

@@ -47,12 +47,12 @@ def test_all_verification_pages_pipeline(tmp_path, ray_session):
     from knowledgegraph__bh_ray.pipelines.run import degree_from_adjacency, run_kg_pipeline
 
     out = tmp_path / "run"
-    res = run_kg_pipeline(_verification_pages(tmp_path), str(out), num_shards=4)
+    res = run_kg_pipeline(_verification_pages(tmp_path), str(out))
     assert {r["unit"]: r["rows"] for r in res["records"]} == {
         "parsed:group=0": 0, "nodes": 0, "edges": 0, "canonical": 0, "mentions": 0,
     }
     expect = {
-        "parsed": {"url", "text_out", "nodes", "triples", "shard"},
+        "parsed": {"url", "text_out", "nodes", "triples"},
         "nodes": {"url", "seq", "id", "name", "type"},
         "edges": {"subj", "pred", "obj", "seq", "weight", "subj_bucket"},
         "canonical": {"norm_key", "canon_name", "canon_id"},
@@ -63,6 +63,7 @@ def test_all_verification_pages_pipeline(tmp_path, ray_session):
         got = pq.read_table(str(out / table))
         assert got.num_rows == 0, table
         assert cols <= set(got.column_names), table
+    assert "shard" not in pq.read_table(str(out / "parsed")).column_names
     degree = degree_from_adjacency(str(out))
     assert degree.count() == 0
     types = dict(zip(degree.schema().names, degree.schema().types))

@@ -106,10 +106,10 @@ def test_salted_agg_equals_pandas_groupby(ray_session):
         pd.testing.assert_frame_equal(out[["k", "seq", "url", "v"]],
                                       keep_exp[["k", "seq", "url", "v"]], obj=f"{arm}/keep_first")
 
-        edges = kg._edge_agg(rd.from_pandas(tri).repartition(11), adjacency_buckets=4,
-                             salt_buckets=5, est=est).to_pandas()
+        edges = kg._edge_agg(rd.from_pandas(tri).repartition(11), salt_buckets=5,
+                             est=est).to_pandas()
         for b, rows in edges.groupby("subj_bucket", sort=False):
-            assert {bucket_of(x, 4) for x in rows["subj"]} == {b}, arm
+            assert {bucket_of(x, kg.ADJACENCY_BUCKETS) for x in rows["subj"]} == {b}, arm
             keys = rows[kg.EDGE_KEYS].reset_index(drop=True)
             pd.testing.assert_frame_equal(keys, keys.sort_values(kg.EDGE_KEYS).reset_index(drop=True))
         edges = edges.sort_values(kg.EDGE_KEYS).reset_index(drop=True)
@@ -119,8 +119,7 @@ def test_salted_agg_equals_pandas_groupby(ray_session):
             obj=f"{arm}/adjacency",
         )
 
-        empty = kg._edge_agg(rd.from_pandas(tri.iloc[:0]), adjacency_buckets=4,
-                             salt_buckets=5, est=est)
+        empty = kg._edge_agg(rd.from_pandas(tri.iloc[:0]), salt_buckets=5, est=est)
         assert len(empty.to_pandas()) == 0, arm
 
 

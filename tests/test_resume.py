@@ -27,7 +27,7 @@ def fresh_and_resumed(ray_session, pages_small, tmp_path_factory):
     fresh_dir = str(root / "fresh")
     resumed_dir = str(root / "resumed")
 
-    fresh = run_kg_pipeline(pages_small, fresh_dir, num_shards=4, resume_granularity=2)
+    fresh = run_kg_pipeline(pages_small, fresh_dir, resume_granularity=2)
 
     # killed run: fail after every completed unit, resume until done
     attempts = 0
@@ -37,7 +37,6 @@ def fresh_and_resumed(ray_session, pages_small, tmp_path_factory):
             resumed = run_kg_pipeline(
                 pages_small,
                 resumed_dir,
-                num_shards=4,
                 resume_granularity=2,
                 _fail_after_units=1,
             )
@@ -93,12 +92,34 @@ def test_resume_counters_equal_fresh(fresh_and_resumed, pages_small):
     assert resumed["counters"] == fresh["counters"] == summed(fresh_dir)
 
 
+def test_parsed_groups_split_by_url_hash(fresh_and_resumed, pages_small):
+    """At granularity 2, ``parsed/group=g/`` holds exactly the kept pages
+    with ``bucket_of(url, 2) == g``, and the two groups together hold
+    every kept page once."""
+    import pyarrow.parquet as pq
+
+    from knowledgegraph__bh_ray.functions.hashing import bucket_of
+    from knowledgegraph__bh_ray.stages.extract import extract_parse_batch
+
+    fresh_dir = fresh_and_resumed[0]
+    kept = extract_parse_batch(pq.read_table(pages_small, columns=["url", "html"]))
+    kept = set(kept.column("url").to_pylist())
+    seen = []
+    for g in range(2):
+        urls = pq.read_table(os.path.join(fresh_dir, "parsed", f"group={g}"),
+                             columns=["url"]).column("url").to_pylist()
+        assert urls and {bucket_of(u, 2) for u in urls} == {g}, g
+        seen += urls
+    assert len(seen) == len(set(seen))
+    assert set(seen) == kept
+
+
 def test_resume_skips_completed_units(ray_session, pages_small, tmp_path):
     out = str(tmp_path / "run")
-    run_kg_pipeline(pages_small, out, num_shards=4, resume_granularity=2)
+    run_kg_pipeline(pages_small, out, resume_granularity=2)
     records_before = Manifest(out).records()
     # resuming a finished run must do nothing new
-    run_kg_pipeline(pages_small, out, num_shards=4, resume_granularity=2)
+    run_kg_pipeline(pages_small, out, resume_granularity=2)
     records_after = Manifest(out).records()
     assert len(records_after) == len(records_before)
 
@@ -155,7 +176,7 @@ def test_degree_from_adjacency_no_shuffle(ray_session, pages_small, tmp_path):
     from knowledgegraph__bh_ray.stages.ner import mentions_ds
 
     out = str(tmp_path / "run")
-    run_kg_pipeline(pages_small, out, num_shards=4)
+    run_kg_pipeline(pages_small, out)
     _assert_adjacency_layout(out)
     records = {r["unit"]: r for r in Manifest(out).records()}
     for unit in ("nodes", "edges", "canonical"):
@@ -191,10 +212,9 @@ def test_degree_from_adjacency_no_shuffle(ray_session, pages_small, tmp_path):
         assert src.materialize().num_blocks() == nblocks
         got = {
             "nodes": kg.nodes_ds(src, est=_footer_size(parsed, ["nodes"], "id")),
-            "edges": kg.edges_ds(src, node_ids=node_ids, adjacency_buckets=16,
-                                 est=triples_est),
+            "edges": kg.edges_ds(src, node_ids=node_ids, est=triples_est),
             "edges_canonical": kg.edges_canonical_ds(src, canon_map=canon_map,
-                                                     adjacency_buckets=16, est=triples_est),
+                                                     est=triples_est),
             "mentions": mentions_ds(src.select_columns(["url", "text_out"]),
                                     gazetteer(os.path.join(out, "nodes"))),
         }
@@ -202,8 +222,7 @@ def test_degree_from_adjacency_no_shuffle(ray_session, pages_small, tmp_path):
             pd.testing.assert_frame_equal(_table(ds), want[name], obj=f"{name}@{nblocks}")
 
     # the salted arm's final route builds the same layout and rows
-    edges = kg.edges_ds(kg.parsed_ds(pages_small), node_ids=node_ids,
-                        adjacency_buckets=16).materialize()
+    edges = kg.edges_ds(kg.parsed_ds(pages_small), node_ids=node_ids).materialize()
     salted = str(tmp_path / "salted")
     edges.write_parquet(os.path.join(salted, "edges"), partition_cols=["subj_bucket"])
     _assert_adjacency_layout(salted, tables=("edges",))
@@ -259,9 +278,9 @@ def test_write_one_row_group_per_file(ray_session, tmp_path):
         "pred": "p", "obj": ids[::-1], "subj_name": ids, "obj_name": ids[::-1],
         "props_json": "{}",
     })
-    edges = kg._edge_agg(rd.from_pandas(triples), 16, est=SizeEstimate(0, 0))
+    edges = kg._edge_agg(rd.from_pandas(triples), est=SizeEstimate(0, 0))
     out = str(tmp_path / "edges")
-    assert _write(edges, out, kg.edge_schema(16), partition_cols=[kg.BUCKET_COL]) == n
+    assert _write(edges, out, kg.edge_schema(), partition_cols=[kg.BUCKET_COL]) == n
     files = glob.glob(os.path.join(out, "*", "*.parquet"))
     assert len(files) == 16
     assert [pq.ParquetFile(f).metadata.num_row_groups for f in files] == [1] * 16
@@ -276,7 +295,7 @@ def test_pipeline_tagger_slot_pluggable(ray_session, pages_small, tmp_path):
 
     for tagger in ("crf", "pattern"):
         out = str(tmp_path / f"{tagger}_run")
-        res = run_kg_pipeline(pages_small, out, num_shards=4, tagger=tagger)
+        res = run_kg_pipeline(pages_small, out, tagger=tagger)
         assert "mentions" in {r["unit"] for r in res["records"]}
         m = rd.read_parquet(out + "/mentions").to_pandas()
         assert set(m.columns) >= {"url", "para_idx", "entity", "etype", "start", "end"}

@@ -82,3 +82,41 @@ def test_registry_has_no_shadowed_keys():
     dupes = {k for k in keys if keys.count(k) > 1}
     assert not dupes, f"duplicate keys in the QUERIES literal: {dupes}"
     assert len(keys) == len(Q.QUERIES)
+
+
+def test_no_pass_through_query_functions():
+    """A registry entry that only forwards ``sf_dir`` (and constants) to a
+    pipeline function IS that function: ``QUERIES`` names it directly.  So
+    no ``q_*`` function's body, docstring aside, may be one
+    ``return f(sf_dir, <constants>)`` with ``f`` a pipeline function.  A
+    call of a private helper of this module (``_run_table(sf_dir,
+    "nodes")`` names the ``kg_run`` table it reads) is not a pass-through."""
+    import ast
+    import inspect
+
+    from knowledgegraph__bh_ray import queries as Q
+
+    def _const(node):
+        return isinstance(node, ast.Constant) or (
+            isinstance(node, ast.Name) and node.id.isupper())
+
+    wrappers = []
+    for fn in ast.parse(inspect.getsource(Q)).body:
+        if not (isinstance(fn, ast.FunctionDef) and fn.name.startswith("q_")):
+            continue
+        body = fn.body[1:] if ast.get_docstring(fn) is not None else fn.body
+        if len(body) != 1 or not isinstance(body[0], ast.Return):
+            continue
+        call = body[0].value
+        if not isinstance(call, ast.Call):
+            continue
+        if isinstance(call.func, ast.Name) and call.func.id.startswith("_"):
+            continue
+        args = call.args
+        if (args and isinstance(args[0], ast.Name) and args[0].id == "sf_dir"
+                and all(_const(a) for a in args[1:])
+                and all(_const(k.value) for k in call.keywords)):
+            wrappers.append(fn.name)
+    assert not wrappers, (
+        f"q_* functions that only forward sf_dir — register the pipeline "
+        f"function itself: {wrappers}")

@@ -47,7 +47,7 @@ def main() -> int:
     shutil.rmtree(out_dir, ignore_errors=True)
 
     t0 = time.time()
-    res = run_kg_pipeline(pages, out_dir, num_shards=max(8, num_cpus))
+    res = run_kg_pipeline(pages, out_dir)
     total = time.time() - t0
 
     rows = [{**{k: v for k, v in r.items() if k != "ts"},
