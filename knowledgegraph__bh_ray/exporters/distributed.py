@@ -22,12 +22,11 @@ Format notes:
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 
 import pandas as pd
 
-from .neo4j_csv import edges_to_neo4j_csv
+from .neo4j_csv import _prop_keys, _relations_csv
 from .rdf import CLASS_TYPES_OWL, _ttl_escape
 
 
@@ -101,11 +100,7 @@ def global_prop_keys(edges_ds) -> list[str]:
     from ..stages.grouped import distinct_block, hash_partitioned_agg
 
     def _keys(batch: pd.DataFrame) -> pd.DataFrame:
-        keys: set[str] = set()
-        for p in batch.get("props_json", []):
-            if p:
-                keys.update(json.loads(p))
-        return pd.DataFrame({"key": sorted(keys)})
+        return pd.DataFrame({"key": _prop_keys(batch.get("props_json", []))})
 
     pdf = hash_partitioned_agg(
         edges_ds.map_batches(_keys, batch_format="pandas"), ["key"],
@@ -128,28 +123,7 @@ def write_relations_csv_partitioned(edges_ds, out_dir: str):
         if "subj" not in batch.columns or len(batch) == 0:
             return pd.DataFrame({"path": pd.Series([], dtype=object),
                                  "n_rows": pd.Series([], dtype="int64")})
-        import csv
-        import io
-
-        prop_keys = ray.get(keys_ref)
-        fieldnames = [":START_ID", ":END_ID", ":TYPE", "_o_source_", "_o_target_"] + [
-            f"{k}:LABEL" for k in prop_keys
-        ]
-        buf = io.StringIO()
-        w = csv.DictWriter(buf, fieldnames=fieldnames)
-        w.writeheader()
-        for _, r in batch.iterrows():
-            row = {
-                ":START_ID": r["subj"],
-                ":END_ID": r["obj"],
-                ":TYPE": r.get("pred", "RELATED"),
-                "_o_source_": r.get("subj_name", ""),
-                "_o_target_": r.get("obj_name", ""),
-            }
-            for k, v in (json.loads(r["props_json"]) if r.get("props_json") else {}).items():
-                row[f"{k}:LABEL"] = v
-            w.writerow(row)
-        content = buf.getvalue()
+        content = _relations_csv(batch, ray.get(keys_ref))
         path = os.path.join(out_dir, _fragment_name("relations", content, "csv"))
         with open(path, "w", encoding="utf-8", newline="") as f:
             f.write(content)

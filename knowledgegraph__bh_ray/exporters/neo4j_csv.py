@@ -55,7 +55,12 @@ def nodes_to_neo4j_csv(nodes: pd.DataFrame) -> str:
 def edges_to_neo4j_csv(edges: pd.DataFrame) -> str:
     """edges(subj, pred, obj, subj_name, obj_name[, props_json]) →
     relations CSV text (md2csv.py:131-158 layout)."""
-    prop_keys = _prop_keys(edges.get("props_json", pd.Series(dtype=object)))
+    return _relations_csv(edges, _prop_keys(edges.get("props_json", pd.Series(dtype=object))))
+
+
+def _relations_csv(edges: pd.DataFrame, prop_keys: list[str]) -> str:
+    """Relations CSV text of ``edges`` with one ``<key>:LABEL`` column per
+    entry of ``prop_keys`` (the header), in that order."""
     fieldnames = [":START_ID", ":END_ID", ":TYPE", "_o_source_", "_o_target_"] + [
         f"{k}:LABEL" for k in prop_keys
     ]

@@ -323,6 +323,43 @@ def stratified_sample_ds(sf_dir: str, per_stratum: int = 20):
                                 ["lang"], _topn, num_parts=4)
 
 
+def _event_rows(batch: pd.DataFrame) -> pd.DataFrame:
+    """events → (user_id, event_id, ts_us) rows for the sessionizers."""
+    return pd.DataFrame(
+        {
+            "user_id": batch["user_id"],
+            "event_id": batch["event_id"],
+            "ts_us": batch["ts"].astype("datetime64[us]").astype("int64"),
+        }
+    )
+
+
+def _session_ids(group: pd.DataFrame, gap_us: int):
+    """One partition's events sorted by (user, ts, event_id), and each
+    row's session id: a new session starts at a user change or a gap
+    over ``gap_us`` (break flags, then one cumsum)."""
+    g = group.sort_values(["user_id", "ts_us", "event_id"], kind="mergesort")
+    uid = g["user_id"].to_numpy()
+    ts = g["ts_us"].to_numpy()
+    brk = np.ones(len(g), dtype=bool)
+    if len(g) > 1:
+        brk[1:] = (uid[1:] != uid[:-1]) | ((ts[1:] - ts[:-1]) > gap_us)
+    return g, np.cumsum(brk)
+
+
+def _event_value_rows(batch: pd.DataFrame) -> pd.DataFrame:
+    """events → (event_id, user_id, ts_us, value_cents) rows for the window
+    functions; cents are ``floor(value·100)`` so the mirrors hash exactly."""
+    return pd.DataFrame(
+        {
+            "event_id": batch["event_id"].astype("int64"),
+            "user_id": batch["user_id"].astype("int64"),
+            "ts_us": batch["ts"].astype("datetime64[us]").astype("int64"),
+            "value_cents": np.floor(batch["value"].to_numpy() * 100).astype("int64"),
+        }
+    )
+
+
 def events_with_sessions_ds(sf_dir: str, gap_minutes: int = 30):
     """Stream-enrichment join shape: every EVENT tagged with its session's
     start time — the per-partition sessionizer emits per-event rows instead
@@ -332,35 +369,21 @@ def events_with_sessions_ds(sf_dir: str, gap_minutes: int = 30):
 
     gap_us = gap_minutes * 60 * 1_000_000
 
-    def _rows(batch: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "user_id": batch["user_id"],
-                "event_id": batch["event_id"],
-                "ts_us": batch["ts"].astype("datetime64[us]").astype("int64"),
-            }
-        )
-
     def _enrich(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values(["user_id", "ts_us", "event_id"], kind="mergesort")
-        uid = g["user_id"].to_numpy()
+        g, sid = _session_ids(group, gap_us)
         ts = g["ts_us"].to_numpy()
-        brk = np.ones(len(g), dtype=bool)
-        if len(g) > 1:
-            brk[1:] = (uid[1:] != uid[:-1]) | ((ts[1:] - ts[:-1]) > gap_us)
-        sid = np.cumsum(brk)
         start = pd.Series(ts).groupby(sid).transform("min").to_numpy()
         return pd.DataFrame(
             {
                 "event_id": g["event_id"].to_numpy(),
-                "user_id": uid,
+                "user_id": g["user_id"].to_numpy(),
                 "ts_us": ts,
                 "session_start_us": start.astype("int64"),
             }
         )
 
     ev = read_table(sf_dir, "events", columns=["event_id", "ts", "user_id"])
-    return exchange(ev, ["user_id"], _enrich, 16, map=_rows)
+    return exchange(ev, ["user_id"], _enrich, 16, map=_event_rows)
 
 
 def events_asof_join_ds(
@@ -456,16 +479,6 @@ def events_running_total_ds(sf_dir: str):
     Cents are ``floor(value·100)`` so the DuckDB mirror hashes exactly."""
     from ..stages.grouped import exchange
 
-    def _rows(batch: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "event_id": batch["event_id"].astype("int64"),
-                "user_id": batch["user_id"].astype("int64"),
-                "ts_us": batch["ts"].astype("datetime64[us]").astype("int64"),
-                "value_cents": np.floor(batch["value"].to_numpy() * 100).astype("int64"),
-            }
-        )
-
     def _running(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values(["user_id", "ts_us", "event_id"], kind="mergesort")
         gb = g.groupby("user_id", sort=False)
@@ -481,7 +494,7 @@ def events_running_total_ds(sf_dir: str):
         )
 
     ev = read_table(sf_dir, "events", columns=["event_id", "ts", "user_id", "value"])
-    return exchange(ev, ["user_id"], _running, 16, map=_rows)
+    return exchange(ev, ["user_id"], _running, 16, map=_event_value_rows)
 
 
 def events_lag_ds(sf_dir: str):
@@ -496,16 +509,6 @@ def events_lag_ds(sf_dir: str):
     ``shift(1)`` (C kernels).  Int-only output so the mirror hashes
     exactly."""
     from ..stages.grouped import exchange
-
-    def _rows(batch: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "event_id": batch["event_id"].astype("int64"),
-                "user_id": batch["user_id"].astype("int64"),
-                "ts_us": batch["ts"].astype("datetime64[us]").astype("int64"),
-                "value_cents": np.floor(batch["value"].to_numpy() * 100).astype("int64"),
-            }
-        )
 
     def _lag(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values(["user_id", "ts_us", "event_id"], kind="mergesort")
@@ -529,7 +532,7 @@ def events_lag_ds(sf_dir: str):
         )
 
     ev = read_table(sf_dir, "events", columns=["event_id", "ts", "user_id", "value"])
-    return exchange(ev, ["user_id"], _lag, 16, map=_rows)
+    return exchange(ev, ["user_id"], _lag, 16, map=_event_value_rows)
 
 
 def events_sessionize_ds(sf_dir: str, gap_minutes: int = 30):
@@ -544,24 +547,10 @@ def events_sessionize_ds(sf_dir: str, gap_minutes: int = 30):
 
     gap_us = gap_minutes * 60 * 1_000_000
 
-    def _rows(batch: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "user_id": batch["user_id"],
-                "event_id": batch["event_id"],
-                "ts_us": batch["ts"].astype("datetime64[us]").astype("int64"),
-            }
-        )
-
     def _sessions(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values(["user_id", "ts_us", "event_id"], kind="mergesort")
-        uid = g["user_id"].to_numpy()
-        ts = g["ts_us"].to_numpy()
-        brk = np.ones(len(g), dtype=bool)
-        if len(g) > 1:
-            brk[1:] = (uid[1:] != uid[:-1]) | ((ts[1:] - ts[:-1]) > gap_us)
-        sid = np.cumsum(brk)
-        df = pd.DataFrame({"user_id": uid, "sid": sid, "ts_us": ts})
+        g, sid = _session_ids(group, gap_us)
+        df = pd.DataFrame({"user_id": g["user_id"].to_numpy(), "sid": sid,
+                           "ts_us": g["ts_us"].to_numpy()})
         agg = df.groupby(["user_id", "sid"], sort=False).agg(
             session_start_us=("ts_us", "min"),
             session_end_us=("ts_us", "max"),
@@ -571,7 +560,7 @@ def events_sessionize_ds(sf_dir: str, gap_minutes: int = 30):
         return agg
 
     ev = read_table(sf_dir, "events", columns=["event_id", "ts", "user_id"])
-    return exchange(ev, ["user_id"], _sessions, 16, map=_rows)
+    return exchange(ev, ["user_id"], _sessions, 16, map=_event_rows)
 
 
 def events_quantiles_sampled_ds(sf_dir: str, k: int = 4096,

@@ -1,18 +1,26 @@
-"""Text-analysis + deduplication operators over the documents/pages tables.
+"""Text-analysis, deduplication and sampling operators over the documents
+table.  The language id and boilerplate strip also run on parsed pages,
+and the distinct-user counts read the events table.
 
-The large-scale training-data operations the engine provides as first-class
-pipelines (task brief "Beyond the reference's own operators"):
+  * dedup and overlap    — exact content-hash dedup, rolling-hash min-k
+                           fingerprints, train/eval n-gram decontamination,
+                           cross-doc duplicate passages
+  * per-doc quality      — text quality counters, repetition signals, PII
+                           scrub, language id, quality-percentile filter,
+                           curation funnel, self-trained bigram-LM score
+  * term statistics      — token counts per language, inverted index,
+                           TF-IDF top terms, corpus bigram top-k, exact
+                           heavy hitters, corpus profile
+  * sampling and layout  — uniform / weighted / per-source-capped samples,
+                           deterministic shuffle shards, corpus mixing,
+                           sequence packing
+  * events               — exact and HyperLogLog distinct users per type
 
-  * exact dedup          — content-hash groupby (hash-partition + per-group
-                           min/count; mirrors the reference's G6 keep-first)
-  * language id          — CJK-ratio n-gram heuristic, vectorized
-  * quality scoring      — token/punctuation/stopword counts
-  * token counting       — whitespace-regex tokenizer + per-lang aggregate
-  * document fingerprint — rolling-hash min-k sketch (winnowing-style)
-
-Every per-doc stage is a vectorized ``map_batches``; aggregates use per-batch
-partials before the shuffle.  SQL mirrors live in __ray_entry__.oracle_sql —
-keep the token/stopword/CJK definitions in sync with them.
+Every per-doc stage is a vectorized ``map_batches``; aggregates use
+per-batch partials before the shuffle.  The n-gram operators share one
+token rule, ``tokens``, and one n-gram builder, ``grams``.  The SQL mirrors
+are built in ``queries.build_oracle_sql``; keep the token, stopword and
+CJK definitions here in sync with them.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ from ..functions.hashing import (min_k_sketch, rolling_fingerprints,
 from ..sources import read_table
 from ..stages.grouped import SIZE_DISPATCH_THRESHOLD, collect_if_small
 
-# keep in sync with the SQL mirrors (oracle_sql in __ray_entry__)
+# keep in sync with the SQL mirrors (queries.build_oracle_sql)
 RE_WS = re.compile(r"\s+")
 RE_CJK = re.compile(r"[一-鿿]")
 RE_PUNCT = re.compile(r"[.,!?;:]")
@@ -45,6 +53,36 @@ STOPWORDS = ("the", "a", "of", "and", "to")
 def _tokens(text: str) -> list[str]:
     t = text.strip()
     return RE_WS.split(t) if t else []
+
+
+def tokens(text: pd.Series) -> pd.Series:
+    """Per-doc token lists under the n-gram operators' token rule: lower →
+    trim → split on ``\\s+`` (the mirrors'
+    ``regexp_split_to_array(lower(trim(text)), '\\s+')``).  An empty or
+    all-whitespace text gives ``[""]``."""
+    return text.str.lower().str.strip().str.split(RE_WS)
+
+
+def grams(batch: pd.DataFrame, n: int) -> pd.DataFrame:
+    """A documents batch (doc_id, text) → one ``(doc_id, gram, pos)`` row
+    per token ``n``-gram: ``n`` consecutive non-empty ``tokens`` of one doc
+    joined by one space, ``pos`` the index of its first token; with
+    ``n = 1`` the rows are the terms.  Vectorized: one explode, then
+    ``n - 1`` grouped shifts build the gram strings with pandas C string
+    ops (no per-doc Python)."""
+    df = pd.DataFrame({"doc_id": batch["doc_id"], "term": tokens(batch["text"])})
+    df = df.explode("term")
+    df = df[df["term"].notna() & (df["term"] != "")]
+    gram = df["term"].astype(str)
+    grp = df.groupby("doc_id", sort=False)["term"]
+    valid = pd.Series(True, index=df.index)
+    for j in range(1, n):
+        nxt = grp.shift(-j)
+        valid &= nxt.notna()
+        gram = gram + " " + nxt.astype(str)
+    return pd.DataFrame({"doc_id": df["doc_id"][valid].to_numpy(dtype="int64"),
+                         "gram": gram[valid].to_numpy(dtype=object),
+                         "pos": grp.cumcount()[valid].to_numpy(dtype="int64")})
 
 
 def dedup_exact_ds(sf_dir: str):
@@ -183,38 +221,6 @@ def fingerprint_ds(sf_dir: str, window: int = 4, k: int = 8):
     return docs.map_batches(_batch, batch_format="pandas")
 
 
-def _gram_frame(batch: pd.DataFrame, n: int) -> pd.DataFrame:
-    """Explode a documents batch into (doc_id, gram_hash) rows — one row per
-    token ``n``-gram position.  Tokenize = lower → trim → split ``\\s+``
-    (the corpus-wide SQL-mirror convention); gram strings are built with
-    pandas C string ops via groupby-shift (the bigram_top pattern widened to
-    n), then hashed to uint64 with ``pd.util.hash_array`` (deterministic
-    64-bit siphash, fixed key — stable across processes)."""
-    toks = batch["text"].str.lower().str.strip().str.split(RE_WS)
-    df = pd.DataFrame({"doc_id": batch["doc_id"], "term": toks}).explode("term")
-    df = df[df["term"].notna() & (df["term"] != "")]
-    empty = pd.DataFrame(
-        {"doc_id": pd.Series([], dtype="int64"),
-         "gram_hash": pd.Series([], dtype="uint64")}
-    )
-    if df.empty:
-        return empty
-    gram = df["term"].astype(str)
-    grp = df.groupby("doc_id", sort=False)["term"]
-    valid = pd.Series(True, index=df.index)
-    for j in range(1, n):
-        nxt = grp.shift(-j)
-        valid &= nxt.notna()
-        gram = gram + " " + nxt.astype(str)
-    df = df[valid]
-    if df.empty:
-        return empty
-    return pd.DataFrame(
-        {"doc_id": df["doc_id"].astype("int64").values,
-         "gram_hash": pd.util.hash_array(gram[valid].to_numpy(dtype=object))}
-    )
-
-
 def decontaminate_ds(sf_dir: str, n: int = 5, eval_mod: int = 10):
     """Train/eval decontamination: flag every training document that shares
     at least one token ``n``-gram with the held-out eval split (the
@@ -237,11 +243,18 @@ def decontaminate_ds(sf_dir: str, n: int = 5, eval_mod: int = 10):
 
     docs = docs.map_batches(_nonempty, batch_format="pandas")
 
+    def _gram_hashes(batch: pd.DataFrame) -> tuple[np.ndarray, np.ndarray]:
+        """(doc_id, uint64 gram hash) per gram occurrence: deterministic
+        64-bit siphash with a fixed key, stable across processes."""
+        g = grams(batch, n)
+        return (g["doc_id"].to_numpy(),
+                pd.util.hash_array(g["gram"].to_numpy(dtype=object)))
+
     def _eval_grams(batch: pd.DataFrame) -> pd.DataFrame:
-        g = _gram_frame(batch[batch["doc_id"] % eval_mod == 0], n)
+        _, h = _gram_hashes(batch[batch["doc_id"] % eval_mod == 0])
         # per-batch distinct — the distributed distinct then only moves
         # one row per (batch, gram)
-        return pd.DataFrame({"gram_hash": np.unique(g["gram_hash"].values)})
+        return pd.DataFrame({"gram_hash": np.unique(h)})
 
     vals = docs.map_batches(_eval_grams, batch_format="pandas").unique("gram_hash")
     eval_hashes = np.sort(np.fromiter(vals, dtype=np.uint64, count=len(vals)))
@@ -250,26 +263,20 @@ def decontaminate_ds(sf_dir: str, n: int = 5, eval_mod: int = 10):
     def _probe(batch: pd.DataFrame) -> pd.DataFrame:
         ev = ray.get(ev_ref)
         train = batch[batch["doc_id"] % eval_mod != 0]
-        toks = train["text"].str.lower().str.strip().str.split(RE_WS)
-        n_tok = toks.map(len).astype("int64")
-        n_grams = np.maximum(n_tok - (n - 1), 0)
-        g = _gram_frame(train, n)
-        h = g["gram_hash"].values
+        doc_ids, h = _gram_hashes(train)
         if ev.size and h.size:
             idx = np.searchsorted(ev, h)
             found = (idx < ev.size) & (ev[np.minimum(idx, ev.size - 1)] == h)
         else:
             found = np.zeros(h.size, dtype=bool)
-        hits = pd.Series(found.astype("int64"), index=g.index).groupby(
-            g["doc_id"].values, sort=False
-        ).sum()
-        n_hits = (
-            pd.Series(train["doc_id"].values).map(hits).fillna(0).astype("int64").values
-        )
+        per_doc = pd.Series(found.astype("int64")).groupby(
+            doc_ids, sort=False).agg(["size", "sum"])
+        doc_id = pd.Series(train["doc_id"].to_numpy(dtype="int64"))
+        n_hits = doc_id.map(per_doc["sum"]).fillna(0).astype("int64").to_numpy()
         return pd.DataFrame(
             {
-                "doc_id": train["doc_id"].astype("int64").values,
-                "n_grams": n_grams.astype("int64"),
+                "doc_id": doc_id.to_numpy(),
+                "n_grams": doc_id.map(per_doc["size"]).fillna(0).astype("int64").to_numpy(),
                 "n_hits": n_hits,
                 "contaminated": (n_hits > 0).astype("int64"),
             }
@@ -333,14 +340,11 @@ def repetition_filter_ds(sf_dir: str, flag_micros: int = 200000):
     def _batch(batch: pd.DataFrame) -> pd.DataFrame:
         keep = batch["text"].str.strip() != ""
         batch = batch[keep]
-        toks = batch["text"].str.lower().str.strip().str.split(RE_WS)
+        toks = tokens(batch["text"])
         doc_id = batch["doc_id"].astype("int64")
         n_tokens = toks.map(len).astype("int64")
         n_distinct = toks.map(lambda t: len(set(t))).astype("int64")
-
-        df = pd.DataFrame({"doc_id": doc_id, "term": toks}).explode("term")
-        df["nxt"] = df.groupby("doc_id", sort=False)["term"].shift(-1)
-        df = df[df["nxt"].notna()]
+        big = grams(batch, 2)
         out = pd.DataFrame(
             {
                 "doc_id": doc_id.values,
@@ -349,16 +353,11 @@ def repetition_filter_ds(sf_dir: str, flag_micros: int = 200000):
                 "distinct_ratio_micros": (n_distinct * 1_000_000 // n_tokens).values,
             }
         )
-        if df.empty:
+        if big.empty:
             out["top_bigram_count"] = np.int64(0)
             out["top_bigram_frac_micros"] = np.int64(0)
         else:
-            big = df["term"].astype(str) + " " + df["nxt"].astype(str)
-            counts = (
-                pd.DataFrame({"doc_id": df["doc_id"].values, "bigram": big.values})
-                .groupby(["doc_id", "bigram"], sort=False)
-                .size()
-            )
+            counts = big.groupby(["doc_id", "gram"], sort=False).size()
             per_doc = counts.groupby(level="doc_id")
             top2 = per_doc.max()
             nbig = per_doc.sum()
@@ -458,16 +457,9 @@ def inverted_index_ds(sf_dir: str, num_parts: int = 16):
     from ..stages.grouped import exchange
 
     def _pairs(batch: pd.DataFrame) -> pd.DataFrame:
-        keep = batch["text"].str.strip() != ""
-        b = batch[keep]
-        toks = b["text"].str.lower().str.strip().str.split(RE_WS)
-        df = pd.DataFrame({"doc_id": b["doc_id"].astype("int64"), "term": toks}).explode(
-            "term"
-        )
-        df = df[df["term"].notna() & (df["term"] != "")].drop_duplicates(
-            ["doc_id", "term"]
-        )
-        return df.reset_index(drop=True)
+        g = grams(batch, 1)
+        df = pd.DataFrame({"doc_id": g["doc_id"], "term": g["gram"]})
+        return df.drop_duplicates(["doc_id", "term"]).reset_index(drop=True)
 
     def _index(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values(["term", "doc_id"], kind="mergesort")
@@ -497,15 +489,8 @@ def tfidf_terms_ds(sf_dir: str, k: int = 10):
     from ..stages.grouped import exchange, hash_partitioned_agg, reduce_side_join
 
     def _term_counts(batch: pd.DataFrame) -> pd.DataFrame:
-        # vectorized tokenize: C string ops + explode, no per-doc Python
-        toks = batch["text"].str.lower().str.strip().str.split(RE_WS)
-        df = pd.DataFrame({"doc_id": batch["doc_id"], "term": toks}).explode("term")
-        df = df[df["term"].notna() & (df["term"] != "")]
-        if df.empty:
-            return pd.DataFrame({"doc_id": pd.Series([], dtype="int64"),
-                                 "term": pd.Series([], dtype=object),
-                                 "tf": pd.Series([], dtype="int64")})
-        out = df.groupby(["doc_id", "term"], sort=False).size().rename("tf").reset_index()
+        out = (grams(batch, 1).groupby(["doc_id", "gram"], sort=False).size()
+               .rename("tf").rename_axis(["doc_id", "term"]).reset_index())
         out["tf"] = out["tf"].astype("int64")
         return out
 
@@ -587,15 +572,7 @@ def bigram_top_ds(sf_dir: str, k: int = 100):
     from ..stages.grouped import hash_partitioned_agg
 
     def _bigrams(batch: pd.DataFrame) -> pd.DataFrame:
-        toks = batch["text"].str.lower().str.strip().str.split(RE_WS)
-        df = pd.DataFrame({"doc_id": batch["doc_id"], "term": toks}).explode("term")
-        df = df[df["term"].notna() & (df["term"] != "")]
-        if df.empty:
-            return pd.DataFrame({"bigram": pd.Series([], dtype=object),
-                                 "n": pd.Series([], dtype="int64")})
-        df["nxt"] = df.groupby("doc_id", sort=False)["term"].shift(-1)
-        df = df[df["nxt"].notna()]
-        big = (df["term"].astype(str) + " " + df["nxt"].astype(str))
+        big = grams(batch, 2)["gram"]
         out = big.value_counts().rename_axis("bigram").rename("n").reset_index()
         out["n"] = out["n"].astype("int64")
         return out
@@ -993,14 +970,9 @@ def lm_perplexity_ds(sf_dir: str, num_parts: int = 8,
 
     docs = read_table(sf_dir, "documents", columns=["doc_id", "text"])
 
-    def _tok_rows(batch: pd.DataFrame) -> pd.DataFrame:
-        toks = batch["text"].str.lower().str.strip().str.split(RE_WS)
-        df = pd.DataFrame({"doc_id": batch["doc_id"], "term": toks}).explode("term")
-        return df[df["term"].notna() & (df["term"] != "")]
-
     def _uni_partial(batch: pd.DataFrame) -> pd.DataFrame:
-        df = _tok_rows(batch)
-        out = df["term"].value_counts().rename_axis("term").rename("c1").reset_index()
+        terms = grams(batch, 1)["gram"]
+        out = terms.value_counts().rename_axis("term").rename("c1").reset_index()
         out["c1"] = out["c1"].astype("int64")
         return out
 
@@ -1008,22 +980,21 @@ def lm_perplexity_ds(sf_dir: str, num_parts: int = 8,
         return d.groupby("term", sort=False, as_index=False)["c1"].sum()
 
     def _bigram_rows(batch: pd.DataFrame) -> pd.DataFrame:
-        df = _tok_rows(batch)
-        if df.empty:
-            return pd.DataFrame({"doc_id": pd.Series([], dtype="int64"),
-                                 "w1": pd.Series([], dtype=object),
-                                 "bigram": pd.Series([], dtype=object)})
-        df["nxt"] = df.groupby("doc_id", sort=False)["term"].shift(-1)
-        df = df[df["nxt"].notna()]
-        return pd.DataFrame(
-            {"doc_id": df["doc_id"].astype("int64").values,
-             "w1": df["term"].values,
-             "bigram": (df["term"].astype(str) + " " + df["nxt"].astype(str)).values}
-        )
+        import pyarrow as pa
+        import pyarrow.compute as pc
+
+        big = grams(batch, 2)
+        # w1 = the text before the gram's one space (tokens hold none),
+        # cut by Arrow's C++ kernel
+        arr = pa.array(big["gram"].to_numpy(), type=pa.string())
+        w1 = pc.list_element(pc.split_pattern(arr, " ", max_splits=1), 0)
+        return pd.DataFrame({"doc_id": big["doc_id"].to_numpy(),
+                             "w1": w1.to_numpy(zero_copy_only=False),
+                             "bigram": big["gram"].to_numpy()})
 
     def _big_partial(batch: pd.DataFrame) -> pd.DataFrame:
-        df = _bigram_rows(batch)
-        out = df["bigram"].value_counts().rename_axis("bigram").rename("c2").reset_index()
+        big = grams(batch, 2)["gram"]
+        out = big.value_counts().rename_axis("bigram").rename("c2").reset_index()
         out["c2"] = out["c2"].astype("int64")
         return out
 
@@ -1038,11 +1009,11 @@ def lm_perplexity_ds(sf_dir: str, num_parts: int = 8,
         ["bigram"], _big_sum, num_parts=num_parts)
     vocab = cnt1.count()
 
-    grams = docs.map_batches(_bigram_rows, batch_format="pandas")
+    bigrams = docs.map_batches(_bigram_rows, batch_format="pandas")
     # salt_from=doc_id: a corpus-frequent gram would otherwise route every
     # occurrence row to one reducer (the Zipf guard built into the lookup)
     with_c2 = reduce_side_join(
-        grams, ["doc_id", "w1", "bigram"], "bigram", cnt2, "bigram", ["c2"],
+        bigrams, ["doc_id", "w1", "bigram"], "bigram", cnt2, "bigram", ["c2"],
         num_parts=num_parts, salt_from="doc_id",
     )
     cpd = collect_if_small(cnt1, vocab_broadcast_threshold)
@@ -1126,25 +1097,7 @@ def dup_passage_ds(sf_dir: str, n: int = 4, num_parts: int = 8):
 
     def _gram_occ(batch: pd.DataFrame) -> pd.DataFrame:
         """One row per gram occurrence: (doc_id, gram)."""
-        toks = batch["text"].str.lower().str.strip().str.split(RE_WS)
-        df = pd.DataFrame({"doc_id": batch["doc_id"], "term": toks}).explode("term")
-        df = df[df["term"].notna() & (df["term"] != "")]
-        empty = pd.DataFrame({"doc_id": pd.Series([], dtype="int64"),
-                              "gram": pd.Series([], dtype=object)})
-        if df.empty:
-            return empty
-        gram = df["term"].astype(str)
-        grp = df.groupby("doc_id", sort=False)["term"]
-        valid = pd.Series(True, index=df.index)
-        for j in range(1, n):
-            nxt = grp.shift(-j)
-            valid &= nxt.notna()
-            gram = gram + " " + nxt.astype(str)
-        df = df[valid]
-        if df.empty:
-            return empty
-        return pd.DataFrame({"doc_id": df["doc_id"].astype("int64").values,
-                             "gram": gram[valid].values})
+        return grams(batch, n)[["doc_id", "gram"]]
 
     def _df_partial(batch: pd.DataFrame) -> pd.DataFrame:
         occ = _gram_occ(batch).drop_duplicates(["doc_id", "gram"])
@@ -1370,9 +1323,7 @@ def heavy_hitters_ds(sf_dir: str, denom: int = 1000, mg_k: int = 4000,
     TOTAL_KEY = "\x00total\x00"  # impossible token (tokens never contain \x00)
 
     def _mg_partial(batch: pd.DataFrame) -> pd.DataFrame:
-        toks = batch["text"].str.lower().str.strip().str.split(RE_WS)
-        ex = toks.explode()
-        ex = ex[ex.notna() & (ex != "")]
+        ex = grams(batch, 1)["gram"]
         n = len(ex)
         vc = ex.value_counts()
         if len(vc) > mg_k:
@@ -1429,9 +1380,8 @@ def heavy_hitters_ds(sf_dir: str, denom: int = 1000, mg_k: int = 4000,
 
     def _exact_partial(batch: pd.DataFrame) -> pd.DataFrame:
         cands = ray.get(cand_ref)
-        toks = batch["text"].str.lower().str.strip().str.split(RE_WS)
-        ex = toks.explode()
-        ex = ex[ex.notna() & (ex != "") & ex.isin(cands)]
+        ex = grams(batch, 1)["gram"]
+        ex = ex[ex.isin(cands)]
         vc = ex.value_counts()
         return pd.DataFrame({"term": vc.index.astype(object),
                              "cnt": vc.to_numpy(dtype="int64")})

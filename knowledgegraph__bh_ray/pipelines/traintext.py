@@ -28,56 +28,20 @@ import numpy as np
 import pandas as pd
 
 from ..sources import read_table
-from .textops import RE_WS
+from .textops import grams, tokens
 
 # ---------------------------------------------------------------------------
 # Exact-substring span dedup (positional k-gram)
 # ---------------------------------------------------------------------------
 
 
-def _tok_series(text: pd.Series) -> pd.Series:
-    """lower().strip() whitespace tokenization — identical to the
-    dup_passage mirror's ``regexp_split_to_array(lower(trim(text)), '\\s+')``."""
-    return text.str.lower().str.strip().str.split(RE_WS)
-
-
-def _dup_positions_ds(docs, k: int, num_parts: int, hash_grams: bool):
+def _dup_positions_ds(docs, k: int, num_parts: int):
     """documents → (doc_id, pos) for every token position whose k-gram
-    occurs ≥2 times in the corpus: per-batch gram emission, ONE gram-key
-    exchange, partition-local ≥2 verdict.  Shared by substring_spans_ds
-    (span stats) and substring_clean_ds (span removal)."""
+    occurs ≥2 times in the corpus: per-batch gram emission
+    (``textops.grams``), ONE gram-key exchange, partition-local ≥2
+    verdict.  Shared by substring_spans_ds (span stats) and
+    substring_clean_ds (span removal)."""
     from ..stages.grouped import exchange
-
-    def _grams(batch: pd.DataFrame) -> pd.DataFrame:
-        toks = _tok_series(batch["text"])
-        df = pd.DataFrame({"doc_id": batch["doc_id"], "term": toks}).explode("term")
-        df = df[df["term"].notna() & (df["term"] != "")]
-        empty = pd.DataFrame({"gram": pd.Series([], dtype=object),
-                              "doc_id": pd.Series([], dtype="int64"),
-                              "pos": pd.Series([], dtype="int64")})
-        if df.empty:
-            return empty
-        gram = df["term"].astype(str)
-        grp = df.groupby("doc_id", sort=False)["term"]
-        valid = pd.Series(True, index=df.index)
-        for j in range(1, k):
-            nxt = grp.shift(-j)
-            valid &= nxt.notna()
-            gram = gram + " " + nxt.astype(str)
-        df = df[valid]
-        if df.empty:
-            return empty
-        pos = df.groupby("doc_id", sort=False).cumcount().to_numpy()
-        out = pd.DataFrame({"gram": gram[valid].values,
-                            "doc_id": df["doc_id"].astype("int64").values,
-                            "pos": pos})
-        if hash_grams:
-            # vectorized process-stable 64-bit hash (pandas siphash with a
-            # fixed key) — the 100-TB layout must not pay per-row Python
-            # on the token-scale gram table
-            out["gram"] = pd.util.hash_array(
-                out["gram"].to_numpy(dtype=object), categorize=False)
-        return out
 
     def _dup_positions(group: pd.DataFrame) -> pd.DataFrame:
         cnt = group.groupby("gram", sort=False)["gram"].transform("size")
@@ -85,11 +49,11 @@ def _dup_positions_ds(docs, k: int, num_parts: int, hash_grams: bool):
         return pd.DataFrame({"doc_id": d["doc_id"].to_numpy(dtype="int64"),
                              "pos": d["pos"].to_numpy(dtype="int64")})
 
-    return exchange(docs, ["gram"], _dup_positions, num_parts, map=_grams)
+    return exchange(docs, ["gram"], _dup_positions, num_parts,
+                    map=lambda batch: grams(batch, k))
 
 
-def substring_spans_ds(sf_dir: str, k: int = 8, num_parts: int = 8,
-                       hash_grams: bool = False):
+def substring_spans_ds(sf_dir: str, k: int = 8, num_parts: int = 8):
     """documents → one row per doc: (doc_id, n_tokens, dup_tokens, n_spans,
     dup_frac_micros) where ``dup_tokens`` is the size of the union of all
     token intervals [pos, pos+k) whose k-gram occurs ≥2 times in the corpus
@@ -105,21 +69,16 @@ def substring_spans_ds(sf_dir: str, k: int = 8, num_parts: int = 8,
     df-attach); (3) ONE doc-key exchange of only the FLAGGED positions +
     tiny (doc_id, n_tokens) marker rows, then the classic gaps-and-islands
     merge (grouped cummax, no per-doc Python).  Mirrored in SQL with the
-    identical window rule.
-
-    ``hash_grams=True`` ships a stable 64-bit gram hash through exchange
-    (2) instead of the gram string — the 100-TB configuration (8 bytes vs
-    ~8·k; collision odds ~n²/2⁶⁵ are negligible at any real corpus).  The
-    default stays string-exact so the DuckDB mirror is equality-checkable;
-    hash≡string equivalence is pytest-pinned on the test corpus.
+    identical window rule; exchange (2) ships the gram strings themselves,
+    so the verdict is string-exact like the mirror's.
     """
     from ..stages.grouped import exchange
 
     docs = read_table(sf_dir, "documents", columns=["doc_id", "text"])
-    dup_pos = _dup_positions_ds(docs, k, num_parts, hash_grams)
+    dup_pos = _dup_positions_ds(docs, k, num_parts)
 
     def _markers(batch: pd.DataFrame) -> pd.DataFrame:
-        toks = _tok_series(batch["text"])
+        toks = tokens(batch["text"])
         return pd.DataFrame({
             "doc_id": batch["doc_id"].astype("int64"),
             "pos": np.int64(-1),  # marker rows carry n_tokens, not positions
@@ -172,8 +131,7 @@ def substring_spans_ds(sf_dir: str, k: int = 8, num_parts: int = 8,
                     map=_with_n_tokens)
 
 
-def substring_clean_ds(sf_dir: str, k: int = 8, num_parts: int = 8,
-                       hash_grams: bool = False):
+def substring_clean_ds(sf_dir: str, k: int = 8, num_parts: int = 8):
     """The removal transform of exact-substring dedup: documents →
     (doc_id, text_clean, n_tokens, n_removed) where ``text_clean`` is the
     single-space join of the lowercased tokens NOT covered by any
@@ -192,7 +150,7 @@ def substring_clean_ds(sf_dir: str, k: int = 8, num_parts: int = 8,
     from ..stages.grouped import exchange
 
     docs = read_table(sf_dir, "documents", columns=["doc_id", "text"])
-    dup_pos = _dup_positions_ds(docs, k, num_parts, hash_grams)
+    dup_pos = _dup_positions_ds(docs, k, num_parts)
 
     def _text_rows(batch: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
@@ -211,9 +169,8 @@ def substring_clean_ds(sf_dir: str, k: int = 8, num_parts: int = 8,
             for d, g in dups.groupby("doc_id", sort=False)
         } if len(dups) else {}
         out = {c: [] for c in cols}
-        for doc_id, text in zip(texts["doc_id"], texts["text"]):
-            t = text.strip().lower()
-            toks = RE_WS.split(t) if t else []
+        for doc_id, toks in zip(texts["doc_id"], tokens(texts["text"])):
+            toks = [tok for tok in toks if tok]
             n = len(toks)
             ps = pos_by_doc.get(int(doc_id))
             if ps is None or not n:
@@ -256,12 +213,7 @@ def _word_counts_ds(sf_dir: str, num_parts: int):
     docs = read_table(sf_dir, "documents", columns=["doc_id", "text"])
 
     def _partial(batch: pd.DataFrame) -> pd.DataFrame:
-        toks = _tok_series(batch["text"]).explode()
-        toks = toks[toks.notna() & (toks != "")]
-        if not len(toks):
-            return pd.DataFrame({"word": pd.Series([], dtype=object),
-                                 "n": pd.Series([], dtype="int64")})
-        vc = toks.value_counts()
+        vc = grams(batch, 1)["gram"].value_counts()
         return pd.DataFrame({"word": vc.index, "n": vc.to_numpy(dtype="int64")})
 
     def _sum(d: pd.DataFrame) -> pd.DataFrame:
@@ -450,7 +402,7 @@ def bpe_encode_ds(sf_dir: str, merges: list[tuple[str, str, str]] | None = None,
                 n = memo[word] = len(syms)
             return n
 
-        toks = _tok_series(batch["text"])
+        toks = tokens(batch["text"])
         n_words, n_pieces = [], []
         for ws in toks:
             ws = [w for w in ws if w]

@@ -369,15 +369,15 @@ LSH_PLANES = 6
 def _lsh_table_buckets(batch: pd.DataFrame, vec_col: str) -> pd.DataFrame:
     """Explode each vector into LSH_TABLES rows (table_id, bucket) — one
     sign-bucket per independent hyperplane set (seeded per table)."""
+    from .simsearch import sign_buckets
+
     M = np.vstack(batch[vec_col].to_numpy()).astype(np.float64)
     frames = []
     for t in range(LSH_TABLES):
         P = np.random.default_rng(100 + t).standard_normal((LSH_PLANES, M.shape[1]))
-        bits = (M @ P.T) > 0
-        bucket = (bits * (1 << np.arange(LSH_PLANES))).sum(axis=1).astype("int64")
         f = batch.copy()
         f["table_id"] = np.int64(t)
-        f["bucket"] = bucket
+        f["bucket"] = sign_buckets(M, P)
         frames.append(f)
     return pd.concat(frames, ignore_index=True)
 

@@ -16,7 +16,6 @@ import numpy as np
 import pandas as pd
 
 N_PLANES = 6  # 2^6 = 64 LSH buckets
-_rng = np.random.default_rng(7)
 
 
 def _planes(dim: int) -> np.ndarray:
@@ -25,6 +24,32 @@ def _planes(dim: int) -> np.ndarray:
 
 def _normalize(M: np.ndarray) -> np.ndarray:
     return M / np.maximum(np.linalg.norm(M, axis=1, keepdims=True), 1e-12)
+
+
+def sign_buckets(M: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """Random-hyperplane sign bucket of each row of ``M``: bit i is set
+    when the row lies on the positive side of hyperplane ``P[i]``."""
+    bits = (M @ P.T) > 0
+    return (bits * (1 << np.arange(P.shape[0]))).sum(axis=1).astype("int64")
+
+
+def _topk_rows(qids, scored, id_col: str, k: int) -> pd.DataFrame:
+    """Per-batch partial top-k: ``scored`` yields each query's (candidate
+    ids, cosine sims); keep the k most similar of each query's candidates
+    as (query_id, id, sim) rows — all of them when there are at most k."""
+    out = {"query_id": [], id_col: [], "sim": []}
+    for qid, (ids, sims) in zip(qids, scored):
+        top = np.argpartition(-sims, k - 1)[:k] if len(sims) > k else np.arange(len(sims))
+        out["query_id"].extend([qid] * len(top))
+        out[id_col].extend(ids[top])
+        out["sim"].extend(sims[top])
+    return pd.DataFrame(
+        {
+            "query_id": pd.Series(out["query_id"], dtype="int64"),
+            id_col: pd.Series(out[id_col], dtype="int64"),
+            "sim": pd.Series(out["sim"], dtype="float64"),
+        }
+    )
 
 
 def brute_topk_ds(ds, queries: dict[int, np.ndarray], id_col: str, vec_col: str, k: int = 10):
@@ -41,16 +66,8 @@ def brute_topk_ds(ds, queries: dict[int, np.ndarray], id_col: str, vec_col: str,
     def _partial(batch: pd.DataFrame) -> pd.DataFrame:
         qids, Q = ray.get(q_ref)
         M = _normalize(np.vstack(batch[vec_col].to_numpy()).astype(np.float64))
-        sims = Q @ M.T  # (n_q, n_rows)
         ids = batch[id_col].to_numpy()
-        out = {"query_id": [], id_col: [], "sim": []}
-        kk = min(k, sims.shape[1])
-        for qi, qid in enumerate(qids):
-            top = np.argpartition(-sims[qi], kk - 1)[:kk]
-            out["query_id"].extend([qid] * kk)
-            out[id_col].extend(ids[top])
-            out["sim"].extend(sims[qi][top])
-        return pd.DataFrame(out)
+        return _topk_rows(qids, ((ids, s) for s in Q @ M.T), id_col, k)
 
     partials = ds.map_batches(_partial, batch_format="pandas")
     return _merge_topk(partials, id_col, k)
@@ -91,11 +108,8 @@ def _merge_topk(partials, id_col: str, k: int):
 def lsh_buckets_batch(batch: pd.DataFrame, vec_col: str) -> pd.DataFrame:
     """Append the random-hyperplane sign bucket of each vector."""
     M = np.vstack(batch[vec_col].to_numpy()).astype(np.float64)
-    P = _planes(M.shape[1])
-    bits = (M @ P.T) > 0
-    bucket = (bits * (1 << np.arange(N_PLANES))).sum(axis=1).astype("int64")
     out = batch.copy()
-    out["bucket"] = bucket
+    out["bucket"] = sign_buckets(M, _planes(M.shape[1]))
     return out
 
 
@@ -107,11 +121,8 @@ def lsh_topk_ds(ds, queries: dict[int, np.ndarray], id_col: str, vec_col: str, k
 
     qids = sorted(queries.keys())
     Q = np.vstack([queries[q] for q in qids]).astype(np.float64)
-    P = _planes(Q.shape[1])
-    qbits = (Q @ P.T) > 0
-    qbuckets = (qbits * (1 << np.arange(N_PLANES))).sum(axis=1).astype("int64")
     probe_sets = []
-    for b in qbuckets:
+    for b in sign_buckets(Q, _planes(Q.shape[1])):
         # multi-probe: the query's bucket plus all Hamming-1 and Hamming-2
         # neighbors — recall/cost knob (1 + P + P(P-1)/2 buckets of 2^P)
         probes = {int(b)} | {int(b) ^ (1 << i) for i in range(N_PLANES)}
@@ -128,26 +139,9 @@ def lsh_topk_ds(ds, queries: dict[int, np.ndarray], id_col: str, vec_col: str, k
         qids, Qn, probe_sets = ray.get(q_ref)
         M = _normalize(np.vstack(batch[vec_col].to_numpy()).astype(np.float64))
         ids = batch[id_col].to_numpy()
-        buckets = batch["bucket"].to_numpy()
-        out = {"query_id": [], id_col: [], "sim": []}
-        for qi, qid in enumerate(qids):
-            mask = np.isin(buckets, list(probe_sets[qi]))
-            if not mask.any():
-                continue
-            sims = Qn[qi] @ M[mask].T
-            sub_ids = ids[mask]
-            kk = min(k, len(sub_ids))
-            top = np.argpartition(-sims, kk - 1)[:kk] if len(sims) > kk else np.arange(len(sims))
-            out["query_id"].extend([qid] * len(top))
-            out[id_col].extend(sub_ids[top])
-            out["sim"].extend(sims[top])
-        return pd.DataFrame(
-            {
-                "query_id": pd.Series(out["query_id"], dtype="int64"),
-                id_col: pd.Series(out[id_col], dtype="int64"),
-                "sim": pd.Series(out["sim"], dtype="float64"),
-            }
-        )
+        masks = [np.isin(batch["bucket"].to_numpy(), list(p)) for p in probe_sets]
+        return _topk_rows(qids, ((ids[m], q @ M[m].T) for q, m in zip(Qn, masks)),
+                          id_col, k)
 
     bucketed = ds.map_batches(lambda b: lsh_buckets_batch(b, vec_col), batch_format="pandas")
     partials = bucketed.map_batches(_partial, batch_format="pandas")
@@ -215,25 +209,9 @@ def ivf_topk_ds(ds, queries: dict[int, np.ndarray], id_col: str, vec_col: str,
         M = _normalize(np.vstack(batch[vec_col].to_numpy()).astype(np.float64))
         ids = batch[id_col].to_numpy()
         assign = (M @ C.T).argmax(axis=1)
-        out = {"query_id": [], id_col: [], "sim": []}
-        for qi, qid in enumerate(qids):
-            mask = np.isin(assign, probe_lists[qi])
-            if not mask.any():
-                continue
-            sims = Qn[qi] @ M[mask].T
-            sub_ids = ids[mask]
-            kk = min(k, len(sub_ids))
-            top = np.argpartition(-sims, kk - 1)[:kk] if len(sims) > kk else np.arange(len(sims))
-            out["query_id"].extend([qid] * len(top))
-            out[id_col].extend(sub_ids[top])
-            out["sim"].extend(sims[top])
-        return pd.DataFrame(
-            {
-                "query_id": pd.Series(out["query_id"], dtype="int64"),
-                id_col: pd.Series(out[id_col], dtype="int64"),
-                "sim": pd.Series(out["sim"], dtype="float64"),
-            }
-        )
+        masks = [np.isin(assign, p) for p in probe_lists]
+        return _topk_rows(qids, ((ids[m], q @ M[m].T) for q, m in zip(Qn, masks)),
+                          id_col, k)
 
     partials = ds.map_batches(_partial, batch_format="pandas")
     return _merge_topk(partials, id_col, k)

@@ -1,10 +1,12 @@
 """Gates for the corpus-scale training-text ops (pipelines/traintext.py):
 exact-substring span dedup (vs the shared DuckDB mirror SQL on planted
-fixtures + hash-mode equivalence) and BPE merge training (vs an
-independent serial classic-BPE reference)."""
+fixtures), BPE merge training (vs an independent serial classic-BPE
+reference), and the n-gram kernel every text operator shares
+(``textops.grams``, vs a plain-Python per-doc reference)."""
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 
 import numpy as np
@@ -12,6 +14,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knowledgegraph__bh_ray.pipelines.traintext import (
     END_MARK,
@@ -77,18 +81,6 @@ def test_substring_spans_matches_oracle(ray_session, tmp_path):
     assert by.loc[5, "n_tokens"] == 0 and by.loc[5, "dup_frac_micros"] == 0
     # adjacent repeats merge into ONE maximal span of 8 tokens
     assert by.loc[6, "dup_tokens"] == 8 and by.loc[6, "n_spans"] == 1
-
-
-def test_substring_hash_mode_equivalent(ray_session, tmp_path):
-    """hash_grams=True (the 100-TB shuffle layout) must reproduce the
-    string-exact output on a real corpus slice."""
-    sf = "/root/testdata/sf0.001"
-    a = (substring_spans_ds(sf, k=8).to_pandas()
-         .sort_values("doc_id").reset_index(drop=True))
-    b = (substring_spans_ds(sf, k=8, hash_grams=True).to_pandas()
-         .sort_values("doc_id").reset_index(drop=True))
-    pd.testing.assert_frame_equal(a, b)
-    assert len(a) > 0
 
 
 def test_substring_partition_invariance(ray_session, tmp_path):
@@ -270,18 +262,6 @@ def test_substring_clean_consistent_with_spans(ray_session, tmp_path):
     assert list(spans["n_tokens"]) == list(clean["n_tokens"])
 
 
-def test_substring_clean_hash_mode_equivalent(ray_session):
-    from knowledgegraph__bh_ray.pipelines.traintext import substring_clean_ds
-
-    sf = "/root/testdata/sf0.001"
-    a = (substring_clean_ds(sf, k=8).to_pandas()
-         .sort_values("doc_id").reset_index(drop=True))
-    b = (substring_clean_ds(sf, k=8, hash_grams=True).to_pandas()
-         .sort_values("doc_id").reset_index(drop=True))
-    pd.testing.assert_frame_equal(a, b)
-    assert len(a) > 0
-
-
 def serial_bpe_encode(texts, merges):
     """Independent reference: apply trained merges in rank order to every
     whitespace token (chars + END_MARK start state), count pieces."""
@@ -404,3 +384,72 @@ def test_new_ops_empty_corpus(ray_session, tmp_path):
     assert list(uni["rank"]) == [1, 2]
     merges = bpe_merges_ds(sf, n_merges=3)
     assert merges.count() == 0
+
+
+# ---------------------------------------------------------------------------
+# The shared token rule and n-gram builder (pipelines/textops.py)
+# ---------------------------------------------------------------------------
+
+# cased Latin, digits, punctuation, CJK and ASCII/Unicode whitespace
+# (tab, newline, vertical tab, form feed, no-break and ideographic spaces)
+_GRAM_ALPHABET = "aAbBzZ09.,中文字好 \t\n\x0b\x0c 　"
+
+
+def _serial_grams(doc_ids, texts, n):
+    """Plain-Python reference: per doc, lower → strip → split on \\s+,
+    empty tokens dropped, consecutive n-tuples joined by one space."""
+    rows = []
+    for doc_id, t in zip(doc_ids, texts):
+        toks = [w for w in re.split(r"\s+", t.lower().strip()) if w]
+        for pos, g in enumerate(zip(*(toks[i:] for i in range(n)))):
+            rows.append((doc_id, " ".join(g), pos))
+    return rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(texts=st.lists(st.one_of(st.just(""), st.text(_GRAM_ALPHABET, max_size=40)),
+                      max_size=8),
+       n=st.sampled_from([1, 2, 4, 8]))
+def test_grams_matches_serial_reference(texts, n):
+    from knowledgegraph__bh_ray.pipelines.textops import grams
+
+    # descending, gapped doc ids on a shifted index: nothing may lean on
+    # ids or labels being 0..len-1
+    doc_ids = [1000 - 7 * i for i in range(len(texts))]
+    batch = pd.DataFrame({"doc_id": np.array(doc_ids, dtype="int64"),
+                          "text": np.array(texts, dtype=object)},
+                         index=range(10, 10 + len(texts)))
+    got = grams(batch, n)
+    assert list(got.columns) == ["doc_id", "gram", "pos"]
+    assert str(got["doc_id"].dtype) == "int64" and str(got["pos"].dtype) == "int64"
+    assert list(got.itertuples(index=False, name=None)) == _serial_grams(doc_ids, texts, n)
+
+
+def test_token_rule_and_gram_builder_written_once():
+    """The token rule (lower → trim → split) and the grouped-shift n-gram
+    builder each live in one function, ``textops.tokens`` / ``grams``;
+    no other line in pipelines/ spells either out."""
+    import ast
+    import glob
+    import os
+
+    from knowledgegraph__bh_ray.pipelines import textops
+
+    pats = (".str.lower().str.strip().str.split(", ".shift(-")
+    src_path = textops.__file__
+    tree = ast.parse(open(src_path, encoding="utf-8").read())
+    kernel = [(f.lineno, f.end_lineno) for f in tree.body
+              if isinstance(f, ast.FunctionDef) and f.name in ("tokens", "grams")]
+    inside, outside = [], []
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(src_path), "*.py"))):
+        is_textops = os.path.samefile(path, src_path)
+        for i, line in enumerate(open(path, encoding="utf-8"), 1):
+            for p in pats:
+                if p not in line:
+                    continue
+                if is_textops and any(a <= i <= b for a, b in kernel):
+                    inside.append(p)
+                else:
+                    outside.append(f"{os.path.basename(path)}:{i}: {line.strip()}")
+    assert not outside, outside
+    assert sorted(inside) == sorted(pats)
