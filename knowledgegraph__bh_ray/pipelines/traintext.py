@@ -49,8 +49,12 @@ def _dup_positions_ds(docs, k: int, num_parts: int):
         return pd.DataFrame({"doc_id": d["doc_id"].to_numpy(dtype="int64"),
                              "pos": d["pos"].to_numpy(dtype="int64")})
 
-    return exchange(docs, ["gram"], _dup_positions, num_parts,
-                    map=lambda batch: grams(batch, k))
+    def _grams(batch: pd.DataFrame) -> pd.DataFrame:
+        g = grams(batch["doc_id"], tokens(batch["text"]), k)
+        # a doc's k-grams start at tokens 0, 1, 2, … in order
+        return g.assign(pos=g.groupby("doc_id", sort=False).cumcount().astype("int64"))
+
+    return exchange(docs, ["gram"], _dup_positions, num_parts, map=_grams)
 
 
 def substring_spans_ds(sf_dir: str, k: int = 8, num_parts: int = 8):
@@ -63,7 +67,7 @@ def substring_spans_ds(sf_dir: str, k: int = 8, num_parts: int = 8):
     n_tokens`` (0 for empty docs).
 
     Shape: (1) per-batch gram emission — one (gram, doc_id, pos) row per
-    token position, vectorized via grouped shifts; (2) ONE gram-key
+    token position, vectorized by ``textops.grams``; (2) ONE gram-key
     exchange: all occurrences of a gram land in one partition, so the ≥2
     verdict is local (no second lookup — contrast dup_passage's
     df-attach); (3) ONE doc-key exchange of only the FLAGGED positions +
@@ -213,7 +217,7 @@ def _word_counts_ds(sf_dir: str, num_parts: int):
     docs = read_table(sf_dir, "documents", columns=["doc_id", "text"])
 
     def _partial(batch: pd.DataFrame) -> pd.DataFrame:
-        vc = grams(batch, 1)["gram"].value_counts()
+        vc = grams(batch["doc_id"], tokens(batch["text"]), 1)["gram"].value_counts()
         return pd.DataFrame({"word": vc.index, "n": vc.to_numpy(dtype="int64")})
 
     def _sum(d: pd.DataFrame) -> pd.DataFrame:
