@@ -9,7 +9,9 @@
                                              └─────▶ edges_canonical (broadcast-linked)
 
 Each function returns a *lazy* ``ray.data.Dataset``; nothing materializes
-until the caller consumes (write_parquet / to_pandas on small results).
+until the caller consumes it (write_parquet / to_pandas).  The exception
+is the ``local`` arm of stages/grouped.plan_arm: there the aggregating
+builders return the pandas frame already combined on the driver.
 Only ``parsed_ds`` reads pages; every builder after it takes a parsed
 (or nodes) Dataset.  The one caller that wires the entity graph into the
 DAG above is ``pipelines/run.run_kg_pipeline``, which reads the vocabulary
@@ -137,7 +139,7 @@ def _edge_agg(kept, salt_buckets: int = 16, est: SizeEstimate | None = None):
     per-entity lookups prunes to one bucket dir and one sorted range, and
     building the layout costs no shuffle beyond the aggregation's own.  On
     the ``local`` arm (``est`` small) ``finish`` sorts the whole result
-    once, which gives every bucket the same rows in the same order."""
+    once, on the driver, which gives every bucket the same rows in order."""
     return salted_grouped_agg(
         kept,
         keys=EDGE_KEYS,

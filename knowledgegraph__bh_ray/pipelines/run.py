@@ -19,11 +19,12 @@ K``, rows sorted by subj within the bucket.
 
 Phases 2-4 size their aggregation from the checkpoint's Parquet footers
 (element count and uncompressed bytes of the ``nodes`` / ``triples`` list
-column — no data read) and pass the estimate on, so an input within
-``grouped.plan_arm``'s measured row and heap bounds runs on the one-task
-``local`` arm instead of the salted shuffles.  Each of their manifest
-records carries the ``arm`` it ran on and the ``est_rows`` /
-``est_bytes`` that picked it.
+column — no data read), so an input within ``grouped.plan_arm``'s bounds
+runs on the ``local`` arm: map-task partials, one combine on the driver
+(the edge tables' sorted ``subj_bucket`` layout included) and a pyarrow
+write of that frame — no shuffle, combine task or Ray write job.  Each of
+their manifest records carries the ``arm`` it ran on and the ``est_rows``
+/ ``est_bytes`` that picked it.
 
 Phases 2-5 read the checkpoint in as many blocks as the columns they read
 need: one per ``DataContext.target_min_block_size`` (Ray's 1 MiB floor on a
@@ -52,6 +53,7 @@ from collections import Counter
 
 import pandas as pd
 import pyarrow as pa
+import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 import ray.data as rd
 
@@ -68,26 +70,25 @@ from . import kg
 def _footer_size(d: str, columns=(), leaf: str | None = None) -> SizeEstimate:
     """Size of a parquet dir from its file footers — no data read.
 
-    Without ``columns``: the table's rows (bytes 0).  With ``columns``:
-    bytes = the uncompressed size of all their leaves, rows = the
+    bytes = the uncompressed size of all leaves of ``columns`` (of every
+    column without them).  rows = the table's rows, or with ``leaf`` the
     ``num_values`` of the one leaf named ``leaf`` of a list<struct> column
     (the element count — summing every leaf would count each element once
-    per struct field; 0 without ``leaf``)."""
+    per struct field)."""
     rows = nbytes = 0
     for root, _, files in os.walk(d):
         for f in files:
             if not f.endswith(".parquet"):
                 continue
             meta = pq.ParquetFile(os.path.join(root, f)).metadata
-            if not columns:
+            if not leaf:
                 rows += meta.num_rows
-                continue
             for g in range(meta.num_row_groups):
                 rg = meta.row_group(g)
                 for c in range(rg.num_columns):
                     cc = rg.column(c)
                     path = cc.path_in_schema
-                    if path.split(".", 1)[0] not in columns:
+                    if columns and path.split(".", 1)[0] not in columns:
                         continue
                     nbytes += cc.total_uncompressed_size
                     if leaf and path.endswith("." + leaf):
@@ -109,15 +110,23 @@ def read_blocks(nbytes: int, ncpu: int) -> int:
     return max(1, min(ncpu, -(-nbytes // floor)))
 
 
-def _write(ds, out: str, empty: pa.Schema, **write_kw) -> int:
-    """``ds.write_parquet(out)``; returns the rows written.  Ray writes no
-    file for a Dataset without rows, so then a typed empty file is left
-    instead: units downstream and readers find the table's columns.
+def _write(ds, out: str, empty: pa.Schema, partition_cols=None) -> int:
+    """Write a Dataset (a Ray job) or a driver-side frame (pyarrow, no Ray
+    job) under ``out`` in hive ``partition_cols`` dirs; returns the rows
+    written.  Without rows a typed empty file is left instead: units
+    downstream and readers find the table's columns.
 
-    Each file is one row group: without a row-group size Ray's sink lets
-    ``pyarrow.dataset.write_dataset`` cut a file's rows into several
-    groups; ``1 << 20`` rows is pyarrow's own default cap per group."""
-    ds.write_parquet(out, row_group_size=1 << 20, **write_kw)
+    Each file is one row group of at most ``1 << 20`` rows (pyarrow's own
+    cap); unset, ``write_dataset`` may cut a file into several.  The frame
+    is written on one thread, which keeps its row order in each file."""
+    rg = 1 << 20
+    if not isinstance(ds, pd.DataFrame):
+        ds.write_parquet(out, row_group_size=rg, partition_cols=partition_cols)
+    elif len(ds):
+        pads.write_dataset(pa.Table.from_pandas(ds, preserve_index=False), out,
+                           format="parquet", partitioning=partition_cols,
+                           partitioning_flavor="hive", min_rows_per_group=rg,
+                           max_rows_per_group=rg, use_threads=False)
     rows = _footer_size(out).rows
     if not rows:
         os.makedirs(out, exist_ok=True)
@@ -125,17 +134,12 @@ def _write(ds, out: str, empty: pa.Schema, **write_kw) -> int:
     return rows
 
 
-def _read_small(d: str, columns=None) -> "pd.DataFrame":
-    """Driver-side read of a small output table via pyarrow (no Ray job)."""
-    return pq.read_table(d, columns=columns).to_pandas()
-
-
 def gazetteer(nodes_dir: str) -> tuple[list[str], list[str]]:
     """The mentions unit's vocabulary: (names, types) of the longest node
     names (the cap keeps the compiled pattern bounded; documented
     truncation) — same longest-win policy as GazetteerMatcher's own
     MAX_GAZETTEER cap; ties broken by name."""
-    names_pdf = _read_small(nodes_dir, ["name", "type"])
+    names_pdf = pq.read_table(nodes_dir, columns=["name", "type"]).to_pandas()
     names_pdf = (
         names_pdf.assign(_len=names_pdf["name"].str.len())
         .sort_values(["_len", "name"], ascending=[False, True], kind="mergesort")
@@ -260,7 +264,7 @@ def run_kg_pipeline(
         t0 = time.time()
         manifest.clean_unit_dir(edges_dir)
         est, plan = _plan("triples", "subj")
-        node_ids = frozenset(_read_small(nodes_dir, ["id"])["id"])
+        node_ids = frozenset(pq.read_table(nodes_dir, columns=["id"]).to_pandas()["id"])
         parsed, nblocks, _ = _parsed(["url", "triples"])
         edges = kg.edges_ds(parsed, node_ids=node_ids, est=est)
         rows = _write(edges, edges_dir, edge_schema, partition_cols=[kg.BUCKET_COL])
@@ -277,12 +281,9 @@ def run_kg_pipeline(
         est, plan = _plan("triples", "subj")
         # the deduped nodes table is vocabulary-sized (≪ corpus), so the
         # canonical pick runs driver-side in one pandas pass, not a Ray job
-        canon_pdf = canonical_map_pdf(_read_small(nodes_dir, ["url", "seq", "name"]))
-        os.makedirs(canon_dir, exist_ok=True)
-        pq.write_table(
-            pa.Table.from_pandas(canon_pdf, schema=CANON_SCHEMA, preserve_index=False),
-            os.path.join(canon_dir, "part-00000.parquet"),
-        )
+        nodes = pq.read_table(nodes_dir, columns=["url", "seq", "name"]).to_pandas()
+        canon_pdf = canonical_map_pdf(nodes)
+        _write(canon_pdf, canon_dir, CANON_SCHEMA)
         parsed, nblocks, _ = _parsed(["url", "triples"])
         ecanon = kg.edges_canonical_ds(parsed, canon_map=canon_lookup(canon_pdf), est=est)
         rows = _write(ecanon, ecanon_dir, edge_schema, partition_cols=[kg.BUCKET_COL])

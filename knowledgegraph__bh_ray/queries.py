@@ -46,6 +46,7 @@ import pandas as pd
 from .oracle import ensure_golden, golden_dir
 from .pagegen import ensure_pages, pages_path
 from .pipelines import kg, relational, textops
+from .pipelines.run import _footer_size, read_blocks, run_kg_pipeline
 from .sources import read_pages, read_table
 from .stages import dedup, embed, ner, simsearch
 
@@ -101,8 +102,6 @@ def kg_run(sf_dir: str) -> str:
     process, so a pipeline change always reaches the mirrors."""
     import shutil
 
-    from .pipelines.run import run_kg_pipeline
-
     out = _scratch(sf_dir, "kg_run")
     shutil.rmtree(out, ignore_errors=True)
     run_kg_pipeline(_prep(sf_dir), out)
@@ -110,10 +109,14 @@ def kg_run(sf_dir: str) -> str:
 
 
 def _run_table(sf_dir: str, table: str, columns: list[str] | None = None):
-    """Dataset over one table of this process's ``kg_run``."""
+    """Dataset over one table of this process's ``kg_run``, read in the
+    resume units' width: ``run.read_blocks`` of the read columns' bytes."""
+    import ray
     import ray.data as rd
 
-    return rd.read_parquet(os.path.join(kg_run(sf_dir), table), columns=columns)
+    d = os.path.join(kg_run(sf_dir), table)
+    n = read_blocks(_footer_size(d, columns).bytes, int(ray.cluster_resources().get("CPU", 8)))
+    return rd.read_parquet(d, columns=columns, override_num_blocks=n)
 
 
 def _texts(sf_dir: str):

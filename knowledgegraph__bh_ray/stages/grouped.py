@@ -38,11 +38,10 @@ therefore has two physical plans, picked per call by ``plan_arm``:
      the per-salt rows (≤ salt_buckets per key).
 
 * **local** (the caller's ``SizeEstimate`` is within ``plan_arm``'s
-  measured row and heap bounds): the same per-batch partial, then ``repartition(1)`` and one
-  ``map_batches(batch_size=None)`` task that combines everything and runs
-  ``finish``.  No salt, no route column, no shuffle: on the resume
-  pipeline's graph units the two sort-based shuffles cost more fixed plan
-  overhead than one task spends combining (PERF.md round 9).
+  measured row and heap bounds): the same per-batch partial as map tasks,
+  streamed to the driver, which combines once, runs ``finish`` and returns
+  the ``pandas.DataFrame``.  No salt, shuffle, barrier or combine task:
+  they cost more than the combine (PERF.md rounds 9 and 14).
 
 The block aggregation function must be **associative + commutative** over
 rows sharing a key (min-by-seq keep-first, sum-of-weight, …), which makes
@@ -74,13 +73,13 @@ DEFAULT_COMBINE_PARTITIONS = 16
 SIZE_DISPATCH_THRESHOLD = 2_000_000
 
 # The ``local`` arm's bounds, measured on the resume units at 4 CPUs
-# (PERF.md round 10).  Rows: the one-task plan beat the salted one at
-# every size tried, up to 4.2M raw triples and 5.3M node occurrences, its
-# lead shrinking as the input grew; the cap is the largest size tried on
-# both units, not a crossover.  Heap: the one combine task's peak per
-# Parquet uncompressed byte of its input, when the partials are as large
-# as the input — the pandas frame with no string shared (9.0× on the
-# triples column) plus the sort and dedup copies (3.1×).
+# (PERF.md round 10).  Rows: the local plan beat the salted one at every
+# size tried, up to 4.2M raw triples and 5.3M node occurrences, its lead
+# shrinking as the input grew; the cap is the largest size tried on both
+# units, not a crossover.  Heap: the combining process's peak per Parquet
+# uncompressed byte of its input, when the partials are as large as the
+# input — the pandas frame with no string shared (9.0× on the triples
+# column) plus the sort and dedup copies (3.1×).
 LOCAL_AGG_MAX_ROWS = 4_000_000
 LOCAL_AGG_HEAP_PER_BYTE = 12
 
@@ -96,12 +95,12 @@ class SizeEstimate(NamedTuple):
 
 def plan_arm(est: SizeEstimate | None) -> str:
     """``salted_grouped_agg``'s physical plan for an input of size ``est``:
-    ``"local"`` when it has at most ``LOCAL_AGG_MAX_ROWS`` rows and the one
-    combine task's projected peak heap (``est.bytes`` ×
+    ``"local"`` when it has at most ``LOCAL_AGG_MAX_ROWS`` rows and the
+    driver's projected peak heap for the combine (``est.bytes`` ×
     ``LOCAL_AGG_HEAP_PER_BYTE``) is at most a quarter of the smallest live
-    node's object store — the task and its one input block land on a
-    single node, so the cluster total says nothing about it — else
-    ``"salted"``.  No estimate means ``"salted"``."""
+    node's object store — the driver holds every partial and the combined
+    result in one process, so the cluster total says nothing about it —
+    else ``"salted"``.  No estimate means ``"salted"``."""
     if est is None:
         return "salted"
     import ray
@@ -240,8 +239,9 @@ def salted_grouped_agg(
     then runs once per final group on its fully-aggregated rows — a caller
     that needs its output laid out by some function of the keys (e.g. the
     subj-bucketed adjacency, pipelines/kg.py) gets it from this exchange
-    instead of a second shuffle.  On the ``local`` arm ``finish`` runs once
-    on the whole result (``final_route`` is not needed there).
+    instead of a second shuffle.  The ``local`` arm returns the driver-side
+    frame instead of a Dataset, ``finish`` run once on all of it
+    (``final_route`` is not needed there; no partial gives no columns).
     """
     if plan_arm(est) == "local":
         return _local_agg(ds, block_agg, finish)
@@ -270,25 +270,18 @@ def salted_grouped_agg(
     return _shuffle(level2, _combine_final, combine_partitions)
 
 
-def _local_agg(ds, block_agg, finish):
-    """The ``local`` arm: per-batch partial, then one task combines every
-    partial and runs ``finish``.  Column-less batches (empty passthrough
-    blocks) skip ``block_agg``, as in ``exchange``."""
+def _local_agg(ds, block_agg, finish) -> pd.DataFrame:
+    """The ``local`` arm.  Column-less batches (empty passthrough blocks)
+    skip ``block_agg``, as in ``exchange``."""
 
     def _partial(batch: pd.DataFrame) -> pd.DataFrame:
         return block_agg(batch) if len(batch.columns) else batch
 
-    def _combine(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df.columns):
-            return df
-        out = block_agg(df)
-        return finish(out) if finish else out
-
-    return (
-        ds.map_batches(_partial, batch_format="pandas")
-        .repartition(1)
-        .map_batches(_combine, batch_size=None, batch_format="pandas")
-    )
+    out = ds.map_batches(_partial, batch_format="pandas").to_pandas()
+    if not len(out.columns):
+        return out
+    out = block_agg(out)
+    return finish(out) if finish else out
 
 
 # ---------------------------------------------------------------------------

@@ -87,14 +87,18 @@ def test_salted_agg_equals_pandas_groupby(ray_session):
     assert plan_arm(SizeEstimate(1, cap)) == "local"
     assert plan_arm(SizeEstimate(1, cap + 1)) == "salted"
 
+    def frame(out) -> pd.DataFrame:
+        # the local arm hands back its driver-side frame, the salted one a Dataset
+        return out if isinstance(out, pd.DataFrame) else out.to_pandas()
+
     for est in (None, local):
         arm = plan_arm(est)
 
         def agg(block_agg):
-            return salted_grouped_agg(
+            return frame(salted_grouped_agg(
                 rd.from_pandas(df).repartition(11), keys=["k"], block_agg=block_agg,
                 salt_from="url", salt_buckets=5, est=est,
-            ).to_pandas().sort_values("k").reset_index(drop=True)
+            )).sort_values("k").reset_index(drop=True)
 
         out = agg(count_first_block(["k"], "seq"))
         pd.testing.assert_frame_equal(
@@ -106,8 +110,8 @@ def test_salted_agg_equals_pandas_groupby(ray_session):
         pd.testing.assert_frame_equal(out[["k", "seq", "url", "v"]],
                                       keep_exp[["k", "seq", "url", "v"]], obj=f"{arm}/keep_first")
 
-        edges = kg._edge_agg(rd.from_pandas(tri).repartition(11), salt_buckets=5,
-                             est=est).to_pandas()
+        edges = frame(kg._edge_agg(rd.from_pandas(tri).repartition(11), salt_buckets=5,
+                                   est=est))
         for b, rows in edges.groupby("subj_bucket", sort=False):
             assert {bucket_of(x, kg.ADJACENCY_BUCKETS) for x in rows["subj"]} == {b}, arm
             keys = rows[kg.EDGE_KEYS].reset_index(drop=True)
@@ -120,7 +124,7 @@ def test_salted_agg_equals_pandas_groupby(ray_session):
         )
 
         empty = kg._edge_agg(rd.from_pandas(tri.iloc[:0]), salt_buckets=5, est=est)
-        assert len(empty.to_pandas()) == 0, arm
+        assert len(frame(empty)) == 0, arm
 
 
 def test_reduce_side_ops_partition_invariance(ray_session):

@@ -195,7 +195,8 @@ def test_degree_from_adjacency_no_shuffle(ray_session, pages_small, tmp_path):
     assert records["mentions"]["est_bytes"] == _footer_size(parsed, read["mentions"]).bytes > 0
 
     def _table(ds) -> pd.DataFrame:
-        df = ds.to_pandas()
+        # the local arm's builders hand back a driver-side frame
+        df = ds if isinstance(ds, pd.DataFrame) else ds.to_pandas()
         if kg.BUCKET_COL in df:  # read back from the partition dir names as strings
             df = df.astype({kg.BUCKET_COL: "int64"})
         return _canon(df)
@@ -261,8 +262,8 @@ def test_degree_from_adjacency_no_shuffle(ray_session, pages_small, tmp_path):
 def test_write_one_row_group_per_file(ray_session, tmp_path):
     """``run._write`` leaves one row group per file: an edge table of more
     rows than one Arrow exec batch (32,768), aggregated on the local arm
-    into one block and written in the adjacency layout, gives each bucket
-    file its rows in a single group."""
+    into one driver-side frame and written in the adjacency layout, gives
+    each bucket file its rows in a single group."""
     import glob
 
     import pyarrow.parquet as pq
@@ -284,6 +285,66 @@ def test_write_one_row_group_per_file(ray_session, tmp_path):
     files = glob.glob(os.path.join(out, "*", "*.parquet"))
     assert len(files) == 16
     assert [pq.ParquetFile(f).metadata.num_row_groups for f in files] == [1] * 16
+
+
+def test_frame_write_matches_dataset_write(ray_session, tmp_path):
+    """``run._write`` of the local arm's driver-side frame writes what a
+    Ray Dataset write of the same edges writes: the same Arrow schema, the
+    same 16 ``subj_bucket=K`` dirs, one row group per file and the same
+    rows in each.  An empty frame leaves the typed ``empty.parquet``."""
+    import glob
+
+    import pyarrow.parquet as pq
+
+    from knowledgegraph__bh_ray.pipelines import kg
+    from knowledgegraph__bh_ray.pipelines.run import _write
+    from knowledgegraph__bh_ray.stages.grouped import SizeEstimate
+
+    n = 5_000
+    ids = [f"{i:06x}" for i in range(n)]
+    triples = pd.DataFrame({
+        "url": [f"u{i % 97}" for i in range(n)], "seq": [f"{i:06d}" for i in range(n)],
+        "subj": [ids[i % 700] for i in range(n)], "pred": [f"p{i % 3}" for i in range(n)],
+        "obj": [ids[i % 50] for i in range(n)], "subj_name": ids, "obj_name": ids[::-1],
+        "props_json": "{}",
+    })
+    frame = kg._edge_agg(rd.from_pandas(triples), est=SizeEstimate(0, 0))
+    assert isinstance(frame, pd.DataFrame) and 0 < len(frame) < n
+
+    def _files(src, name: str) -> dict:
+        out = str(tmp_path / name)
+        assert _write(src, out, kg.edge_schema(), partition_cols=[kg.BUCKET_COL]) == len(frame)
+        return {os.path.basename(os.path.dirname(f)): pq.ParquetFile(f)
+                for f in glob.glob(os.path.join(out, "*", "*.parquet"))}
+
+    got, want = _files(frame, "frame"), _files(rd.from_pandas(frame), "dataset")
+    assert sorted(got) == sorted(want) == [f"{kg.BUCKET_COL}={k}" for k in sorted(range(16), key=str)]
+    for d, f in got.items():
+        assert f.metadata.num_row_groups == want[d].metadata.num_row_groups == 1, d
+        assert f.schema_arrow.equals(want[d].schema_arrow), d
+        pd.testing.assert_frame_equal(f.read().to_pandas(), want[d].read().to_pandas(), obj=d)
+
+    empty = str(tmp_path / "empty")
+    assert _write(frame.iloc[:0], empty, kg.edge_schema(), partition_cols=[kg.BUCKET_COL]) == 0
+    assert os.listdir(empty) == ["empty.parquet"]
+    assert pq.read_schema(os.path.join(empty, "empty.parquet")).equals(kg.edge_schema())
+
+
+def test_local_arm_runs_no_repartition(ray_session, pages_small, tmp_path, monkeypatch):
+    """The graph units' ``local`` arm has no ``repartition`` barrier: with
+    ``Dataset.repartition`` raising, a build completes and nodes, edges
+    and canonical record ``arm == "local"``."""
+
+    def _barrier(self, *args, **kwargs):
+        raise AssertionError("Dataset.repartition called on the local arm")
+
+    monkeypatch.setattr(rd.Dataset, "repartition", _barrier)
+    res = run_kg_pipeline(pages_small, str(tmp_path / "run"))
+    records = {r["unit"]: r for r in res["records"]}
+    assert set(records) == {"parsed:group=0", "nodes", "edges", "canonical", "mentions"}
+    for unit in ("nodes", "edges", "canonical"):
+        assert records[unit]["arm"] == "local", unit
+        assert records[unit]["rows"] > 0, unit
 
 
 def test_pipeline_tagger_slot_pluggable(ray_session, pages_small, tmp_path):
