@@ -36,7 +36,7 @@ from ..functions.hashing import (min_k_sketch, rolling_fingerprints,
                                  seeded_md5_digests, seeded_md5_sortkey,
                                  seeded_md5_u32)
 from ..sources import read_table
-from ..stages.grouped import SIZE_DISPATCH_THRESHOLD, collect_if_small
+from ..stages.grouped import collect_if_local
 
 # keep in sync with the SQL mirrors (queries.build_oracle_sql)
 RE_WS = re.compile(r"\s+")
@@ -946,8 +946,7 @@ def quality_filter_ds(sf_dir: str, lo_q: float = 0.05, hi_q: float = 0.95):
     return counts.map_batches(_keep, batch_format="pandas")
 
 
-def lm_perplexity_ds(sf_dir: str, num_parts: int = 8,
-                     vocab_broadcast_threshold: int = SIZE_DISPATCH_THRESHOLD):
+def lm_perplexity_ds(sf_dir: str, num_parts: int = 8):
     """CCNet-style language-model quality scoring: train an add-one-smoothed
     bigram LM on the corpus itself (one distributed counting pass), then
     score every document by its average bigram log-probability —
@@ -958,11 +957,11 @@ def lm_perplexity_ds(sf_dir: str, num_parts: int = 8,
     100-TB design: the BIGRAM table is corpus-scale, so c2 attaches via a
     ``reduce_side_join`` exchange (gram-hash routed, salted) —
     no broadcast there, ever.  The UNIGRAM table is vocab-scale (Heaps'
-    law: sublinear in corpus size), so its attach is COUNTED DISPATCH
-    (the kcore/nsim rule): when ``count(cnt1) ≤ vocab_broadcast_threshold``
-    the unigram map is ``ray.put`` once and c1 attaches shuffle-free inside
-    the scoring pass — eliminating one full token-scale exchange; above
-    the threshold the original reduce-side lookup runs.  Both paths
+    law: sublinear in corpus size), so its attach is a sized dispatch
+    (the kcore/nsim rule): when ``grouped.plan_arm`` sizes ``cnt1``
+    ``local`` the unigram map is ``ray.put`` once and c1 attaches
+    shuffle-free inside the scoring pass — eliminating one full
+    token-scale exchange; otherwise the reduce-side lookup runs.  Both paths
     equality-pinned in tests/test_window_caps_filter.py.  Self-trained, so
     every doc bigram is present in the count tables (lookups never miss);
     smoothing keeps the formula standard."""
@@ -1016,10 +1015,10 @@ def lm_perplexity_ds(sf_dir: str, num_parts: int = 8,
         bigrams, ["doc_id", "w1", "bigram"], "bigram", cnt2, "bigram", ["c2"],
         num_parts=num_parts, salt_from="doc_id",
     )
-    cpd = collect_if_small(cnt1, vocab_broadcast_threshold)
+    cpd = collect_if_local(cnt1)
     if cpd is not None:
-        # counted dispatch: attach c1 from a broadcast vocab map inside the
-        # scoring pass — no token-scale exchange for the unigram lookup
+        # attach c1 from a broadcast vocab map inside the scoring pass —
+        # no token-scale exchange for the unigram lookup
         c1_ref = ray.put(pd.Series(
             cpd.get("c1", pd.Series(dtype="int64")).to_numpy("int64"),
             index=cpd.get("term", pd.Series(dtype=object))))

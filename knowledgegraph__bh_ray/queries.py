@@ -324,7 +324,7 @@ def q_kg_pagerank(sf_dir: str):
 
 def q_kg_page_components(sf_dir: str):
     """Connected components of the page-link graph (undirected) — the same
-    counted-dispatch CC as dedup_clusters, on graph edges."""
+    sized-dispatch CC as dedup_clusters, on graph edges."""
     from .stages.cc import connected_components_ds
 
     return connected_components_ds(q_kg_page_graph_edges(sf_dir), a="src_url", b="dst_url")
@@ -911,7 +911,7 @@ def q_rag_topk(sf_dir: str):
 
 def q_kg_kcore(sf_dir: str):
     """4-core of the undirected page-link graph: iterative degree-peel to
-    fixpoint (counted dispatch + reduce-side rounds, stages/pagerank.py).
+    fixpoint (sized dispatch + reduce-side rounds, stages/pagerank.py).
     k=4 peels a nontrivial shell at sf0.01 (472 of 500 pages survive,
     3 rounds); the SQL mirror unrolls 6 MATERIALIZED rounds — a pytest
     asserts the peel converges within that budget on the test corpus."""

@@ -39,7 +39,7 @@ import numpy as np
 import pandas as pd
 
 from .graphops import degrees, propagate
-from .grouped import SIZE_DISPATCH_THRESHOLD, collect_if_small
+from .grouped import collect_if_local
 
 
 def connected_components_pairs(pairs: pd.DataFrame, a: str = "id_a", b: str = "id_b",
@@ -74,7 +74,7 @@ def connected_components_pairs(pairs: pd.DataFrame, a: str = "id_a", b: str = "i
 def dsu_pairs(pairs: pd.DataFrame, a: str = "id_a", b: str = "id_b") -> pd.DataFrame:
     """Union-find with path compression and union-by-min (the root IS the
     min id of the component, matching the min-label semantics).  The fast
-    path for pair sets that COUNTED small — O(α) per edge."""
+    path for pair sets that ``plan_arm`` sizes ``local`` — O(α) per edge."""
     parent: dict = {}
 
     def find(x):
@@ -113,16 +113,14 @@ def _label_checksum(labels_ds) -> int:
 
 
 def connected_components_ds(pairs_ds, a: str = "id_a", b: str = "id_b",
-                            max_rounds: int = 16, num_parts: int = 8,
-                            driver_threshold: int = SIZE_DISPATCH_THRESHOLD):
+                            max_rounds: int = 16, num_parts: int = 8):
     """Dataset of pairs → Dataset(node, cluster).
 
-    Dispatch is COUNTED, not assumed: the directed edge list is materialized
-    once (object store) and counted.  At or below ``driver_threshold``
-    directed edges the exact DSU runs driver-side (pairs provably fit);
-    above it — the adversarial boilerplate-replication case where pairs
-    approach corpus size — the distributed min-label rounds run with
-    Dataset joins only.  Both paths produce identical (node, min-id
+    Dispatch is sized, not assumed: the directed edge list is materialized
+    once (object store); when ``grouped.collect_if_local`` sizes it
+    ``local`` the exact DSU runs driver-side, otherwise — the adversarial
+    boilerplate-replication case where pairs approach corpus size — the
+    distributed min-label rounds run with Dataset joins only.  Both paths produce identical (node, min-id
     cluster) output (property-tested)."""
     import ray.data as rd
 
@@ -141,7 +139,7 @@ def connected_components_ds(pairs_ds, a: str = "id_a", b: str = "id_b",
     # materialize the directed edge list ONCE (object store, not driver) so
     # each round's join does not re-run the upstream pair-generation DAG
     edges = pairs_ds.map_batches(_both, batch_format="pandas").materialize()
-    small = collect_if_small(edges, driver_threshold)
+    small = collect_if_local(edges)
     if small is not None:
         if not len(small):
             return rd.from_pandas(pd.DataFrame({"node": [], "cluster": []}))

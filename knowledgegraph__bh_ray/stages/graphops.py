@@ -10,7 +10,8 @@ in that lowering live here once:
   ``u < v`` with self-loops dropped;
 * ``degrees`` — a hash-partitioned count of how often each node appears;
 * ``attach`` — a left lookup of each endpoint's degree: one broadcast map
-  when the degree table counts small, reduce-side joins otherwise;
+  when ``grouped.plan_arm`` sizes the degree table ``local``, reduce-side
+  joins otherwise;
 * ``propagate`` — one message step: ``edges ⋈ state`` on src sends each
   node's value to its out-neighbours, and a hash-partitioned combine per
   node folds the messages into a base table.
@@ -26,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from .grouped import (collect_if_small, distinct_block, hash_partitioned_agg,
+from .grouped import (collect_if_local, distinct_block, hash_partitioned_agg,
                       reduce_side_join)
 
 
@@ -70,18 +71,17 @@ def degrees(ds, cols: list[str], num_parts: int):
 
 
 def attach(ds, cols: list[str], on: list[str], degs, as_cols: list[str],
-           num_parts: int, threshold: int):
+           num_parts: int):
     """``ds`` (columns ``cols``) plus, for each column of ``on``, the ``deg``
     of the matching ``degs(node, deg)`` row as the paired column of
     ``as_cols`` (missing where no row matches).
 
-    Counted dispatch: when ``degs`` counts at most ``threshold`` rows it is
-    ``ray.put`` once and every lookup runs in one shuffle-free map;
-    otherwise each lookup is a ``reduce_side_join(how="left")`` — correct
-    when even the node set is too big for a worker heap.  ``degs`` should
-    be materialized: the dispatch counts it and the join arm reads it once per
-    lookup."""
-    table = collect_if_small(degs, threshold)
+    When ``grouped.collect_if_local`` sizes the materialized ``degs``
+    ``local`` it is ``ray.put`` once and every lookup runs in one
+    shuffle-free map; otherwise each lookup is a
+    ``reduce_side_join(how="left")`` — correct when even the node set is
+    too big for a worker heap."""
+    table = collect_if_local(degs)
     if table is None:
         for c, a in zip(on, as_cols):
             lut = degs.map_batches(

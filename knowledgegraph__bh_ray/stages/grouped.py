@@ -14,8 +14,10 @@ over ``df.groupby(key, sort=False)`` where the work is per key by nature
 The wide ops that stay outside are keyless: the global ``Dataset.sort``
 behind sorted top-k (``bigram_top_ds``, ``top_parts_ds``, the graph-JSON
 streamer), ``Dataset.unique``, the seeded ``random_shuffle`` sample, and
-the ``repartition(1)`` merges of driver-sized sketches.  ``collect_if_small``
-and ``plan_arm`` below are size dispatches, not shuffles.
+the ``repartition(1)`` merges of driver-sized sketches.  ``plan_arm`` below
+is the one size dispatch, not a shuffle: every driver-or-distributed choice
+in the package asks it, the graph and text operators through
+``collect_if_local``.
 
 Web-text entity keys are Zipfian — a bare ``groupby(key)`` ships every
 occurrence of the head entity to one reducer, and per-*group* Python
@@ -48,9 +50,9 @@ rows sharing a key (min-by-seq keep-first, sum-of-weight, …), which makes
 the result independent of the arm, partition count, batch size and
 execution order — property-tested in tests/test_invariance.py.
 
-Partition-count note: ``num_parts``/``combine_partitions`` bound the number
-of reduce tasks over *partially-aggregated* data (size ~ |keys|, not
-|input|); on a multi-node cluster set them to O(cluster cores).
+Partition-count note: ``num_parts`` bounds the number of reduce tasks over
+*partially-aggregated* data (size ~ |keys|, not |input|); on a multi-node
+cluster set it to O(cluster cores).
 """
 
 from __future__ import annotations
@@ -67,10 +69,6 @@ PART_COL = "_part"
 # local mode); coalescing small datasets before a shuffle removes pure
 # overhead.
 DEFAULT_COMBINE_PARTITIONS = 16
-
-# Size dispatch: a side of at most this many rows is collected to the
-# driver or broadcast; a larger one takes the reduce-side path.
-SIZE_DISPATCH_THRESHOLD = 2_000_000
 
 # The ``local`` arm's bounds, measured on the resume units at 4 CPUs
 # (PERF.md round 10).  Rows: the local plan beat the salted one at every
@@ -94,13 +92,14 @@ class SizeEstimate(NamedTuple):
 
 
 def plan_arm(est: SizeEstimate | None) -> str:
-    """``salted_grouped_agg``'s physical plan for an input of size ``est``:
-    ``"local"`` when it has at most ``LOCAL_AGG_MAX_ROWS`` rows and the
-    driver's projected peak heap for the combine (``est.bytes`` ×
-    ``LOCAL_AGG_HEAP_PER_BYTE``) is at most a quarter of the smallest live
-    node's object store — the driver holds every partial and the combined
-    result in one process, so the cluster total says nothing about it —
-    else ``"salted"``.  No estimate means ``"salted"``."""
+    """The package's one driver-or-distributed choice, for an input of size
+    ``est`` (``salted_grouped_agg``'s plan, and every graph and text
+    operator's through ``collect_if_local``): ``"local"`` when it has at
+    most ``LOCAL_AGG_MAX_ROWS`` rows and the driver's projected peak heap
+    (``est.bytes`` × ``LOCAL_AGG_HEAP_PER_BYTE``) is at most a quarter of
+    the smallest live node's object store — the driver holds the whole
+    input in one process, so the cluster total says nothing about it —
+    else ``"salted"`` (distributed).  No estimate means ``"salted"``."""
     if est is None:
         return "salted"
     import ray
@@ -114,14 +113,21 @@ def plan_arm(est: SizeEstimate | None) -> str:
     return "salted"
 
 
-def collect_if_small(ds, threshold: int) -> pd.DataFrame | None:
-    """The counted size dispatch, the one place it is decided: ``ds`` as a
-    driver-side frame when it counts at most ``threshold`` rows (the caller
-    then runs its driver-side path or broadcasts the frame), else ``None``
-    (the caller takes its distributed path).  An empty ``ds`` comes back
-    as a frame that may have no columns.  Pass a pinned ``ds``: the count
-    and the collect each execute an unpinned one."""
-    return ds.to_pandas() if ds.count() <= threshold else None
+def collect_if_local(ds) -> pd.DataFrame | None:
+    """``ds`` as a driver-side frame when ``plan_arm`` sizes it ``"local"``
+    (the caller runs its driver-side path or broadcasts the frame), else
+    ``None`` (the caller takes its distributed path).  The size comes from
+    block metadata, so no Ray job runs; unknown bytes mean no estimate.  An
+    empty ``ds`` may come back as a frame with no columns.  ``ds`` must be
+    materialized: a lazy one would execute once to size, again to collect."""
+    from ray.data.dataset import MaterializedDataset
+
+    if not isinstance(ds, MaterializedDataset):
+        raise TypeError(f"collect_if_local needs a materialized Dataset, "
+                        f"got {type(ds).__name__}")
+    size = ds.size_bytes()
+    est = None if size is None else SizeEstimate(ds.count(), size)
+    return ds.to_pandas() if plan_arm(est) == "local" else None
 
 
 def _key_hash(df: pd.DataFrame, cols: list[str]) -> pd.Series:
@@ -221,7 +227,6 @@ def salted_grouped_agg(
     block_agg: Callable[[pd.DataFrame], pd.DataFrame],
     salt_from: str,
     salt_buckets: int = 16,
-    combine_partitions: int = DEFAULT_COMBINE_PARTITIONS,
     final_route: Callable[[pd.DataFrame], np.ndarray] | None = None,
     finish: Callable[[pd.DataFrame], pd.DataFrame] | None = None,
     est: SizeEstimate | None = None,
@@ -233,8 +238,8 @@ def salted_grouped_agg(
     DataFrame; every level runs it (the salted level without the salt
     column).
 
-    ``final_route`` (default: hash(keys) % combine_partitions) maps the
-    salted level's rows to their final group; it must depend on key
+    ``final_route`` (default: hash(keys) % DEFAULT_COMBINE_PARTITIONS)
+    maps the salted level's rows to their final group; it must depend on key
     columns only, so every row of a key meets in one group.  ``finish``
     then runs once per final group on its fully-aggregated rows — a caller
     that needs its output laid out by some function of the keys (e.g. the
@@ -259,15 +264,15 @@ def salted_grouped_agg(
         # route for the final level inside this UDF: a separate route
         # stage after map_groups costs ~0.1 s per aggregation (PERF.md
         # round 7)
-        return _with_route(out, final_route or keys, combine_partitions)
+        return _with_route(out, final_route or keys, DEFAULT_COMBINE_PARTITIONS)
 
     def _combine_final(df: pd.DataFrame) -> pd.DataFrame:
         out = block_agg(df)
         return finish(out) if finish else out
 
-    level2 = exchange(ds, keys + [SALT_COL], _combine_salted, combine_partitions,
-                      map=_partial)
-    return _shuffle(level2, _combine_final, combine_partitions)
+    level2 = exchange(ds, keys + [SALT_COL], _combine_salted,
+                      DEFAULT_COMBINE_PARTITIONS, map=_partial)
+    return _shuffle(level2, _combine_final, DEFAULT_COMBINE_PARTITIONS)
 
 
 def _local_agg(ds, block_agg, finish) -> pd.DataFrame:

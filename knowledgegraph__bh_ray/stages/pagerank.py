@@ -22,7 +22,7 @@ import numpy as np
 import pandas as pd
 
 from .graphops import attach, degrees, propagate, undirected
-from .grouped import SIZE_DISPATCH_THRESHOLD, collect_if_small
+from .grouped import collect_if_local
 
 
 def pagerank_pairs(edges: pd.DataFrame, damping: float = 0.85, iters: int = 10,
@@ -58,15 +58,14 @@ def triangles_ds(edges_ds, src: str = "src_url", dst: str = "dst_url",
     degree, so one Zipfian hub of degree d no longer produces d² pairs in
     one partition (it becomes the HIGH end of almost every edge and
     generates ~no wedges; tests/test_pagerank.py pins the star case).
-    Every exchange is hash-partitioned; no broadcast (the edge set is
-    corpus-scale)."""
+    Every edge-scale exchange is hash-partitioned; the node-scale degrees
+    attach through ``graphops.attach``, as in node similarity."""
     from .grouped import exchange, reduce_side_join
 
     und = undirected(edges_ds, src, dst, num_parts)
     # materialized: both endpoint lookups read it
     degs = degrees(und, ["u", "v"], num_parts).materialize()
-    # threshold 0: the lookups stay reduce-side joins (no broadcast)
-    e_dd = attach(und, ["u", "v"], ["u", "v"], degs, ["du", "dv"], num_parts, 0)
+    e_dd = attach(und, ["u", "v"], ["u", "v"], degs, ["du", "dv"], num_parts)
 
     # orient low-(deg, id) → high-(deg, id); carry the high end's degree so
     # wedge pairs can be ordered without another lookup
@@ -141,14 +140,13 @@ def triangles_ds(edges_ds, src: str = "src_url", dst: str = "dst_url",
 
 
 def pagerank_ds(edges_ds, damping: float = 0.85, iters: int = 10,
-                num_parts: int = 8, src: str = "src_url", dst: str = "dst_url",
-                driver_threshold: int = SIZE_DISPATCH_THRESHOLD):
+                num_parts: int = 8, src: str = "src_url", dst: str = "dst_url"):
     """Dataset(src, dst) → Dataset(url, rank); see module docstring.
 
-    Counted dispatch (same policy as stages/cc.py): the edge list is
-    materialized and COUNTED; at or below ``driver_threshold`` edges the
-    dict reference runs driver-side (identical math, none of the per-round
-    barrier overhead), above it the distributed rounds run."""
+    Same dispatch as stages/cc.py: when ``grouped.collect_if_local`` sizes
+    the materialized edge list ``local`` the dict reference runs
+    driver-side (identical math, no per-round barriers), otherwise the
+    distributed rounds run."""
     import ray.data as rd
 
     from .grouped import reduce_side_join
@@ -157,7 +155,7 @@ def pagerank_ds(edges_ds, damping: float = 0.85, iters: int = 10,
         lambda d: pd.DataFrame({"src": d.get(src, []), "dst": d.get(dst, [])}),
         batch_format="pandas",
     ).materialize()
-    small = collect_if_small(edges, driver_threshold)
+    small = collect_if_local(edges)
     if small is not None:
         if not len(small):
             return rd.from_pandas(pd.DataFrame({"url": [], "rank": []}))
@@ -217,8 +215,8 @@ def pagerank_ds(edges_ds, damping: float = 0.85, iters: int = 10,
 
 
 def k_core_pairs(und: pd.DataFrame, k: int, u: str = "u", v: str = "v"):
-    """Driver-side reference peel (plain pandas) for tests and the counted
-    dispatch.  Input must already be DISTINCT canonical undirected pairs
+    """Driver-side reference peel (plain pandas) for tests and the driver
+    arm.  Input must already be DISTINCT canonical undirected pairs
     (u < v, no self-loops).  Returns ((url, core_deg) frame, rounds)."""
     e = und[[u, v]].reset_index(drop=True)
     rounds = 0
@@ -240,20 +238,18 @@ def k_core_pairs(und: pd.DataFrame, k: int, u: str = "u", v: str = "v"):
 
 
 def k_core_ds(edges_ds, k: int = 4, src: str = "src_url", dst: str = "dst_url",
-              num_parts: int = 8, max_rounds: int = 50,
-              driver_threshold: int = SIZE_DISPATCH_THRESHOLD,
-              bcast_dead_threshold: int = SIZE_DISPATCH_THRESHOLD):
+              num_parts: int = 8, max_rounds: int = 50):
     """k-core of the undirected graph: iteratively peel vertices with
     degree < ``k`` until fixpoint; output ``(url, core_deg)`` for surviving
     vertices (``core_deg`` = degree inside the stable core, ≥ k by
     definition of the fixpoint).
 
-    Same counted-dispatch policy as ``pagerank_ds`` / ``stages/cc.py``: the
-    canonical edge list is materialized and COUNTED; small graphs peel
-    driver-side (identical math), large ones run distributed rounds.  Each
-    round computes one hash-partitioned degree count, then dispatches on
-    the size of the DEAD set (deg < k — the shell being peeled, usually a
-    tiny fraction of the graph after round 1): a small shell is broadcast
+    Same dispatch as ``pagerank_ds``: a graph ``grouped.collect_if_local``
+    sizes ``local`` peels driver-side (identical math), a larger one runs
+    distributed rounds.  Each round computes one hash-partitioned degree
+    count, then dispatches on the size of the DEAD set (deg < k — the shell
+    being peeled, usually a tiny fraction of the graph after round 1) by
+    the same rule: a ``local`` shell is broadcast
     via ``ray.put`` and edges incident to it are dropped in ONE shuffle-free
     vectorized filter pass; a corpus-sized shell (possible in round 1 on a
     sparse graph) falls back to two reduce-side semi-joins on the alive
@@ -269,7 +265,7 @@ def k_core_ds(edges_ds, k: int = 4, src: str = "src_url", dst: str = "dst_url",
     und = undirected(edges_ds, src, dst, num_parts)
     empty = pd.DataFrame({"url": pd.Series([], dtype=object),
                           "core_deg": pd.Series([], dtype="int64")})
-    small = collect_if_small(und, driver_threshold)
+    small = collect_if_local(und)
     if small is not None:
         out = k_core_pairs(small, k)[0] if len(small) else empty
         return rd.from_pandas(out if len(out) else empty)
@@ -284,9 +280,9 @@ def k_core_ds(edges_ds, k: int = 4, src: str = "src_url", dst: str = "dst_url",
             )[np.asarray(d.get("deg", pd.Series([], dtype="int64"))) < k],
             batch_format="pandas",
         ).materialize()
-        shell = collect_if_small(dead, bcast_dead_threshold)
-        if shell is not None and not len(shell):
+        if dead.count() == 0:
             break
+        shell = collect_if_local(dead)
         if shell is not None:
             # shell is small: drop its incident edges in one pass
             dead_ref = ray.put(frozenset(shell["node"]))
@@ -324,8 +320,7 @@ def k_core_ds(edges_ds, k: int = 4, src: str = "src_url", dst: str = "dst_url",
 
 
 def node_similarity_ds(edges_ds, src: str = "src_url", dst: str = "dst_url",
-                       num_parts: int = 8, max_middle_degree: int | None = None,
-                       deg_broadcast_threshold: int = SIZE_DISPATCH_THRESHOLD):
+                       num_parts: int = 8, max_middle_degree: int | None = None):
     """Common-neighbor Jaccard node similarity — the classic
     link-prediction / related-item feature: every node pair (a < b) that
     shares ≥1 neighbor, scored ``|N(a)∩N(b)| / |N(a)∪N(b)|`` as exact
@@ -337,14 +332,13 @@ def node_similarity_ds(edges_ds, src: str = "src_url", dst: str = "dst_url",
     (one ``triu_indices`` per distinct list size — the dedup bucket trick,
     no per-middle Python) → pair-count aggregation → degree attach.
 
-    Degree attach is ``graphops.attach``, COUNTED DISPATCH (the kcore
-    dead-shell rule): the degree table is node-scale while the pair table
-    is the largest intermediate, so when ``count(degs) ≤
-    deg_broadcast_threshold`` the degree map is ``ray.put`` once and both
-    endpoint degrees attach in ONE shuffle-free pass; above the threshold
-    two reduce-side lookups run (no broadcast — correct when even the node
-    set is too big for a worker heap).  Both paths are equality-pinned in
-    tests/test_pagerank.py.
+    Degree attach is ``graphops.attach`` (the kcore dead-shell rule): the
+    degree table is node-scale while the pair table is the largest
+    intermediate, so when ``grouped.plan_arm`` sizes ``degs`` ``local`` the
+    degree map is ``ray.put`` once and both endpoint degrees attach in ONE
+    shuffle-free pass; otherwise two reduce-side lookups run (no broadcast
+    — correct when even the node set is too big for a worker heap).  Both
+    paths are equality-pinned in tests/test_pagerank.py.
 
     Unlike triangle counting, the hub blowup here is SEMANTIC: a middle of
     degree d really does witness d(d-1)/2 related pairs.  For web-scale
@@ -393,7 +387,7 @@ def node_similarity_ds(edges_ds, src: str = "src_url", dst: str = "dst_url",
                                   num_parts=num_parts)
 
     scored = attach(common, ["node_a", "node_b", "common"], ["node_a", "node_b"],
-                    degs, ["deg_a", "deg_b"], num_parts, deg_broadcast_threshold)
+                    degs, ["deg_a", "deg_b"], num_parts)
 
     def _score(d: pd.DataFrame) -> pd.DataFrame:
         if "common" not in d.columns or not len(d):

@@ -39,7 +39,7 @@ sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 import ray
 
 REPLICAS = int(os.environ.get("SOAK_REPLICAS", "160"))
-NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", len(os.sched_getaffinity(0))))
 
 _SPILL_BYTES = re.compile(r"num bytes currently spilled: (\d+)")
 _SPILL_REQS = re.compile(r"cumulative spill requests: (\d+)")

@@ -1,7 +1,10 @@
+from unittest import mock
+
 import pandas as pd
 import ray.data as rd
 
 from knowledgegraph__bh_ray.sources.conll import parse_conll_text, parse_ner_json_lines
+from knowledgegraph__bh_ray.stages import grouped
 from knowledgegraph__bh_ray.stages.cc import (
     connected_components_ds,
     connected_components_pairs,
@@ -24,19 +27,20 @@ def test_cc_distributed_matches_reference(ray_session, page_graph_small):
     b = rng.integers(0, 200, 150)
     pairs = pd.DataFrame({"id_a": np.minimum(a, b), "id_b": np.maximum(a, b)})
     pairs = pairs[pairs["id_a"] != pairs["id_b"]].drop_duplicates()
-    # the random pairs on the default (counted) dispatch, then the sf0.001
-    # page graph with the distributed rounds forced
-    for ds, cols, kw in ((rd.from_pandas(pairs), ("id_a", "id_b"), {}),
-                         (page_graph_small, ("src_url", "dst_url"),
-                          {"driver_threshold": 0})):
+    # the random pairs on the default (sized) dispatch, then the sf0.001
+    # page graph with the distributed rounds forced (no input sizes local)
+    for ds, cols, cap in ((rd.from_pandas(pairs), ("id_a", "id_b"),
+                           grouped.LOCAL_AGG_MAX_ROWS),
+                          (page_graph_small, ("src_url", "dst_url"), -1)):
         want = (connected_components_pairs(ds.to_pandas(), *cols)
                 .sort_values("node").reset_index(drop=True))
-        got = (
-            connected_components_ds(ds, *cols, **kw)
-            .to_pandas()
-            .sort_values("node")
-            .reset_index(drop=True)
-        )
+        with mock.patch.object(grouped, "LOCAL_AGG_MAX_ROWS", cap):
+            got = (
+                connected_components_ds(ds, *cols)
+                .to_pandas()
+                .sort_values("node")
+                .reset_index(drop=True)
+            )
         pd.testing.assert_frame_equal(got.astype(str), want.astype(str))
 
 
@@ -67,15 +71,14 @@ def test_ner_json_parse():
 
 def test_cc_adversarial_chain(ray_session):
     """Adversarial dup-rate shape: pairs ≈ nodes (one long chain, max
-    diameter), with ``driver_threshold=0`` forcing the DISTRIBUTED join
+    diameter), with ``LOCAL_AGG_MAX_ROWS=-1`` forcing the DISTRIBUTED join
     path — labels/edges stay Dataset-resident (never to_pandas'd);
     pointer jumping converges in O(log n) rounds."""
     n = 128
     ids = [f"n{i:04d}" for i in range(n)]
     pairs = pd.DataFrame({"id_a": ids[:-1], "id_b": ids[1:]})
-    got = connected_components_ds(
-        rd.from_pandas(pairs), driver_threshold=0, num_parts=2
-    ).to_pandas()
+    with mock.patch.object(grouped, "LOCAL_AGG_MAX_ROWS", -1):
+        got = connected_components_ds(rd.from_pandas(pairs), num_parts=2).to_pandas()
     assert len(got) == n
     assert (got["cluster"] == "n0000").all()
 

@@ -127,6 +127,37 @@ def test_salted_agg_equals_pandas_groupby(ray_session):
         assert len(frame(empty)) == 0, arm
 
 
+def test_collect_if_local_follows_plan_arm(ray_session):
+    """The graph and text operators' size dispatch is ``plan_arm``'s rule:
+    a materialized Dataset comes back as a frame when the row cap is at or
+    above its row count and ``None`` below it; unknown bytes go
+    distributed; a lazy Dataset is refused (sizing would execute it)."""
+    from unittest import mock
+
+    import pytest
+    import ray.data as rd
+
+    from knowledgegraph__bh_ray.stages import grouped
+
+    df = pd.DataFrame({"node": [f"n{i:02d}" for i in range(50)],
+                       "deg": pd.Series(range(50), dtype="int64")})
+
+    def lazy():
+        return rd.from_pandas(df).map_batches(lambda d: d, batch_format="pandas")
+
+    ds = lazy().materialize()
+    for cap in (len(df), len(df) + 1):
+        with mock.patch.object(grouped, "LOCAL_AGG_MAX_ROWS", cap):
+            out = grouped.collect_if_local(ds)
+        pd.testing.assert_frame_equal(out.sort_values("node").reset_index(drop=True), df)
+    with mock.patch.object(grouped, "LOCAL_AGG_MAX_ROWS", len(df) - 1):
+        assert grouped.collect_if_local(ds) is None
+    with mock.patch.object(ds, "size_bytes", return_value=None):
+        assert grouped.collect_if_local(ds) is None
+    with pytest.raises(TypeError):
+        grouped.collect_if_local(lazy())
+
+
 def test_reduce_side_ops_partition_invariance(ray_session):
     """Every reduce-side join type equals its pandas result at any partition
     count — including more partitions than distinct keys (empty shuffle
@@ -258,19 +289,33 @@ def test_exchange_is_the_only_keyed_shuffle():
 
 def test_no_user_selected_plans():
     """Each operator has one plan, chosen from its input: no module reads
-    an environment variable or takes a join-mode switch.  (The needles are
-    split so that a grep for the deleted switch finds no test either.)"""
+    an environment variable or takes a join-mode switch, no function takes
+    a ``*_threshold`` parameter (a caller-chosen plan cutoff; similarity
+    cutoffs are named plain ``threshold``: they set what a query returns,
+    not how it runs), and the deleted counted size dispatch and its
+    constant are named nowhere, so ``plan_arm`` is the one size rule.  (The
+    needles are split so that a grep for the deleted names finds no test
+    either.)"""
+    import ast
     import pathlib
 
     import knowledgegraph__bh_ray
 
     root = pathlib.Path(knowledgegraph__bh_ray.__file__).parent
-    hits = sorted(
-        (path.relative_to(root).as_posix(), needle)
-        for path in root.rglob("*.py")
-        for needle in ("os." "environ", "get" "env", "join" "_mode")
-        if needle in path.read_text(encoding="utf-8")
-    )
+    hits = []
+    for path in sorted(root.rglob("*.py")):
+        src = path.read_text(encoding="utf-8")
+        rel = path.relative_to(root).as_posix()
+        hits += [(rel, needle)
+                 for needle in ("os." "environ", "get" "env", "join" "_mode",
+                                "collect_if_" "small", "SIZE_DISPATCH_" "THRESHOLD")
+                 if needle in src]
+        for node in ast.walk(ast.parse(src)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                params = a.posonlyargs + a.args + a.kwonlyargs + [
+                    p for p in (a.vararg, a.kwarg) if p is not None]
+                hits += [(rel, p.arg) for p in params if p.arg.endswith("_" "threshold")]
     assert hits == [], hits
 
 

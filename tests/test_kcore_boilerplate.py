@@ -1,6 +1,7 @@
 """k-core / boilerplate-strip / shuffle-shard operator tests.
 
-k-core: reference peel vs distributed rounds (forced via driver_threshold=0),
+k-core: reference peel vs distributed rounds (forced by patching
+``grouped.LOCAL_AGG_MAX_ROWS``),
 adversarial shapes (clique, path, star), and the SQL-mirror unroll budget
 (the sf0.01 corpus must converge within the 6 rounds _kcore_sql unrolls).
 """
@@ -8,10 +9,13 @@ adversarial shapes (clique, path, star), and the SQL-mirror unroll budget
 from __future__ import annotations
 
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pandas as pd
 import pytest
+
+from knowledgegraph__bh_ray.stages import grouped
 
 
 def _und(pairs):
@@ -60,6 +64,8 @@ class TestKCorePairs:
 
 class TestKCoreDistributed:
     def test_matches_reference_on_random_graph(self, ray_session):
+        import ray
+
         from knowledgegraph__bh_ray.stages.pagerank import k_core_ds, k_core_pairs
 
         rng = np.random.default_rng(7)
@@ -70,20 +76,31 @@ class TestKCoreDistributed:
             if a != b:
                 pairs.add((f"n{min(a,b):03d}", f"n{max(a,b):03d}"))
         pairs = sorted(pairs)
-        ref, _ = k_core_pairs(_und(pairs), k=3)
-        # distributed path forced (threshold 0), directed duplicates +
-        # reversed edges in the input exercise the canonicalization
+        # k=5 peels 8 of the 60 nodes over 4 rounds (every node has degree
+        # >= 3, so a 3-core would leave the dead shell empty from round 1)
+        ref, _ = k_core_pairs(_und(pairs), k=5)
+        # directed duplicates + reversed edges in the input exercise the
+        # canonicalization
         noisy = list(pairs) + [(b, a) for a, b in pairs[:40]] + list(pairs[:25])
         ref = ref.sort_values("url").reset_index(drop=True)
-        # both distributed branches: broadcast-dead-shell and reduce-side
-        for bcast_thr in (2_000_000, 0):
-            got = (
-                k_core_ds(_edges_ds(noisy), k=3, driver_threshold=0,
-                          num_parts=4, bcast_dead_threshold=bcast_thr)
-                .to_pandas()
-                .sort_values("url")
-                .reset_index(drop=True)
-            )
+        # both distributed dead-shell branches: a cap of -1 sizes nothing
+        # local (semi-joins); a cap under the edge count but over every
+        # shell (at most n nodes) peels distributed with broadcast shells
+        assert n < len(pairs)
+        for cap, semi in ((-1, True), (len(pairs) - 1, False)):
+            with mock.patch.object(grouped, "LOCAL_AGG_MAX_ROWS", cap), \
+                 mock.patch.object(grouped, "reduce_side_join",
+                                   wraps=grouped.reduce_side_join) as rsj, \
+                 mock.patch.object(ray, "put", wraps=ray.put) as put:
+                got = (
+                    k_core_ds(_edges_ds(noisy), k=5, num_parts=4)
+                    .to_pandas()
+                    .sort_values("url")
+                    .reset_index(drop=True)
+                )
+            semi_ran = any(c.kwargs.get("how") == "semi" for c in rsj.call_args_list)
+            bcast_ran = any(isinstance(c.args[0], frozenset) for c in put.call_args_list)
+            assert (semi_ran, bcast_ran) == (semi, not semi)
             pd.testing.assert_frame_equal(got, ref)
 
     def test_driver_path_equals_distributed(self, ray_session, page_graph_small):
@@ -95,7 +112,8 @@ class TestKCoreDistributed:
         # a toy graph, then the sf0.001 page graph at the registry's k
         for ds, k in ((_edges_ds(pairs), 2), (page_graph_small, 4)):
             small = k_core_ds(ds, k=k).to_pandas()
-            dist = k_core_ds(ds, k=k, driver_threshold=0).to_pandas()
+            with mock.patch.object(grouped, "LOCAL_AGG_MAX_ROWS", -1):
+                dist = k_core_ds(ds, k=k).to_pandas()
             key = lambda d: d.sort_values("url").reset_index(drop=True)  # noqa: E731
             pd.testing.assert_frame_equal(key(small), key(dist))
             assert len(small) > 0

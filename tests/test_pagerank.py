@@ -1,9 +1,12 @@
 """PageRank: distributed rounds vs the driver-side dict reference."""
 
+from unittest import mock
+
 import numpy as np
 import pandas as pd
 import ray.data as rd
 
+from knowledgegraph__bh_ray.stages import grouped
 from knowledgegraph__bh_ray.stages.pagerank import pagerank_ds, pagerank_pairs
 
 
@@ -28,12 +31,13 @@ def test_distributed_matches_reference(ray_session, page_graph_small):
     for ds, iters in ((rd.from_pandas(_graph()), 10), (page_graph_small, 3)):
         want = (pagerank_pairs(ds.to_pandas(), iters=iters)
                 .sort_values("url").reset_index(drop=True))
-        got = (
-            pagerank_ds(ds, iters=iters, num_parts=2, driver_threshold=0)
-            .to_pandas()
-            .sort_values("url")
-            .reset_index(drop=True)
-        )
+        with mock.patch.object(grouped, "LOCAL_AGG_MAX_ROWS", -1):
+            got = (
+                pagerank_ds(ds, iters=iters, num_parts=2)
+                .to_pandas()
+                .sort_values("url")
+                .reset_index(drop=True)
+            )
         assert got["url"].tolist() == want["url"].tolist()
         assert np.allclose(got["rank"].to_numpy(), want["rank"].to_numpy(), atol=1e-9)
 
@@ -171,9 +175,9 @@ def test_node_similarity_stop_hub_cap(ray_session):
 
 
 def test_node_similarity_dispatch_equivalence(ray_session, page_graph_small):
-    """Counted-dispatch gate: the broadcast degree attach (default — the
-    degree table is node-scale) and the reduce-side two-lookup fallback
-    (deg_broadcast_threshold=0, the too-many-nodes path) must produce
+    """Dispatch gate: the broadcast degree attach (default — the degree
+    table is node-scale) and the reduce-side two-lookup fallback
+    (``LOCAL_AGG_MAX_ROWS=-1``, the too-many-nodes path) must produce
     identical output, capped and uncapped, on a random graph and on the
     sf0.001 page graph."""
     from knowledgegraph__bh_ray.stages.pagerank import node_similarity_ds
@@ -187,8 +191,8 @@ def test_node_similarity_dispatch_equivalence(ray_session, page_graph_small):
                     (page_graph_small, None), (page_graph_small, 4)):
         a = (node_similarity_ds(ds, max_middle_degree=cap)
              .to_pandas().sort_values(["node_a", "node_b"]).reset_index(drop=True))
-        b = (node_similarity_ds(ds, max_middle_degree=cap,
-                                deg_broadcast_threshold=0)
-             .to_pandas().sort_values(["node_a", "node_b"]).reset_index(drop=True))
+        with mock.patch.object(grouped, "LOCAL_AGG_MAX_ROWS", -1):
+            b = (node_similarity_ds(ds, max_middle_degree=cap)
+                 .to_pandas().sort_values(["node_a", "node_b"]).reset_index(drop=True))
         pd.testing.assert_frame_equal(a, b)
         assert len(a) > 0

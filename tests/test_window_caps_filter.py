@@ -342,18 +342,22 @@ class TestSourceCapPreCap:
 
 
 def test_lm_perplexity_dispatch_equivalence(ray_session):
-    """Counted-dispatch gate for the unigram attach: broadcast (default —
-    the vocab table is Heaps-law-sized) and reduce-side fallback
-    (vocab_broadcast_threshold=0) must score identically."""
+    """Dispatch gate for the unigram attach: broadcast (default — the
+    vocab table is Heaps-law-sized) and reduce-side fallback
+    (``LOCAL_AGG_MAX_ROWS=-1``) must score identically."""
+    from unittest import mock
+
     import pandas as pd
 
     from knowledgegraph__bh_ray.pipelines.textops import lm_perplexity_ds
+    from knowledgegraph__bh_ray.stages import grouped
 
     sf = "/root/testdata/sf0.001"
     a = (lm_perplexity_ds(sf).to_pandas()
          .sort_values("doc_id").reset_index(drop=True))
-    b = (lm_perplexity_ds(sf, vocab_broadcast_threshold=0).to_pandas()
-         .sort_values("doc_id").reset_index(drop=True))
+    with mock.patch.object(grouped, "LOCAL_AGG_MAX_ROWS", -1):
+        b = (lm_perplexity_ds(sf).to_pandas()
+             .sort_values("doc_id").reset_index(drop=True))
     pd.testing.assert_frame_equal(a, b)
     assert len(a) > 0
 
